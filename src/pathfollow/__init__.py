@@ -16,9 +16,8 @@ from .guidance import (
     corrector_geometry,
     eta,
     latax_l1,
-    lookahead_speed,
 )
-from .metrics import RunRecord, RunSummary, cross_track_error, improvements, summarize
+from .metrics import RunRecord, RunSummary, improvements, summarize
 from .midcourse import (
     ContactSolution,
     InfeasibleGeometryError,

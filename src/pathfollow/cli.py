@@ -18,17 +18,11 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import guidance, metrics, midcourse as mc
-from .config import (
-    CONTROLLER_BOTH,
-    ConfigError,
-    default_scenario,
-    load_scenario,
-    parse_scenario,
-)
+from .config import CONTROLLER_BOTH, ConfigError, ScenarioConfig, load_scenario
 from .geom import wrap_angle
 from .metrics import CSV_HEADER, RunRecord
 from .midcourse import InfeasibleGeometryError
-from .path import make_sinusoid_path
+from .path import ReferencePath, make_sinusoid_path
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, run_mission
 from .vehicle import VehicleState
 
@@ -84,18 +78,22 @@ def _summary_dict(run: RunRecord) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _config_error(exc: ConfigError) -> int:
+    for p in exc.problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_scenario(args.config)
         controllers = cfg.controllers(args.controller)
+        path = cfg.build_path()
     except ConfigError as exc:
-        for p in exc.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
 
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = cfg.build_path()
 
     runs: dict[str, RunRecord] = {}
     try:
@@ -138,10 +136,8 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(scenario_dict: dict, heading_deg: float) -> dict:
+def _sweep_row(cfg: ScenarioConfig, path: ReferencePath, heading_deg: float) -> dict:
     """One sweep row: baseline and proposed runs at a fixed initial heading."""
-    cfg = parse_scenario(scenario_dict)
-    path = cfg.build_path()
     try:
         base = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(CONTROLLER_BASELINE))
         prop = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(CONTROLLER_PROPOSED))
@@ -181,21 +177,19 @@ def _render_sweep_text(rows: list[dict]) -> str:
 def cmd_sweep(args) -> int:
     try:
         cfg = load_scenario(args.config)
+        path = cfg.build_path()
     except ConfigError as exc:
-        for p in exc.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
 
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario_dict = default_scenario() if args.config is None else json.loads(FsPath(args.config).read_text())
     headings = cfg.sweep_headings_deg
 
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_sweep_row, [scenario_dict] * len(headings), headings))
+            rows = list(pool.map(_sweep_row, [cfg] * len(headings), [path] * len(headings), headings))
     else:
-        rows = [_sweep_row(scenario_dict, h) for h in headings]
+        rows = [_sweep_row(cfg, path, h) for h in headings]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for r in rows:

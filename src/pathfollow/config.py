@@ -80,31 +80,35 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
 
     def build_path(self) -> pathmod.ReferencePath:
+        """Construct the path; an unreadable file or degenerate geometry is a ConfigError."""
         spec = self.path_spec
         kind = spec["kind"]
-        if kind == "sinusoid":
-            return pathmod.make_sinusoid_path(spec["x_start"], spec["x_end"])
-        if kind == "circle":
-            return pathmod.make_circle_path(
-                tuple(spec["center"]),
-                spec["radius"],
-                spec.get("sense", pathmod.SENSE_ANTICLOCKWISE),
-                math.radians(spec.get("start_angle_deg", 0.0)),
-                spec.get("turns", 2.0),
-            )
-        if kind == "line":
-            return pathmod.make_line_path(
-                tuple(spec["start"]), tuple(spec["direction"]), spec.get("length", 1000.0)
-            )
-        if kind == "polyline":
-            if "points" in spec:
-                pts = spec["points"]
-            else:
-                fname = FsPath(spec["file"])
-                if not fname.is_absolute() and self.base_dir is not None:
-                    fname = self.base_dir / fname
-                pts = np.loadtxt(fname, delimiter=",", ndmin=2)
-            return pathmod.make_polyline_path(pts)
+        try:
+            if kind == "sinusoid":
+                return pathmod.make_sinusoid_path(spec["x_start"], spec["x_end"])
+            if kind == "circle":
+                return pathmod.make_circle_path(
+                    tuple(spec["center"]),
+                    spec["radius"],
+                    spec.get("sense", pathmod.SENSE_ANTICLOCKWISE),
+                    math.radians(spec.get("start_angle_deg", 0.0)),
+                    spec.get("turns", 2.0),
+                )
+            if kind == "line":
+                return pathmod.make_line_path(
+                    tuple(spec["start"]), tuple(spec["direction"]), spec.get("length", 1000.0)
+                )
+            if kind == "polyline":
+                if "points" in spec:
+                    pts = spec["points"]
+                else:
+                    fname = FsPath(spec["file"])
+                    if not fname.is_absolute() and self.base_dir is not None:
+                        fname = self.base_dir / fname
+                    pts = np.loadtxt(fname, delimiter=",", ndmin=2)
+                return pathmod.make_polyline_path(pts)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"path: {exc}"]) from exc
         raise ConfigError([f"unknown path kind {kind!r}"])
 
     def build_state(self, heading_deg: float | None = None) -> VehicleState:
@@ -207,7 +211,8 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
             problems.append(f"path.sense: invalid {pspec.get('sense')!r}")
     elif kind == "line":
         _pair(problems, "path", "start", pspec.get("start"))
-        _pair(problems, "path", "direction", pspec.get("direction"))
+        if _pair(problems, "path", "direction", pspec.get("direction")) == (0.0, 0.0):
+            problems.append("path.direction: must be a non-zero vector")
     elif kind == "polyline":
         if "points" not in pspec and "file" not in pspec:
             problems.append("path: polyline needs 'points' or 'file'")

@@ -26,16 +26,8 @@ def vec(x: float, y: float) -> Vec2:
     return (float(x), float(y))
 
 
-def add(a: Vec2, b: Vec2) -> Vec2:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def sub(a: Vec2, b: Vec2) -> Vec2:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def scale(a: Vec2, s: float) -> Vec2:
-    return (a[0] * s, a[1] * s)
 
 
 def dot(a: Vec2, b: Vec2) -> float:
@@ -44,14 +36,6 @@ def dot(a: Vec2, b: Vec2) -> float:
 
 def cross(a: Vec2, b: Vec2) -> float:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def norm(a: Vec2) -> float:
-    return math.hypot(a[0], a[1])
-
-
-def dist(a: Vec2, b: Vec2) -> float:
-    return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def unit(a: Vec2) -> Vec2:

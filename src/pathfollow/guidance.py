@@ -225,18 +225,6 @@ def _range_rate_speed(speed: float, eta12: float, cos_beta: float) -> float:
     return min(max(v_l, 0.0), LOOKAHEAD_SPEED_CAP * speed)
 
 
-def lookahead_speed(state: VehicleState, geom: CorrectorGeometry) -> float:
-    """Speed of the look-ahead point along the path, assuming the look-ahead
-    distance stays constant: V cos(eta12) / cos(beta), where beta is the angle
-    between the path tangent at the look-ahead point and the line of sight.
-    """
-    rx, ry = geom.p2.position[0] - geom.p1[0], geom.p2.position[1] - geom.p1[1]
-    d12 = math.hypot(rx, ry)
-    t2x, t2y = geom.p2.tangent
-    cosb = (t2x * rx + t2y * ry) / max(d12, 1e-12)
-    return _range_rate_speed(state.speed, geom.eta12, cosb)
-
-
 def blend_weights(gains: GuidanceGains, r_l1: float, l23: float, l43: float, v_m: float):
     """Weights for the look-ahead and corrector terms.
 

@@ -1,14 +1,10 @@
-"""Cross-track error, RMS aggregates and baseline/proposed improvement measures."""
+"""Mission telemetry, RMS aggregates and baseline/proposed improvement measures."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .path import ReferencePath
-from .vehicle import VehicleState
 
 PHASE_MIDCOURSE = "midcourse"
 PHASE_CIRCLE = "circle"
@@ -61,16 +57,6 @@ class RunSummary:
     a_rms: float
     d_rms: float
     a_max: float
-
-
-def cross_track_error(state: VehicleState, path: ReferencePath, midcourse: bool = False) -> float:
-    """Distance to the closest path point; during the mid-course phase the
-    distance to the path start point is used instead."""
-    if midcourse:
-        sx, sy = path.start.position
-        return math.hypot(state.x - sx, state.y - sy)
-    _, d = path.project(state.position)
-    return d
 
 
 def _rms(values: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .guidance import (
     LOOKAHEAD_SPEED_CAP,
     MIN_TARGET_DIST,
     WEIGHT_EPS,
+    track_projection,
 )
 from .path import MAX_RADIUS, MIN_RADIUS, ReferencePath, curvature_radius
 from .vehicle import VehicleState, step_arrays
@@ -87,11 +88,12 @@ def rollout_cost(
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     n_steps = max(1, int(round(horizon / dt)))
+    sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
     costs = _rollout_costs(
         path,
         state,
         s_min,
-        _default_proj(path, state, s_min, gains.lookahead, s_proj),
+        sp0,
         np.array([gains.k1]),
         np.array([gains.k2]),
         gains.lookahead,
@@ -122,7 +124,7 @@ def optimize_gains(
     if horizon is None:
         horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = max(1, int(round(horizon / dt)))
-    sp0 = _default_proj(path, state, s_min, lookahead_dist, s_proj)
+    sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
     g = settings.grid
     axis = np.linspace(0.0, settings.k_max, g)
@@ -158,16 +160,6 @@ def optimize_gains(
     if not math.isfinite(best_cost):
         return OptimizedGains(1.0, 0.0, math.inf, horizon, fallback=True)
     return OptimizedGains(best_k1, best_k2, best_cost, horizon)
-
-
-def _default_proj(path, state, s_min, lookahead_dist, s_proj):
-    # Mirrors guidance.track_projection so rollouts start from the same
-    # projection a scalar tracking loop would use.
-    if s_proj is not None:
-        return float(s_proj)
-    hint = max(s_min - lookahead_dist - 5.0, 0.0)
-    pp, _ = path.project(state.position, s_hint=hint, window=path.total_length)
-    return pp.s
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,12 @@ def radius_from_curvature(kappa: float) -> float:
 
 
 class ReferencePath:
-    """Arc-length parameterized planar curve backed by a uniform sample table."""
+    """Arc-length parameterized planar curve backed by a uniform sample table.
+
+    The table also records its longest chord between neighbouring samples,
+    which bounds how far the look-ahead scan may skip; a table whose samples
+    all coincide has no such bound and is rejected.
+    """
 
     def __init__(
         self,
@@ -94,6 +99,9 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
+        max_chord = float(np.max(np.hypot(np.diff(positions[:, 0]), np.diff(positions[:, 1]))))
+        if max_chord == 0.0:
+            raise ValueError("degenerate path: all samples coincide")
 
         self._n = n
         self._ds = float(spacing)
@@ -103,6 +111,7 @@ class ReferencePath:
         self._tx = np.ascontiguousarray(tangents[:, 0])
         self._ty = np.ascontiguousarray(tangents[:, 1])
         self._kappa = np.ascontiguousarray(curvatures)
+        self._max_chord = max_chord  # bounds the look-ahead scan's skips
         # Plain-float copies for the scalar hot loops.
         self._pxl = self._px.tolist()
         self._pyl = self._py.tolist()
@@ -217,109 +226,62 @@ class ReferencePath:
     def lookahead_point(self, p: Vec2, s_min: float, lookahead_dist: float) -> LookaheadResult:
         """First path point after ``s_min`` at Euclidean distance ``lookahead_dist``.
 
-        Solves the circle/path intersection exactly per linear segment and
-        returns the forward branch.  Never fails: degenerate situations are
-        reported through the result flags.
+        One plain-float scan walks the segments from ``s_min`` to the path
+        end, solves the circle/segment intersection exactly on each and
+        returns the forward branch of the first root.  The caller advances
+        ``s_min`` to the previous crossing, so the root usually sits a
+        segment or two ahead.  When it does not, the scan skips ahead: the
+        distance to ``p`` changes by at most one chord from vertex to vertex,
+        so at a vertex whose distance differs from ``lookahead_dist`` by
+        ``gap`` the next ``floor(gap / max_chord) - 1`` segments hold no root.
+        Never fails: degenerate situations are reported through the result
+        flags.
         """
         if not lookahead_dist > 0.0:
             raise ValueError("look-ahead distance must be positive")
         px, py = float(p[0]), float(p[1])
         s0 = min(max(float(s_min), 0.0), self._total)
-        j0 = int(s0 / self._ds)
-        if j0 > self._n - 2:
-            j0 = self._n - 2
+        j = min(int(s0 / self._ds), self._n - 2)
 
-        # Staged scan: the crossing usually sits just past s_min (the caller
-        # advances s_min to the previous crossing), so walk a handful of
-        # segments in plain floats first, then vectorize a window of a few
-        # look-ahead lengths, then the remaining tail.  Stages are
-        # contiguous, so first-crossing semantics are preserved.
-        w_small = max(int(2.0 / self._ds), 8)
-        hit = self._crossing_scalar(px, py, lookahead_dist, j0, min(j0 + w_small, self._n - 1), s0)
-        if hit is None:
-            w_mid = max(int(4.0 * lookahead_dist / self._ds) + 2, w_small + 8)
-            for lo, hi in ((j0 + w_small, j0 + w_mid), (j0 + w_mid, self._n - 1)):
-                hit = self._first_circle_crossing(
-                    px, py, lookahead_dist, min(lo, self._n - 1), min(hi, self._n - 1), s0
-                )
-                if hit is not None or hi >= self._n - 1:
-                    break
-        if hit is not None:
-            return LookaheadResult(self._point_at_fraction(hit[0], hit[1]))
+        pxl, pyl = self._pxl, self._pyl
+        ds, max_chord = self._ds, self._max_chord
+        r2 = lookahead_dist * lookahead_dist
+        # Roots landing exactly on a table vertex jitter a hair outside [0, 1];
+        # widen the acceptance band and clamp so seam roots are never dropped.
+        # A skip leaves a full chord of margin, far wider than this band.
+        eps = 1e-9
+        last = self._n - 1
+        while j < last:
+            ax, ay = pxl[j], pyl[j]
+            rx, ry = ax - px, ay - py
+            skip = abs(math.hypot(rx, ry) - lookahead_dist) / max_chord - 1.0
+            if skip >= last - j:
+                break  # no root on the rest of the path
+            if skip >= 1.0:
+                j += int(skip)
+                continue
+            dx, dy = pxl[j + 1] - ax, pyl[j + 1] - ay
+            a = dx * dx + dy * dy
+            b = rx * dx + ry * dy
+            c = rx * rx + ry * ry - r2
+            disc = b * b - a * c
+            if a > 0.0 and disc >= 0.0:
+                sq = math.sqrt(disc)
+                u_lo = -eps
+                if j * ds < s0:
+                    u_lo = (s0 - j * ds) / ds
+                for u in ((-b - sq) / a, (-b + sq) / a):
+                    if u_lo < u <= 1.0 + eps:
+                        return LookaheadResult(self._point_at_fraction(j, min(max(u, 0.0), 1.0)))
+            j += 1
 
-        ex, ey = self._pxl[-1], self._pyl[-1]
+        ex, ey = pxl[-1], pyl[-1]
         if math.hypot(ex - px, ey - py) < lookahead_dist:
             return LookaheadResult(self.point_at(self._total), end_of_path=True)
         # No crossing anywhere ahead: fall back to the closest point over the
         # whole remaining path (forward-progress guard still applies).
         pp, _ = self.project(p, s_hint=s0, window=self._total)
         return LookaheadResult(pp, fallback=True)
-
-    def _crossing_scalar(
-        self, px: float, py: float, radius: float, j_lo: int, j_hi: int, s_strict: float
-    ) -> tuple[int, float] | None:
-        """Plain-float twin of :meth:`_first_circle_crossing` for short scans."""
-        pxl, pyl = self._pxl, self._pyl
-        r2 = radius * radius
-        eps = 1e-9
-        for j in range(j_lo, j_hi):
-            ax, ay = pxl[j], pyl[j]
-            dx, dy = pxl[j + 1] - ax, pyl[j + 1] - ay
-            rx, ry = ax - px, ay - py
-            a = dx * dx + dy * dy
-            if a <= 0.0:
-                continue
-            b = rx * dx + ry * dy
-            c = rx * rx + ry * ry - r2
-            disc = b * b - a * c
-            if disc < 0.0:
-                continue
-            sq = math.sqrt(disc)
-            u_lo = -eps
-            if j * self._ds < s_strict:
-                u_lo = (s_strict - j * self._ds) / self._ds
-            for u in ((-b - sq) / a, (-b + sq) / a):
-                if u_lo < u <= 1.0 + eps:
-                    return j, min(max(u, 0.0), 1.0)
-        return None
-
-    def _first_circle_crossing(
-        self, px: float, py: float, radius: float, j_lo: int, j_hi: int, s_strict: float
-    ) -> tuple[int, float] | None:
-        """First (segment, fraction) with |pos - p| = radius and s > s_strict."""
-        if j_hi <= j_lo:
-            return None
-        ax = self._px[j_lo:j_hi]
-        ay = self._py[j_lo:j_hi]
-        dx = self._px[j_lo + 1 : j_hi + 1] - ax
-        dy = self._py[j_lo + 1 : j_hi + 1] - ay
-        rx = ax - px
-        ry = ay - py
-        a = dx * dx + dy * dy
-        b = rx * dx + ry * dy
-        c = rx * rx + ry * ry - radius * radius
-        disc = b * b - a * c
-        ok = (disc >= 0.0) & (a > 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        sa = np.where(ok, a, 1.0)
-        u1 = (-b - sq) / sa
-        u2 = (-b + sq) / sa
-        # Roots landing exactly on a table vertex jitter a hair outside [0, 1];
-        # widen the acceptance band and clamp so seam roots are never dropped.
-        eps = 1e-9
-        u_lo = np.full_like(u1, -eps)
-        if j_lo * self._ds < s_strict:
-            u_lo[0] = (s_strict - j_lo * self._ds) / self._ds
-        pick = np.where(
-            ok & (u1 > u_lo) & (u1 <= 1.0 + eps),
-            u1,
-            np.where(ok & (u2 > u_lo) & (u2 <= 1.0 + eps), u2, np.nan),
-        )
-        found = ~np.isnan(pick)
-        if not found.any():
-            return None
-        k = int(np.argmax(found))
-        return j_lo + k, min(max(float(pick[k]), 0.0), 1.0)
 
     # ------------------------------------------------------------------
     # Raw table access for batched queries

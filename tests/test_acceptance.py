@@ -13,7 +13,7 @@ import pytest
 
 import pathfollow as pf
 from pathfollow.cli import _sweep_row
-from pathfollow.config import DEFAULT_SWEEP_HEADINGS, default_scenario
+from pathfollow.config import DEFAULT_SWEEP_HEADINGS, default_scenario, parse_scenario
 from pathfollow.guidance import GuidanceGains, blend_weights, blended_command, corrector_geometry
 from pathfollow.metrics import PHASE_CIRCLE, PHASE_CLOSE, PHASE_MIDCOURSE
 from pathfollow.midcourse import InitiationCircle, brute_force_extremum, contact_solutions
@@ -153,9 +153,9 @@ def test_criterion_3_tangency_oracle():
 
 @pytest.fixture(scope="session")
 def sweep_rows():
-    scenario = default_scenario()
+    cfg = parse_scenario(default_scenario())
     t0 = time.perf_counter()
-    rows = [_sweep_row(scenario, h) for h in DEFAULT_SWEEP_HEADINGS]
+    rows = [_sweep_row(cfg, cfg.build_path(), h) for h in DEFAULT_SWEEP_HEADINGS]
     elapsed = time.perf_counter() - t0
     assert all("error" not in r for r in rows), rows
     return rows, elapsed

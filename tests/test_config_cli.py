@@ -227,6 +227,40 @@ def test_cmd_sweep_records_failed_rows(tmp_path):
     assert (out / "sweep_errors.json").exists()
 
 
+def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
+    pts = np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 15, 40)])
+    np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")
+    cfg = sweep_scenario()
+    cfg["path"] = {"kind": "polyline", "file": "pts.csv"}
+    cfg["sweep"] = {"headings_deg": [20.0]}
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "swp"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert all(math.isfinite(float(v)) for v in lines[1].split(","))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "path_spec",
+    [
+        {"kind": "line", "start": [0.0, 0.0], "direction": [0, 0]},
+        {"kind": "polyline", "file": "missing.csv"},
+    ],
+    ids=["zero_direction", "missing_file"],
+)
+def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
+    cfg = sweep_scenario()
+    cfg["path"] = path_spec
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "bad"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
+
+
 def test_cmd_compare(tmp_path, capsys):
     cfgp = write_config(tmp_path, fast_scenario())
     out1, out2 = tmp_path / "a", tmp_path / "b"

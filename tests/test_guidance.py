@@ -11,7 +11,6 @@ from pathfollow.guidance import (
     corrector_geometry,
     eta,
     latax_l1,
-    lookahead_speed,
     weighted_blend,
 )
 from pathfollow.path import make_circle_path, make_line_path, make_sinusoid_path
@@ -168,7 +167,7 @@ def test_lookahead_speed_straight_aligned():
     s = state_at(20.0, 0.0, 0.0)
     g = corrector_geometry(s, line, 0.0, 10.0)
     assert g.v_l == pytest.approx(5.0, abs=1e-9)
-    assert lookahead_speed(s, g) == g.v_l
+    assert g.v_m == pytest.approx(5.0, abs=1e-9)
 
 
 def test_lookahead_speed_circle_range_rate_balance():
@@ -187,15 +186,18 @@ def test_lookahead_speed_circle_range_rate_balance():
 
 
 def test_lookahead_speed_perpendicular_los_is_clamped_to_zero():
-    s = state_at(0.0, 0.0, 90.0)
-    line = make_line_path((0.0, -50.0), (0.0, 1.0), 100.0)
-    g = corrector_geometry(s, line, 45.0, 10.0)
-    assert g.eta12 == pytest.approx(0.0, abs=1e-9)
-    # Construct the perpendicular-LOS value directly through the public op.
-    from dataclasses import replace
-
-    g_perp = replace(g, eta12=math.pi / 2)
-    assert lookahead_speed(s, g_perp) == pytest.approx(0.0, abs=1e-12)
+    # Vehicle on the x axis heading north: the look-ahead point 10 m down the
+    # path lies square to the velocity, so V cos(eta12) vanishes.
+    line = make_line_path((-50.0, 0.0), (1.0, 0.0), 100.0)
+    g = corrector_geometry(state_at(0.0, 0.0, 90.0), line, 45.0, 10.0)
+    assert g.eta12 == pytest.approx(-math.pi / 2, abs=1e-9)
+    assert g.v_l == pytest.approx(0.0, abs=1e-12)
+    # Turned further away the look-ahead point falls behind the velocity;
+    # the negative range-rate speed is clamped to exactly zero.
+    g_behind = corrector_geometry(state_at(0.0, 0.0, 100.0), line, 45.0, 10.0)
+    assert math.cos(g_behind.eta12) < 0.0
+    assert g_behind.v_l == 0.0
+    assert g_behind.v_m == pytest.approx(2.5)
 
 
 # ----------------------------------------------------------------------

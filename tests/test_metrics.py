@@ -4,11 +4,11 @@ from pathfollow.metrics import (
     PHASE_CLOSE,
     PHASE_MIDCOURSE,
     RunRecord,
-    cross_track_error,
     improvements,
     summarize,
 )
 from pathfollow.path import make_line_path, make_sinusoid_path
+from pathfollow.supervisor import Mission, MissionConfig
 from pathfollow.vehicle import VehicleState
 
 
@@ -19,23 +19,39 @@ def make_run(a_vals, cte_vals, phase=PHASE_CLOSE):
     return run
 
 
+def first_record(path, state, controller):
+    """Phase label and cross-track error a mission records on its first step."""
+    mission = Mission(path, state, MissionConfig(controller=controller))
+    mission.step()
+    return mission.record.phase[0], mission.record.cte[0]
+
+
 def test_cross_track_error_on_path():
     path = make_sinusoid_path(0.0, 150.0)
     pp = path.point_at(12.0)
     st = VehicleState(pp.position[0], pp.position[1], 0.0, 5.0)
-    assert cross_track_error(st, path) < 1e-9
+    for controller in ("baseline", "proposed"):
+        phase, cte = first_record(path, st, controller)
+        assert phase == PHASE_CLOSE
+        assert cte < 1e-9
 
 
 def test_cross_track_error_close_range_is_distance_to_path():
     line = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
     st = VehicleState(7.0, -2.0, 0.0, 5.0)
-    assert cross_track_error(st, line) == pytest.approx(2.0, abs=1e-9)
+    for controller in ("baseline", "proposed"):
+        phase, cte = first_record(line, st, controller)
+        assert phase == PHASE_CLOSE
+        assert cte == pytest.approx(2.0, abs=1e-9)
 
 
 def test_cross_track_error_midcourse_is_distance_to_start():
-    line = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
-    st = VehicleState(30.0, 0.0, 0.0, 5.0)
-    assert cross_track_error(st, line, midcourse=True) == pytest.approx(30.0)
+    # Start (0, 20); 40 m away lies beyond the 2 r0 ~ 30.3 m mid-course boundary.
+    path = make_sinusoid_path(0.0, 150.0)
+    st = VehicleState(0.0, -20.0, 0.0, 5.0)
+    phase, cte = first_record(path, st, "baseline")
+    assert phase == PHASE_MIDCOURSE
+    assert cte == pytest.approx(40.0)
 
 
 def test_summarize_constant_series():
