@@ -7,7 +7,7 @@ gains tracks the curve.  A baseline constant look-ahead controller and a
 benchmark harness are included for comparison studies.
 """
 
-from .geom import Pose, Vec2, line_intersection, signed_angle, wrap_angle
+from .geom import Vec2, signed_angle, wrap_angle
 from .guidance import (
     CorrectorGeometry,
     GuidanceGains,

@@ -118,7 +118,9 @@ def cmd_run(args) -> int:
         )
     if len(runs) == 2:
         cte_pct, ae_pct = metrics.improvements(runs[CONTROLLER_BASELINE], runs[CONTROLLER_PROPOSED])
-        summary["improvements"] = {"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct}
+        # A percentage over a zero baseline is undefined: null, as JSON has no nan.
+        pcts = {"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct}
+        summary["improvements"] = {k: None if math.isnan(v) else v for k, v in pcts.items()}
         print(f"improvement: cte_rms={cte_pct:.3f}%  ae_rms={ae_pct:.3f}%")
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -137,22 +139,27 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_row(cfg: ScenarioConfig, path: ReferencePath, heading_deg: float) -> dict:
-    """One sweep row: baseline and proposed runs at a fixed initial heading."""
-    try:
-        base = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(CONTROLLER_BASELINE))
-        prop = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(CONTROLLER_PROPOSED))
-        sb = metrics.summarize(base)
-        sp = metrics.summarize(prop)
-        return {
-            "heading_deg": heading_deg,
-            "base_a_rms": sb.a_rms, "base_d_rms": sb.d_rms, "base_a_max": sb.a_max,
-            "prop_a_rms": sp.a_rms, "prop_d_rms": sp.d_rms, "prop_a_max": sp.a_max,
-            "imp_a_rms_pct": (1.0 - sp.a_rms / sb.a_rms) * 100.0,
-            "imp_d_rms_pct": (1.0 - sp.d_rms / sb.d_rms) * 100.0,
-            "imp_a_max_pct": (1.0 - sp.a_max / sb.a_max) * 100.0,
-        }
-    except (InfeasibleGeometryError, ValueError) as exc:
-        return {"heading_deg": heading_deg, "error": str(exc)}
+    """One sweep row: baseline and proposed runs at a fixed initial heading.
+
+    Infeasible geometry or a timed-out mission makes an error row; any other
+    exception propagates."""
+    row = {"heading_deg": heading_deg}
+    summaries = []
+    for controller in (CONTROLLER_BASELINE, CONTROLLER_PROPOSED):
+        try:
+            run = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(controller))
+        except InfeasibleGeometryError as exc:
+            return {**row, "error": str(exc)}
+        if run.timed_out:
+            return {**row, "error": f"{controller} mission timed out at t={run.t[-1]:.2f} s"}
+        summaries.append(metrics.summarize(run))
+    sb, sp = summaries
+    for key in ("a_rms", "d_rms", "a_max"):
+        base, prop = getattr(sb, key), getattr(sp, key)
+        row[f"base_{key}"] = base
+        row[f"prop_{key}"] = prop
+        row[f"imp_{key}_pct"] = metrics.improvement_pct(base, prop)
+    return row
 
 
 def _render_sweep_text(rows: list[dict]) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -55,25 +55,18 @@ def default_scenario() -> dict:
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario ready to build paths, states and mission configs."""
+    """Validated scenario ready to build paths, states and mission configs.
+
+    ``mission`` holds every per-mission setting; :meth:`mission_config` sets
+    the controller each run flies (``controller`` here may be ``both``).
+    """
 
     path_spec: dict
     speed: float
     start: tuple[float, float]
     heading_deg: float
-    lookahead: float
-    initiation_radius: float | None
-    k1: float
-    k2: float
-    dt: float
-    a_max: float | None
-    max_time: float
     controller: str
-    optimizer_enabled: bool
-    optimizer: OptimizerSettings
-    arrive_pos: float
-    arrive_heading_deg: float
-    end_s: float
+    mission: MissionConfig
     sweep_headings_deg: list[float] = field(default_factory=lambda: list(DEFAULT_SWEEP_HEADINGS))
     base_dir: FsPath | None = None
 
@@ -117,21 +110,12 @@ class ScenarioConfig:
             x=self.start[0], y=self.start[1], heading=math.radians(h), speed=self.speed
         )
 
+    @property
+    def optimizer(self) -> OptimizerSettings | None:
+        return self.mission.optimizer
+
     def mission_config(self, controller: str) -> MissionConfig:
-        return MissionConfig(
-            lookahead=self.lookahead,
-            initiation_radius=self.initiation_radius,
-            dt=self.dt,
-            controller=controller,
-            k1=self.k1,
-            k2=self.k2,
-            optimizer=self.optimizer if (self.optimizer_enabled and controller == CONTROLLER_PROPOSED) else None,
-            arrive_pos_tol=self.arrive_pos,
-            arrive_heading_tol=math.radians(self.arrive_heading_deg),
-            end_s_tol=self.end_s,
-            a_max=self.a_max,
-            max_time=self.max_time,
-        )
+        return replace(self.mission, controller=controller)
 
     def controllers(self, override: str | None = None) -> list[str]:
         sel = override if override is not None else self.controller
@@ -278,24 +262,26 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
     if d_limit is None:
         d_limit = 2.0 * lookahead
 
+    mission = MissionConfig(
+        lookahead=lookahead,
+        initiation_radius=radius,
+        dt=dt,
+        k1=k1,
+        k2=k2,
+        optimizer=OptimizerSettings(k_max=k_max, grid=grid, refine_rounds=rounds, d_limit=d_limit) if enabled else None,
+        arrive_pos_tol=arrive_pos,
+        arrive_heading_tol=math.radians(arrive_heading),
+        end_s_tol=end_s,
+        a_max=a_max,
+        max_time=max_time,
+    )
     return ScenarioConfig(
         path_spec=pspec,
         speed=speed,
         start=start,
         heading_deg=heading,
-        lookahead=lookahead,
-        initiation_radius=radius,
-        k1=k1,
-        k2=k2,
-        dt=dt,
-        a_max=a_max,
-        max_time=max_time,
         controller=controller,
-        optimizer_enabled=enabled,
-        optimizer=OptimizerSettings(k_max=k_max, grid=grid, refine_rounds=rounds, d_limit=d_limit),
-        arrive_pos=arrive_pos,
-        arrive_heading_deg=arrive_heading,
-        end_s=end_s,
+        mission=mission,
         sweep_headings_deg=[float(h) for h in headings],
         base_dir=base_dir,
     )

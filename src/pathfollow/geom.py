@@ -8,7 +8,6 @@ here is a pure function on immutable values, safe to call from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 Vec2 = tuple[float, float]
 
@@ -17,13 +16,6 @@ TWO_PI = 2.0 * math.pi
 # Unit directions whose cross product magnitude falls below this threshold
 # are treated as parallel.
 PARALLEL_EPS = 1e-9
-
-
-def vec(x: float, y: float) -> Vec2:
-    """Build a Vec2, rejecting non-finite components."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite vector components ({x}, {y})")
-    return (float(x), float(y))
 
 
 def sub(a: Vec2, b: Vec2) -> Vec2:
@@ -36,13 +28,6 @@ def dot(a: Vec2, b: Vec2) -> float:
 
 def cross(a: Vec2, b: Vec2) -> float:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def unit(a: Vec2) -> Vec2:
-    n = math.hypot(a[0], a[1])
-    if n == 0.0:
-        raise ValueError("degenerate direction: zero vector")
-    return (a[0] / n, a[1] / n)
 
 
 def perp_left(a: Vec2) -> Vec2:
@@ -74,34 +59,3 @@ def signed_angle(a: Vec2, b: Vec2) -> float:
     if ang <= -math.pi:
         ang += TWO_PI
     return ang
-
-
-def line_intersection(p1: Vec2, d1: Vec2, p2: Vec2, d2: Vec2) -> Vec2:
-    """Intersection point of two infinite lines given as point + direction.
-
-    Raises ValueError("parallel lines") when the unit directions have a
-    cross product below PARALLEL_EPS.
-    """
-    u1 = unit(d1)
-    u2 = unit(d2)
-    den = cross(u1, u2)
-    if abs(den) < PARALLEL_EPS:
-        raise ValueError("parallel lines")
-    t = cross(sub(p2, p1), u2) / den
-    return (p1[0] + t * u1[0], p1[1] + t * u1[1])
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose: position plus heading normalized to (-pi, pi]."""
-
-    position: Vec2
-    heading: float
-
-    def __post_init__(self):
-        vec(*self.position)
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    @property
-    def direction(self) -> Vec2:
-        return heading_vector(self.heading)

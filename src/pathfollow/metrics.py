@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +10,6 @@ import numpy as np
 PHASE_MIDCOURSE = "midcourse"
 PHASE_CIRCLE = "circle"
 PHASE_CLOSE = "close"
-PHASE_DONE = "done"
 
 CSV_HEADER = ("t", "x", "y", "psi", "a_cmd", "cte", "phase", "k1", "k2")
 
@@ -82,13 +82,17 @@ def summarize(run: RunRecord, close_only: bool = True) -> RunSummary:
     return RunSummary(a_rms=_rms(a), d_rms=_rms(d), a_max=float(np.max(np.abs(a))))
 
 
+def improvement_pct(baseline: float, proposed: float) -> float:
+    """Percent improvement of a proposed aggregate over the baseline one:
+    (1 - proposed/baseline) * 100, or nan when the baseline is 0."""
+    if baseline == 0.0:
+        return math.nan
+    return (1.0 - proposed / baseline) * 100.0
+
+
 def improvements(baseline: RunRecord, proposed: RunRecord) -> tuple[float, float]:
     """Percent improvement of the proposed run over the baseline run in RMS
-    cross-track error and RMS command: (1 - proposed/baseline) * 100."""
+    cross-track error and RMS command (see :func:`improvement_pct`)."""
     sb = summarize(baseline)
     sp = summarize(proposed)
-    if sb.d_rms == 0.0 or sb.a_rms == 0.0:
-        raise ValueError("zero baseline denominator")
-    cte_pct = (1.0 - sp.d_rms / sb.d_rms) * 100.0
-    ae_pct = (1.0 - sp.a_rms / sb.a_rms) * 100.0
-    return cte_pct, ae_pct
+    return improvement_pct(sb.d_rms, sp.d_rms), improvement_pct(sb.a_rms, sp.a_rms)

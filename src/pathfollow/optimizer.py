@@ -111,7 +111,6 @@ def optimize_gains(
     lookahead_dist: float,
     dt: float,
     s_proj: float | None = None,
-    horizon: float | None = None,
 ) -> OptimizedGains:
     """Coarse-to-fine grid search for the gain pair with least local cost.
 
@@ -121,8 +120,7 @@ def optimize_gains(
     If every candidate is infeasible the baseline pair is returned with the
     fallback flag set.
     """
-    if horizon is None:
-        horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
+    horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = max(1, int(round(horizon / dt)))
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
@@ -204,7 +202,7 @@ def _rollout_costs(
         cte_sq += pdist * pdist
 
         s2, p2x, p2y, t2x, t2y, kap2, end_now = _lookahead_batch(
-            px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist, sp, cx, cy, pdist
+            path, px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist
         )
         ended |= end_now
         s_lb = np.maximum(s_lb, s2)
@@ -303,45 +301,47 @@ def _project_batch(px, py, tx, ty, ds, n, x, y, sp_prev):
 _LOOK_CHUNK = 16
 
 
-def _lookahead_batch(px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist, sp, cx, cy, pdist):
+def _lookahead_batch(path, px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist):
     """First circle/path crossing after s_lb per candidate, scanned in chunks.
 
-    Chunks grow geometrically so the common one-segment advance costs one
-    small scan while stragglers resolve in a few iterations.  Rows already
-    farther from the path than the look-ahead radius skip the scan and fall
-    back to the projection point directly, and the scan is capped a few
-    look-ahead lengths out; both shortcuts only affect badly diverged
-    rollout candidates.  Rows with no crossing resolve to the path endpoint
-    (end flag) when it lies inside the look-ahead circle, otherwise to the
-    projection point.
+    Same answers as :meth:`ReferencePath.lookahead_point`, with the same skip
+    bound.  Every row scans to the path end; chunks grow so the common
+    one-segment advance costs one small scan, and each chunk covers only the
+    rows still unresolved.  Rows with no crossing resolve to the path
+    endpoint (end flag) when it lies inside the look-ahead circle, otherwise
+    to the guarded closest point, which the scalar query computes for those
+    (rare) rows.
     """
-    k = x.size
     j_orig = np.minimum((s_lb / ds).astype(np.int64), n - 2)
     u_first = s_lb / ds - j_orig
-
-    found = np.zeros(k, dtype=bool)
-    s_out = np.full(k, total)
+    s_out = np.full(x.size, total)
+    found = np.zeros(x.size, dtype=bool)
     j_cur = j_orig.copy()
-    rows = np.arange(k)
     l2 = lookahead_dist * lookahead_dist
-    j_cap = np.minimum(j_orig + int(6.0 * lookahead_dist / ds) + 2, n - 2)
-    scannable = pdist <= lookahead_dist
+    # Same vertex-seam tolerance as the scalar path query.
+    eps = 1e-9
 
+    rows = np.arange(x.size)
     width = _LOOK_CHUNK
-    for _ in range(16):
-        active = scannable & ~found & (j_cur <= j_cap)
-        if not active.any():
+    while rows.size:
+        # No root lies within gap / max_chord - 1 segments of a vertex whose
+        # distance differs from L1 by gap (a nan state skips nothing).
+        j = j_cur[rows]
+        gap = np.abs(np.hypot(px[j] - x[rows], py[j] - y[rows]) - lookahead_dist)
+        skip = gap / path.max_chord - 1.0
+        j_cur[rows] = j + np.where(skip >= 1.0, np.minimum(skip, n), 0.0).astype(np.int64)
+        rows = rows[j_cur[rows] <= n - 2]
+        if not rows.size:
             break
-        offs = np.arange(width)
-        idx = j_cur[:, None] + offs[None, :]
+        idx = j_cur[rows, None] + np.arange(width)
         valid = idx <= n - 2
-        np.clip(idx, 0, n - 2, out=idx)
+        np.minimum(idx, n - 2, out=idx)
         ax = px[idx]
         ay = py[idx]
         dxs = px[idx + 1] - ax
         dys = py[idx + 1] - ay
-        rxs = ax - x[:, None]
-        rys = ay - y[:, None]
+        rxs = ax - x[rows, None]
+        rys = ay - y[rows, None]
         a = dxs * dxs + dys * dys
         b = rxs * dxs + rys * dys
         c = rxs * rxs + rys * rys - l2
@@ -351,31 +351,29 @@ def _lookahead_batch(px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_di
         sa = np.where(ok, a, 1.0)
         u1 = (-b - sq) / sa
         u2 = (-b + sq) / sa
-        # Same vertex-seam tolerance as the scalar path query.
-        eps = 1e-9
-        u_lo = np.where(idx == j_orig[:, None], u_first[:, None], -eps)
+        u_lo = np.where(idx == j_orig[rows, None], u_first[rows, None], -eps)
         c1 = ok & (u1 > u_lo) & (u1 <= 1.0 + eps)
         c2 = ok & (u2 > u_lo) & (u2 <= 1.0 + eps)
         upick = np.where(c1, u1, np.where(c2, u2, np.nan))
         has = ~np.isnan(upick)
-        rowhit = has.any(axis=1) & active
+        hit = has.any(axis=1)
         kf = np.argmax(has, axis=1)
-        s_hit = (idx[rows, kf] + np.clip(upick[rows, kf], 0.0, 1.0)) * ds
-        s_out = np.where(rowhit, s_hit, s_out)
-        found |= rowhit
-        j_cur = np.where(active & ~rowhit, j_cur + width, j_cur)
-        width = min(width * 4, 4096)
+        r = np.arange(rows.size)
+        s_out[rows[hit]] = ((idx[r, kf] + np.clip(upick[r, kf], 0.0, 1.0)) * ds)[hit]
+        found[rows[hit]] = True
+        j_cur[rows] += width
+        rows = rows[~hit & (j_cur[rows] <= n - 2)]
+        width = min(width * 4, 64)
 
-    end_dist2 = (px[-1] - x) ** 2 + (py[-1] - y) ** 2
-    end_mask = ~found & (end_dist2 < l2)
-    fb_mask = ~found & ~end_mask
-    s_eval = np.where(found, s_out, np.where(end_mask, total, sp))
-
-    p2x, p2y, t2x, t2y, kap2 = _interp_all(px, py, tx, ty, kap, ds, n, s_eval)
-    # Fallback rows aim at the projection point already computed exactly.
-    p2x = np.where(fb_mask, cx, p2x)
-    p2y = np.where(fb_mask, cy, p2y)
-    return s_eval, p2x, p2y, t2x, t2y, kap2, end_mask
+    end_mask = ~found & ((px[-1] - x) ** 2 + (py[-1] - y) ** 2 < l2)
+    p2x, p2y, t2x, t2y, kap2 = _interp_all(px, py, tx, ty, kap, ds, n, s_out)
+    for i in np.flatnonzero(~found & ~end_mask):
+        pp, _ = path.project((x[i], y[i]), s_hint=s_lb[i], window=total)
+        s_out[i] = pp.s
+        p2x[i], p2y[i] = pp.position
+        t2x[i], t2y[i] = pp.tangent
+        kap2[i] = pp.curvature
+    return s_out, p2x, p2y, t2x, t2y, kap2, end_mask
 
 
 def _interp_all(px, py, tx, ty, kap, ds, n, s):

@@ -28,6 +28,9 @@ DEFAULT_SPACING = 0.05
 MIN_RADIUS = 1e-3
 MAX_RADIUS = 1e6
 
+# Shortest polyline chord accepted, relative to the longest one.
+MIN_CHORD_RATIO = 1e-6
+
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
 
@@ -111,7 +114,7 @@ class ReferencePath:
         self._tx = np.ascontiguousarray(tangents[:, 0])
         self._ty = np.ascontiguousarray(tangents[:, 1])
         self._kappa = np.ascontiguousarray(curvatures)
-        self._max_chord = max_chord  # bounds the look-ahead scan's skips
+        self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # Plain-float copies for the scalar hot loops.
         self._pxl = self._px.tolist()
         self._pyl = self._py.tolist()
@@ -134,10 +137,6 @@ class ReferencePath:
     @property
     def start(self) -> PathPoint:
         return self.point_at(0.0)
-
-    @property
-    def end(self) -> PathPoint:
-        return self.point_at(self._total)
 
     def _segment_fraction(self, s: float) -> tuple[int, float]:
         s = min(max(s, 0.0), self._total)
@@ -197,7 +196,8 @@ class ReferencePath:
             d2 = (self._px[seg] - px) ** 2 + (self._py[seg] - py) ** 2
             i0 = ilo + int(np.argmin(d2))
 
-        j_min_allowed = int(lo_s / self._ds)
+        # The guard segment is the last one at most, even at lo_s = total.
+        j_min_allowed = min(int(lo_s / self._ds), self._n - 2)
         best = None
         pxl, pyl = self._pxl, self._pyl
         for j in range(max(i0 - 2, j_min_allowed), min(i0 + 2, self._n - 1)):
@@ -215,7 +215,13 @@ class ReferencePath:
             dd = (px - cx) ** 2 + (py - cy) ** 2
             if best is None or dd < best[0] - 1e-18 or (abs(dd - best[0]) <= 1e-18 and (j + u) < best[1]):
                 best = (dd, j + u, j, u)
-        assert best is not None
+        if best is None:
+            # Every segment in reach has zero length and sits on vertex i0.
+            j = min(i0, self._n - 2)
+            u = float(i0 - j)
+            if j == j_min_allowed and lo_s > 0.0:
+                u = min(max(u, (lo_s - j * self._ds) / self._ds), 1.0)
+            best = ((px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j + u, j, u)
         pp = self._point_at_fraction(best[2], best[3])
         return pp, math.sqrt(best[0])
 
@@ -244,7 +250,7 @@ class ReferencePath:
         j = min(int(s0 / self._ds), self._n - 2)
 
         pxl, pyl = self._pxl, self._pyl
-        ds, max_chord = self._ds, self._max_chord
+        ds, max_chord = self._ds, self.max_chord
         r2 = lookahead_dist * lookahead_dist
         # Roots landing exactly on a table vertex jitter a hair outside [0, 1];
         # widen the acceptance band and clamp so seam roots are never dropped.
@@ -408,15 +414,20 @@ def make_line_path(
 
 
 def make_polyline_path(points, spacing: float = DEFAULT_SPACING) -> ReferencePath:
-    """Path through (x, y) samples, with cubic-fit tangents and curvatures."""
+    """Path through (x, y) samples, with cubic-fit tangents and curvatures.
+
+    A chord shorter than ``MIN_CHORD_RATIO`` (1e-6) times the longest one is
+    rejected with ValueError before any table is built: the cubic fit through
+    such a nearly repeated point overshoots by orders of magnitude.
+    """
     from scipy.interpolate import CubicSpline
 
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("polyline needs at least three (x, y) samples")
     chord = np.hypot(*np.diff(pts, axis=0).T)
-    if np.any(chord == 0.0):
-        raise ValueError("polyline has repeated consecutive points")
+    if np.min(chord) <= MIN_CHORD_RATIO * np.max(chord):
+        raise ValueError(f"polyline has repeated consecutive points (chord {np.min(chord):.3g} m)")
     t_knots = np.concatenate(([0.0], np.cumsum(chord)))
     spline = CubicSpline(t_knots, pts, axis=0)
     d1 = spline.derivative(1)

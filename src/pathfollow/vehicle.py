@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geom import Pose, Vec2, wrap_angle
-
-DEFAULT_DT = 0.01
+from .geom import Vec2, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,6 @@ class VehicleState:
     @property
     def position(self) -> Vec2:
         return (self.x, self.y)
-
-    @property
-    def pose(self) -> Pose:
-        return Pose((self.x, self.y), self.heading)
 
 
 def step(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pathfollow import cli
 from pathfollow.cli import main
 from pathfollow.config import (
     ConfigError,
@@ -27,12 +28,12 @@ def write_config(tmp_path, data, name="scenario.json"):
 def test_default_scenario_parses():
     cfg = parse_scenario(default_scenario())
     assert cfg.speed == 5.0
-    assert cfg.lookahead == 10.0
+    assert cfg.mission.lookahead == 10.0
     assert cfg.start == (-15.0, 0.0)
     assert len(cfg.sweep_headings_deg) == 11
     assert cfg.sweep_headings_deg[0] == pytest.approx(-20.882)
     assert cfg.sweep_headings_deg[-1] == pytest.approx(129.118)
-    assert cfg.optimizer.d_limit == pytest.approx(2 * cfg.lookahead)
+    assert cfg.optimizer.d_limit == pytest.approx(2 * cfg.mission.lookahead)
 
 
 def test_partial_overrides_merge_with_defaults():
@@ -227,6 +228,57 @@ def test_cmd_sweep_records_failed_rows(tmp_path):
     assert (out / "sweep_errors.json").exists()
 
 
+def zero_baseline_scenario():
+    # On the line and along it: the baseline never commands or deviates.
+    cfg = fast_scenario()
+    cfg["vehicle"]["start"] = [0.0, 0.0]
+    cfg["sweep"] = {"headings_deg": [0.0]}
+    return cfg
+
+
+def test_cmd_sweep_zero_baseline_writes_nan(tmp_path):
+    cfgp = write_config(tmp_path, zero_baseline_scenario())
+    out = tmp_path / "zb"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    row = dict(zip(*[line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]))
+    assert row["base_a_rms"] == row["base_a_max"] == "0"
+    assert row["imp_a_rms_pct"] == row["imp_a_max_pct"] == "nan"
+    assert "nan" in (out / "sweep.txt").read_text()
+    assert not (out / "sweep_errors.json").exists()
+
+
+def test_cmd_run_zero_baseline_writes_null(tmp_path):
+    cfgp = write_config(tmp_path, zero_baseline_scenario())
+    out = tmp_path / "zbr"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 0
+    text = (out / "summary.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["improvements"]["ae_rms_pct"] is None
+
+
+def test_sweep_row_propagates_unexpected_errors(monkeypatch):
+    def broken(*args):
+        raise ValueError("not a geometry problem")
+
+    monkeypatch.setattr(cli, "run_mission", broken)
+    cfg = parse_scenario(fast_scenario())
+    with pytest.raises(ValueError, match="not a geometry problem"):
+        cli._sweep_row(cfg, cfg.build_path(), 0.0)
+
+
+def test_cmd_sweep_timed_out_mission_is_error_row(tmp_path):
+    # At the stock heading both missions reach close range before 5 s but
+    # need far longer to finish the path.
+    cfgp = write_config(tmp_path, {"sim": {"max_time": 5.0}, "sweep": {"headings_deg": [39.118]}})
+    out = tmp_path / "to"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[1:] == ["nan"] * 9
+    errors = json.loads((out / "sweep_errors.json").read_text())
+    assert list(errors.values()) == ["baseline mission timed out at t=5.00 s"]
+    assert "failed: baseline mission timed out" in (out / "sweep.txt").read_text()
+
+
 def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
     pts = np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 15, 40)])
     np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")
@@ -247,8 +299,12 @@ def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
     [
         {"kind": "line", "start": [0.0, 0.0], "direction": [0, 0]},
         {"kind": "polyline", "file": "missing.csv"},
+        # Nearly repeated points: a 1,255 m spline and a MemoryError before
+        # make_polyline_path rejected them.
+        {"kind": "polyline", "points": [[0, 0], [10, 0], [10.00000001, 0], [20, 5]]},
+        {"kind": "polyline", "points": [[0, 0], [10, 0], [10 + 1e-12, 0], [20, 5]]},
     ],
-    ids=["zero_direction", "missing_file"],
+    ids=["zero_direction", "missing_file", "near_coincident_1e-8", "near_coincident_1e-12"],
 )
 def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
     cfg = sweep_scenario()

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pathfollow.geom import (
-    Pose,
-    line_intersection,
-    perp_left,
-    signed_angle,
-    unit,
-    vec,
-    wrap_angle,
-)
+from pathfollow.geom import perp_left, signed_angle, wrap_angle
 
 
 def test_signed_angle_quarter_turn():
@@ -65,48 +57,5 @@ def test_wrap_angle_branch():
         assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-12)
 
 
-def test_line_intersection_axis_aligned():
-    assert line_intersection((0, 0), (1, 0), (1, 1), (0, 1)) == pytest.approx((1, 0))
-
-
-def test_line_intersection_symmetric_cross():
-    assert line_intersection((0, 0), (1, 1), (2, 0), (-1, 1)) == pytest.approx((1, 1))
-
-
-def test_line_intersection_parallel_raises():
-    with pytest.raises(ValueError, match="parallel lines"):
-        line_intersection((0, 0), (1, 0), (0, 1), (1, 0))
-
-
-def test_line_intersection_point_on_both_lines():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        p1 = tuple(rng.uniform(-50, 50, 2))
-        p2 = tuple(rng.uniform(-50, 50, 2))
-        d1 = tuple(rng.uniform(-1, 1, 2))
-        d2 = tuple(rng.uniform(-1, 1, 2))
-        try:
-            x = line_intersection(p1, d1, p2, d2)
-        except ValueError:
-            continue
-        u1, u2 = unit(d1), unit(d2)
-        r1 = abs(u1[0] * (x[1] - p1[1]) - u1[1] * (x[0] - p1[0]))
-        r2 = abs(u2[0] * (x[1] - p2[1]) - u2[1] * (x[0] - p2[0]))
-        assert r1 < 1e-9 and r2 < 1e-9
-
-
-def test_vec_rejects_non_finite():
-    with pytest.raises(ValueError):
-        vec(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        vec(0.0, math.inf)
-
-
 def test_perp_left_is_quarter_turn():
     assert signed_angle((3, 1), perp_left((3, 1))) == pytest.approx(math.pi / 2)
-
-
-def test_pose_normalizes_heading():
-    p = Pose((0.0, 0.0), 3 * math.pi)
-    assert p.heading == pytest.approx(math.pi)
-    assert p.direction == pytest.approx((-1.0, 0.0))

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from pathfollow.metrics import (
     PHASE_CLOSE,
     PHASE_MIDCOURSE,
     RunRecord,
+    improvement_pct,
     improvements,
     summarize,
 )
@@ -114,8 +117,9 @@ def test_improvements_sign_flips_on_swap():
     assert a1 > 0 > a2
 
 
-def test_improvements_zero_denominator_raises():
+def test_improvements_zero_denominator_is_nan():
     base = make_run([0.0] * 10, [0.0] * 10)
     prop = make_run([1.0] * 10, [1.0] * 10)
-    with pytest.raises(ValueError, match="zero baseline"):
-        improvements(base, prop)
+    assert all(math.isnan(v) for v in improvements(base, prop))
+    assert math.isnan(improvement_pct(0.0, 0.0))
+    assert improvement_pct(2.0, 1.5) == 25.0

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as hs
 
 from pathfollow.guidance import GuidanceGains, blended_command, corrector_geometry
 from pathfollow.optimizer import (
@@ -85,21 +87,32 @@ def near_path_state(path, s0, offset, heading_off):
     )
 
 
-def test_rollout_matches_independent_closed_loop():
-    path = make_sinusoid_path(0.0, 150.0)
-    st = near_path_state(path, 30.0, 1.5, math.radians(20.0))
-    gains = GuidanceGains(1.0, 0.0, 10.0)
-    expected = scalar_reference_cost(path, st, 24.0, gains, 400)
-    got = rollout_cost(st, path, 24.0, gains, 4.0, 0.01)
-    assert got == pytest.approx(expected, abs=1e-7)
+ROLLOUT_PATHS = {
+    "sinusoid": make_sinusoid_path(0.0, 150.0),
+    "circle": make_circle_path((0.0, 0.0), 20.0, turns=2.0),
+}
 
 
-def test_rollout_matches_scalar_for_blended_gains():
-    path = make_sinusoid_path(0.0, 150.0)
-    st = near_path_state(path, 60.0, -2.0, math.radians(-25.0))
-    gains = GuidanceGains(2.0, 1.5, 10.0)
-    expected = scalar_reference_cost(path, st, 54.0, gains, 300)
-    got = rollout_cost(st, path, 54.0, gains, 3.0, 0.01)
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(
+    kind=hs.sampled_from(sorted(ROLLOUT_PATHS)),
+    s_frac=hs.floats(0.0, 1.0),
+    offset=hs.floats(-5.0, 5.0),
+    heading_deg=hs.floats(-60.0, 60.0),
+    k1=hs.floats(0.0, 10.0),
+    k2=hs.floats(0.0, 10.0),
+    horizon=hs.floats(0.5, 4.0),
+)
+def test_rollout_matches_independent_closed_loop(kind, s_frac, offset, heading_deg, k1, k2, horizon):
+    # Start within L1/2 of the path and 60 degrees of its tangent; the
+    # rollout, plus two look-ahead distances, ends before the path does.
+    path = ROLLOUT_PATHS[kind]
+    gains = GuidanceGains(k1, k2, 10.0)
+    s0 = s_frac * (path.total_length - 5.0 * horizon - 2.0 * gains.lookahead)
+    state = near_path_state(path, s0, offset, math.radians(heading_deg))
+    s_min = max(s0 - 6.0, 0.0)
+    expected = scalar_reference_cost(path, state, s_min, gains, max(1, int(round(horizon / 0.01))))
+    got = rollout_cost(state, path, s_min, gains, horizon, 0.01)
     assert got == pytest.approx(expected, abs=1e-7)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from pathfollow.path import (
     MAX_RADIUS,
+    ReferencePath,
     curvature_radius,
     make_circle_path,
     make_line_path,
@@ -110,6 +111,35 @@ def test_project_hint_never_backtracks_past_guard(sinusoid):
         hint = float(rng.uniform(0, sinusoid.total_length))
         pp, _ = sinusoid.project(p, s_hint=hint)
         assert pp.s >= hint - 1.0 - 1e-9
+
+
+def stacked_vertex_table():
+    # Five coincident vertices and one more 1 m on: every segment the
+    # projection refines around the nearest vertex has zero length.
+    n = 6
+    positions = [(1.0, 0.0)] * 5 + [(2.0, 0.0)]
+    return ReferencePath(positions, [(1.0, 0.0)] * n, np.zeros(n), 1.0)
+
+
+def test_project_zero_length_segments_return_nearest_vertex():
+    pp, d = stacked_vertex_table().project((1.0, 0.5))
+    assert pp.position == (1.0, 0.0)
+    assert d == 0.5
+
+
+def test_lookahead_fallback_on_zero_length_segments():
+    res = stacked_vertex_table().lookahead_point((1.0, 0.5), 0.0, 0.1)
+    assert res.fallback and not res.end_of_path
+    assert res.point.position == (1.0, 0.0)
+
+
+def test_project_hint_past_path_end_returns_end(sinusoid):
+    total = sinusoid.total_length
+    end = sinusoid.point_at(total).position
+    pp, d = sinusoid.project((end[0] + 3.0, end[1]), s_hint=total + 5.0)
+    assert pp.s == pytest.approx(total, abs=1e-9)
+    assert pp.position == pytest.approx(end, abs=1e-9)
+    assert d == pytest.approx(math.dist((end[0] + 3.0, end[1]), end), abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -221,3 +251,16 @@ def test_polyline_rejects_degenerate_input():
         make_polyline_path([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
         make_polyline_path([[0, 0], [0, 0], [1, 1]])
+    with pytest.raises(ValueError):
+        make_polyline_path([[1, 1]] * 3)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-12])
+def test_polyline_rejects_nearly_repeated_points(gap):
+    with pytest.raises(ValueError, match="repeated consecutive points"):
+        make_polyline_path([[0, 0], [10, 0], [10 + gap, 0], [20, 5]])
+
+
+def test_polyline_accepts_short_chord_above_ratio():
+    path = make_polyline_path([[0, 0], [10, 0], [10.0001, 0], [20, 5]])
+    assert path.total_length == pytest.approx(21.78, abs=0.01)
