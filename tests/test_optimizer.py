@@ -116,6 +116,16 @@ def test_rollout_matches_independent_closed_loop(kind, s_frac, offset, heading_d
     assert got == pytest.approx(expected, abs=1e-7)
 
 
+def test_rollout_matches_scalar_for_blended_gains():
+    # A fixed blended-gain case, kept alongside the property test above.
+    path = make_sinusoid_path(0.0, 150.0)
+    st = near_path_state(path, 60.0, -2.0, math.radians(-25.0))
+    gains = GuidanceGains(2.0, 1.5, 10.0)
+    expected = scalar_reference_cost(path, st, 54.0, gains, 300)
+    got = rollout_cost(st, path, 54.0, gains, 3.0, 0.01)
+    assert got == pytest.approx(expected, abs=1e-7)
+
+
 def test_rollout_deterministic():
     path = make_sinusoid_path(0.0, 150.0)
     st = VehicleState(20.0, 18.0, 0.4, 5.0)
