@@ -1,7 +1,8 @@
 """Command-line front end: single runs, heading sweeps, run diffs, oracles.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible mid-course
-geometry, 4 oracle failure.  Outputs are plain CSV/JSON written atomically,
+geometry, 4 oracle failure, 5 a ``run`` mission timed out (its outputs are
+still written).  Outputs are plain CSV/JSON written atomically,
 so identical configurations produce byte-identical files.
 """
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
+EXIT_TIMEOUT = 5
 
 
 def _fmt(v: float) -> str:
@@ -123,7 +125,10 @@ def cmd_run(args) -> int:
         summary["improvements"] = {k: None if math.isnan(v) else v for k, v in pcts.items()}
         print(f"improvement: cte_rms={cte_pct:.3f}%  ae_rms={ae_pct:.3f}%")
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    for controller, run in runs.items():
+        if run.timed_out:
+            print(f"{controller} mission timed out at t={run.t[-1]:.2f} s", file=sys.stderr)
+    return EXIT_TIMEOUT if any(run.timed_out for run in runs.values()) else EXIT_OK
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,18 @@ a grid of candidate gain pairs, and the pair with the lowest RMS cross-track
 error wins.  The horizon adapts to the local path curvature: a short segment
 where the path bends hard, a capped longer one where it is straight.
 
-All candidates are propagated simultaneously as numpy arrays against the
-shared immutable path, which keeps a full coarse-to-fine search cheap and
-bit-deterministic: the reduction orders by (cost, k2, k1), so results do not
-depend on evaluation order.
+All candidates are propagated together as numpy arrays, each row bit for bit
+independent of the others, against the path's samples and segments stacked
+once per rollout.  A step costs a fixed number of numpy calls: the look-ahead
+scan resolves most rows in a first chunk of 4 segments and goes on in chunks
+of 16, then 64.  The search is bit-deterministic: the reduction orders by
+(cost, k2, k1), so results do not depend on evaluation order, and a refine
+round rolls out each distinct clipped gain value once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,18 +93,8 @@ def rollout_cost(
         raise ValueError("horizon must be positive")
     n_steps = max(1, int(round(horizon / dt)))
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
-    costs = _rollout_costs(
-        path,
-        state,
-        s_min,
-        sp0,
-        np.array([gains.k1]),
-        np.array([gains.k2]),
-        gains.lookahead,
-        dt,
-        n_steps,
-    )
-    return float(costs[0])
+    k1, k2 = np.array([gains.k1]), np.array([gains.k2])
+    return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps)[0])
 
 
 def optimize_gains(
@@ -135,8 +129,7 @@ def optimize_gains(
         return _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps)
 
     def pick(k1s, k2s, costs):
-        order = np.lexsort((k1s, k2s, costs))
-        i = order[0]
+        i = np.lexsort((k1s, k2s, costs))[0]
         return float(k1s[i]), float(k2s[i]), float(costs[i])
 
     best_k1, best_k2, best_cost = pick(k1c, k2c, evaluate(k1c, k2c))
@@ -144,15 +137,15 @@ def optimize_gains(
     delta = settings.k_max / (g - 1)
     for _ in range(settings.refine_rounds):
         half = delta / 2.0
-        a1 = np.clip(np.linspace(best_k1 - half, best_k1 + half, g), 0.0, settings.k_max)
-        a2 = np.clip(np.linspace(best_k2 - half, best_k2 + half, g), 0.0, settings.k_max)
+        # Distinct clipped values only (a winner on the box edge clips half an
+        # axis onto it): rows roll out independently and pick sorts on the
+        # full key, so duplicates cannot change the pick.
+        axes = [np.linspace(b - half, b + half, g) for b in (best_k1, best_k2)]
+        a1, a2 = (np.unique(np.minimum(np.maximum(a, 0.0), settings.k_max)) for a in axes)
         m1, m2 = [a.ravel() for a in np.meshgrid(a1, a2, indexing="ij")]
-        costs = evaluate(m1, m2)
         # The incumbent competes with the refined grid so cost never regresses.
-        m1 = np.append(m1, best_k1)
-        m2 = np.append(m2, best_k2)
-        costs = np.append(costs, best_cost)
-        best_k1, best_k2, best_cost = pick(m1, m2, costs)
+        costs = np.append(evaluate(m1, m2), best_cost)
+        best_k1, best_k2, best_cost = pick(np.append(m1, best_k1), np.append(m2, best_k2), costs)
         delta = delta / (g - 1)
 
     if not math.isfinite(best_cost):
@@ -164,53 +157,73 @@ def optimize_gains(
 # Batched closed-loop rollout
 # ----------------------------------------------------------------------
 
+_LOOK_WIDTHS = (4, 16, 64)  # look-ahead chunk widths; later chunks reuse the last
+_OFFSETS = np.arange(_LOOK_WIDTHS[-1])
+# Rows of _Table.t: a segment's start x, y, vector dx, dy and squared length,
+# then the rest of the samples; row _DIFFS[i] differences row _VALUES[i].
+_VALUES = [0, 1, 5, 6, 7]  # x, y, tx, ty, kappa
+_DIFFS = [2, 3, 8, 9, 10]
+_BLOCK_CELLS = 1 << 17  # guarded projection: rows per block times samples (~1 MB)
+_COARSE = 16  # guarded projection: samples per stretch of its coarse pass
 
-def _rollout_costs(
-    path: ReferencePath,
-    state: VehicleState,
-    s_min: float,
-    s_proj: float,
-    k1s: np.ndarray,
-    k2s: np.ndarray,
-    lookahead_dist: float,
-    dt: float,
-    n_steps: int,
-) -> np.ndarray:
-    """RMS cross-track error per candidate gain pair over ``n_steps`` steps."""
-    px, py, tx, ty, kap = path.sample_table()
-    ds = path.spacing
-    n = px.size
-    total = path.total_length
+
+class _Table:
+    """A path's samples and segments stacked for the batched kernel, built per rollout call
+    (not cached on the path, so missions that never tune their gains pay nothing for it).
+    Zero-length segments follow the last sample, for a look-ahead chunk to run into."""
+
+    def __init__(self, path: ReferencePath):
+        n = self.n = path.sample_table()[0].size
+        t = self.t = np.zeros((11, n - 1 + _LOOK_WIDTHS[-1]))
+        for v, d, col in zip(_VALUES, _DIFFS, path.sample_table()):
+            t[v, :n] = col
+            np.subtract(col[1:], col[:-1], out=t[d, : n - 1])
+        t[4] = t[2] * t[2] + t[3] * t[3]
+        self.ds, self.total, self.max_chord = path.spacing, path.total_length, path.max_chord
+
+
+def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_steps) -> np.ndarray:
+    """RMS cross-track error per candidate gain pair over ``n_steps`` steps.
+
+    Rows are independent bit for bit: a subset of the candidates rolls out to the same costs."""
+    tab = _Table(path)
     speed = state.speed
 
     k = k1s.size
     x = np.full(k, state.x)
     y = np.full(k, state.y)
     psi = np.full(k, state.heading)
-    s_lb = np.full(k, min(max(s_min, 0.0), total))
-    sp = np.full(k, min(max(s_proj, 0.0), total))
+    s_lb = np.full(k, min(max(s_min, 0.0), tab.total))
+    sp = np.full(k, min(max(s_proj, 0.0), tab.total))
     ended = np.zeros(k, dtype=bool)
     cte_sq = np.zeros(k)
 
     two_v2 = 2.0 * speed * speed
+    inv_max = 1.0 / MAX_RADIUS
 
     for _ in range(n_steps):
         hx = np.cos(psi)
         hy = np.sin(psi)
 
-        sp, cx, cy, pdist, ttx, tty = _project_batch(px, py, tx, ty, ds, n, x, y, sp)
+        sp, pdist = _project_batch(tab, x, y, sp)
         cte_sq += pdist * pdist
 
-        s2, p2x, p2y, t2x, t2y, kap2, end_now = _lookahead_batch(
-            path, px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist
-        )
-        ended |= end_now
+        s2, end_rows, fallback = _lookahead_batch(tab, x, y, s_lb, lookahead_dist)
+        ended[end_rows] = True
         s_lb = np.maximum(s_lb, s2)
+
+        # One table interpolation for the projections and the look-ahead points.
+        pts = _interp_all(tab, np.concatenate((sp, s2)))
+        if fallback is not None:
+            pts[:, k + fallback[0]] = fallback[1]
+        cx, cy, ttx, tty = pts[:4, :k]
+        p2x, p2y, t2x, t2y, kap2 = pts[:, k:]
 
         rx = p2x - x
         ry = p2y - y
         d12 = np.hypot(rx, ry)
-        eta12 = np.arctan2(hx * ry - hy * rx, hx * rx + hy * ry)
+        q = hx * rx + hy * ry
+        eta12 = np.arctan2(hx * ry - hy * rx, q)
         eta12 = np.where(eta12 <= -np.pi, eta12 + TWO_PI, eta12)
 
         den = ttx * hx + tty * hy
@@ -220,7 +233,6 @@ def _rollout_costs(
         p4x = np.where(degen, p2x, cx + tpar * ttx)
         p4y = np.where(degen, p2y, cy + tpar * tty)
 
-        q = rx * hx + ry * hy
         p3x = x + q * hx
         p3y = y + q * hy
         l23 = np.hypot(p2x - p3x, p2y - p3y)
@@ -232,12 +244,11 @@ def _rollout_costs(
         eta14 = np.where(eta14 <= -np.pi, eta14 + TWO_PI, eta14)
         eta14 = np.where(lc > 0.0, eta14, 0.0)
 
-        inv_max = 1.0 / MAX_RADIUS
         r_l1 = np.minimum(MAX_RADIUS, np.maximum(MIN_RADIUS, 1.0 / np.maximum(np.abs(kap2), inv_max)))
 
         cosb = (t2x * rx + t2y * ry) / np.maximum(d12, 1e-12)
         cb = np.where(cosb >= 0.0, np.maximum(cosb, COS_BETA_MIN), np.minimum(cosb, -COS_BETA_MIN))
-        v_l = np.clip(speed * np.cos(eta12) / cb, 0.0, LOOKAHEAD_SPEED_CAP * speed)
+        v_l = np.minimum(np.maximum(speed * np.cos(eta12) / cb, 0.0), LOOKAHEAD_SPEED_CAP * speed)
         v_m = 0.5 * (speed + v_l)
 
         a12 = two_v2 * np.sin(eta12) / np.maximum(d12, MIN_TARGET_DIST)
@@ -258,137 +269,160 @@ def _rollout_costs(
     return np.where(np.isfinite(costs), costs, np.inf)
 
 
-_PROJ_WINDOW = 32
+def _project_batch(tab, x, y, sp_prev):
+    """Arc length and distance of a windowed exact projection with a 1 m backward guard:
+    the nearest of 32 samples from the guard picks two segments, solved as one (K, 2) array."""
+    n = tab.n
+    lo_u = np.fmax(sp_prev - 1.0, 0.0) / tab.ds
+    j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
+    sx, sy = np.take(tab.t[:2], np.minimum(j_lo[:, None] + _OFFSETS[:32], n - 1), axis=1)
+    xc, yc = x[:, None], y[:, None]
+    i_star = j_lo + np.argmin((sx - xc) ** 2 + (sy - yc) ** 2, axis=1)
+    # The segments ending and starting at the nearest sample.
+    jc = np.minimum(np.maximum(i_star[:, None] - np.array([1, 0]), j_lo[:, None]), n - 2)
+    ax, ay, dxs, dys, a = np.take(tab.t[:5], jc, axis=1)
+    u = ((xc - ax) * dxs + (yc - ay) * dys) / np.maximum(a, 1e-300)
+    u_min = np.where(jc == j_lo[:, None], np.minimum(lo_u - j_lo, 1.0)[:, None], 0.0)
+    u = np.minimum(np.maximum(u, u_min), 1.0)
+    dd = (xc - (ax + u * dxs)) ** 2 + (yc - (ay + u * dys)) ** 2
+    s_cand = (jc + u) * tab.ds
+    second = dd[:, 1] < dd[:, 0]
+    return np.where(second, s_cand[:, 1], s_cand[:, 0]), np.sqrt(np.where(second, dd[:, 1], dd[:, 0]))
 
 
-def _project_batch(px, py, tx, ty, ds, n, x, y, sp_prev):
-    """Windowed exact polyline projection with a 1 m backward guard."""
-    lo = np.maximum(sp_prev - 1.0, 0.0)
-    j_lo = np.minimum((lo / ds).astype(np.int64), n - 2)
-    idx = j_lo[:, None] + np.arange(_PROJ_WINDOW)[None, :]
-    np.clip(idx, 0, n - 1, out=idx)
-    d2 = (px[idx] - x[:, None]) ** 2 + (py[idx] - y[:, None]) ** 2
-    i_star = j_lo + np.argmin(d2, axis=1)
-    np.clip(i_star, 0, n - 1, out=i_star)
-
-    best_d2 = None
-    best_s = None
-    for j_cand in (np.maximum(i_star - 1, j_lo), np.minimum(np.maximum(i_star, j_lo), n - 2)):
-        j_cand = np.minimum(j_cand, n - 2)
-        ax = px[j_cand]
-        ay = py[j_cand]
-        dxs = px[j_cand + 1] - ax
-        dys = py[j_cand + 1] - ay
-        seg2 = np.maximum(dxs * dxs + dys * dys, 1e-300)
-        u = ((x - ax) * dxs + (y - ay) * dys) / seg2
-        u_min = np.where(j_cand == j_lo, np.clip(lo / ds - j_lo, 0.0, 1.0), 0.0)
-        u = np.clip(u, u_min, 1.0)
-        qx = ax + u * dxs
-        qy = ay + u * dys
-        dd = (x - qx) ** 2 + (y - qy) ** 2
-        s_cand = (j_cand + u) * ds
-        if best_d2 is None:
-            best_d2, best_s = dd, s_cand
-        else:
-            better = dd < best_d2
-            best_d2 = np.where(better, dd, best_d2)
-            best_s = np.where(better, s_cand, best_s)
-
-    cx, cy, ttx, tty, _ = _interp_all(px, py, tx, ty, None, ds, n, best_s)
-    return best_s, cx, cy, np.sqrt(best_d2), ttx, tty
-
-
-_LOOK_CHUNK = 16
-
-
-def _lookahead_batch(path, px, py, tx, ty, kap, ds, n, total, x, y, s_lb, lookahead_dist):
+def _lookahead_batch(tab, x, y, s_lb, lookahead_dist):
     """First circle/path crossing after s_lb per candidate, scanned in chunks.
 
-    Same answers as :meth:`ReferencePath.lookahead_point`, with the same skip
-    bound.  Every row scans to the path end; chunks grow so the common
-    one-segment advance costs one small scan, and each chunk covers only the
-    rows still unresolved.  Rows with no crossing resolve to the path
-    endpoint (end flag) when it lies inside the look-ahead circle, otherwise
-    to the guarded closest point, which the scalar query computes for those
-    (rare) rows.
+    Same answers as :meth:`ReferencePath.lookahead_point`.  Rows scan the
+    segments in path order and the scalar skip bound passes only segments
+    without a root, so chunk widths and skip tests do not change the first
+    crossing.  The first chunk, 4 wide for the usual advance of 0-2
+    segments, skips nothing; chunks of 16, then 64 cover the rows left.
+
+    Returns the arc lengths, the rows that end the path (no crossing, end inside the
+    circle), and the other rows without one with their :func:`_guarded_projection` points.
     """
-    j_orig = np.minimum((s_lb / ds).astype(np.int64), n - 2)
-    u_first = s_lb / ds - j_orig
-    s_out = np.full(x.size, total)
-    found = np.zeros(x.size, dtype=bool)
-    j_cur = j_orig.copy()
+    n = tab.n
     l2 = lookahead_dist * lookahead_dist
-    # Same vertex-seam tolerance as the scalar path query.
-    eps = 1e-9
-
-    rows = np.arange(x.size)
-    width = _LOOK_CHUNK
-    while rows.size:
-        # No root lies within gap / max_chord - 1 segments of a vertex whose
-        # distance differs from L1 by gap (a nan state skips nothing).
-        j = j_cur[rows]
-        gap = np.abs(np.hypot(px[j] - x[rows], py[j] - y[rows]) - lookahead_dist)
-        skip = gap / path.max_chord - 1.0
-        j_cur[rows] = j + np.where(skip >= 1.0, np.minimum(skip, n), 0.0).astype(np.int64)
-        rows = rows[j_cur[rows] <= n - 2]
-        if not rows.size:
-            break
-        idx = j_cur[rows, None] + np.arange(width)
-        valid = idx <= n - 2
-        np.minimum(idx, n - 2, out=idx)
-        ax = px[idx]
-        ay = py[idx]
-        dxs = px[idx + 1] - ax
-        dys = py[idx + 1] - ay
-        rxs = ax - x[rows, None]
-        rys = ay - y[rows, None]
-        a = dxs * dxs + dys * dys
-        b = rxs * dxs + rys * dys
-        c = rxs * rxs + rys * rys - l2
-        disc = b * b - a * c
-        ok = (disc >= 0.0) & valid & (a > 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        sa = np.where(ok, a, 1.0)
-        u1 = (-b - sq) / sa
-        u2 = (-b + sq) / sa
-        u_lo = np.where(idx == j_orig[rows, None], u_first[rows, None], -eps)
-        c1 = ok & (u1 > u_lo) & (u1 <= 1.0 + eps)
-        c2 = ok & (u2 > u_lo) & (u2 <= 1.0 + eps)
-        upick = np.where(c1, u1, np.where(c2, u2, np.nan))
-        has = ~np.isnan(upick)
+    eps = 1e-9  # the scalar query's vertex-seam tolerance
+    u_s = s_lb / tab.ds
+    j = np.minimum(u_s.astype(np.int64), n - 2)
+    # Only the segment holding s_lb starts past -eps.
+    u_lo = np.where(_OFFSETS[: _LOOK_WIDTHS[0]] == 0, (u_s - j)[:, None], -eps)
+    s_out = np.full(x.size, np.nan)
+    rows, xr, yr = np.arange(x.size), x, y
+    for chunk, width in enumerate(itertools.chain(_LOOK_WIDTHS, itertools.repeat(_LOOK_WIDTHS[-1]))):
+        while chunk:
+            # No root lies within gap / max_chord - 1 segments of a vertex whose distance differs
+            # from L1 by gap (a nan state skips nothing); past the end a row waits on padding.
+            gap = np.abs(np.hypot(np.take(tab.t[0], j) - xr, np.take(tab.t[1], j) - yr) - lookahead_dist)
+            skip = gap / tab.max_chord - 1.0
+            jump = (skip >= 1.0) & (j < n - 1)
+            if not jump.any():
+                break
+            j = np.minimum(j + np.where(jump, np.minimum(skip, n), 0.0).astype(np.int64), n - 1)
+        if chunk and (j == n - 1).all():
+            break  # every row left has skipped past the last segment
+        idx = j[:, None] + _OFFSETS[:width]
+        ax, ay, dxs, dys, a = np.take(tab.t[:5], idx, axis=1)
+        rxs, rys = ax - xr[:, None], ay - yr[:, None]
+        nb = -(rxs * dxs + rys * dys)
+        disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
+        ok = (disc >= 0.0) & (a > 0.0)
+        sq, sa = np.sqrt(np.where(ok, disc, 0.0)), np.where(ok, a, 1.0)
+        u1, u2 = (nb - sq) / sa, (nb + sq) / sa
+        lo = u_lo if chunk == 0 else -eps
+        in1 = (u1 > lo) & (u1 <= 1.0 + eps)
+        has = ok & (in1 | ((u2 > lo) & (u2 <= 1.0 + eps)))
         hit = has.any(axis=1)
-        kf = np.argmax(has, axis=1)
-        r = np.arange(rows.size)
-        s_out[rows[hit]] = ((idx[r, kf] + np.clip(upick[r, kf], 0.0, 1.0)) * ds)[hit]
-        found[rows[hit]] = True
-        j_cur[rows] += width
-        rows = rows[~hit & (j_cur[rows] <= n - 2)]
-        width = min(width * 4, 64)
+        hr = np.flatnonzero(hit)
+        if hr.size:
+            kf = has[hr].argmax(axis=1)
+            u = np.where(in1[hr, kf], u1[hr, kf], u2[hr, kf])
+            s_out[rows[hr]] = (idx[hr, kf] + np.minimum(np.maximum(u, 0.0), 1.0)) * tab.ds
+        j = j + width
+        keep = ~hit & (j <= n - 2)
+        if not keep.any():
+            break
+        rows, xr, yr, j = rows[keep], xr[keep], yr[keep], j[keep]
 
-    end_mask = ~found & ((px[-1] - x) ** 2 + (py[-1] - y) ** 2 < l2)
-    p2x, p2y, t2x, t2y, kap2 = _interp_all(px, py, tx, ty, kap, ds, n, s_out)
-    for i in np.flatnonzero(~found & ~end_mask):
-        pp, _ = path.project((x[i], y[i]), s_hint=s_lb[i], window=total)
-        s_out[i] = pp.s
-        p2x[i], p2y[i] = pp.position
-        t2x[i], t2y[i] = pp.tangent
-        kap2[i] = pp.curvature
-    return s_out, p2x, p2y, t2x, t2y, kap2, end_mask
+    miss = np.flatnonzero(np.isnan(s_out))
+    if not miss.size:
+        return s_out, miss, None
+    s_out[miss] = tab.total
+    inside = (tab.t[0, n - 1] - x[miss]) ** 2 + (tab.t[1, n - 1] - y[miss]) ** 2 < l2
+    far = miss[~inside]
+    s_out[far], points = _guarded_projection(tab, x[far], y[far], s_lb[far])
+    return s_out, miss[inside], (far, points)
 
 
-def _interp_all(px, py, tx, ty, kap, ds, n, s):
-    """Linear table interpolation of position, unit tangent and curvature."""
-    u = np.clip(s / ds, 0.0, n - 1)
-    j = np.minimum(u.astype(np.int64), n - 2)
-    f = u - j
-    ix = px[j] + (px[j + 1] - px[j]) * f
-    iy = py[j] + (py[j + 1] - py[j]) * f
-    itx = tx[j] + (tx[j + 1] - tx[j]) * f
-    ity = ty[j] + (ty[j + 1] - ty[j]) * f
-    tn = np.maximum(np.hypot(itx, ity), 1e-300)
-    itx = itx / tn
-    ity = ity / tn
-    if kap is None:
-        return ix, iy, itx, ity, None
-    ik = kap[j] + (kap[j + 1] - kap[j]) * f
-    return ix, iy, itx, ity, ik
+def _guarded_projection(tab, x, y, s_hint):
+    """``ReferencePath.project(p, s_hint, window=total)`` for many rows, bit for bit.
+
+    Same arithmetic, 1e-18 tie rule and zero-length-segment branch as the scalar
+    query.  Returns the arc lengths and the points as rows x, y, tx, ty, kappa.
+    """
+    n, ds, m = tab.n, tab.ds, x.size
+    lo_s = np.minimum(np.maximum(s_hint - 1.0, 0.0), tab.total)
+    ilo = (lo_s / ds).astype(np.int64)
+    # Nearest sample at or after ilo (first on a tie), in row blocks.  Samples
+    # k apart differ in distance by at most k max chords, so a stretch of
+    # _COARSE samples starting more than _COARSE chords farther than some
+    # sample past ilo holds no minimum (a chord to spare for rounding).
+    i0 = np.empty(m, dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // n)
+    for b in range(0, m, block):
+        lo, xs, ys = ilo[b : b + block, None], x[b : b + block, None], y[b : b + block, None]
+        first = np.arange(lo.min() // _COARSE * _COARSE, n, _COARSE)
+        dc = np.sqrt((tab.t[0, first] - xs) ** 2 + (tab.t[1, first] - ys) ** 2)
+        bound = np.min(dc, axis=1, where=first >= lo, initial=np.inf, keepdims=True)
+        near = (dc - _COARSE * tab.max_chord <= bound) & (first + _COARSE > lo)
+        start = np.maximum(first[near.argmax(axis=1)], lo[:, 0])
+        stop = np.minimum(first[near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)] + _COARSE, n)
+        idx = np.minimum(start[:, None] + np.arange((stop - start).max()), stop[:, None] - 1)
+        sx, sy = np.take(tab.t[0], idx), np.take(tab.t[1], idx)
+        i0[b : b + block] = start + np.argmin((sx - xs) ** 2 + (sy - ys) ** 2, axis=1)
+
+    # Segments i0 - 2 .. i0 + 1, in the scalar loop's order.
+    jmin = np.minimum(ilo, n - 2)
+    guard = lo_s > 0.0
+    j = i0 + np.arange(-2, 2)[:, None]
+    ax, ay, dx, dy, seg2 = np.take(tab.t[:5], np.minimum(np.maximum(j, 0), n - 2), axis=1)
+    valid = (j >= jmin) & (j <= n - 2) & (seg2 != 0.0)
+    u = ((x - ax) * dx + (y - ay) * dy) / np.where(valid, seg2, 1.0)
+    u_lo = np.where((j == jmin) & guard, (lo_s - j * ds) / ds, 0.0)
+    u = np.where(u_lo > u, u_lo, u)  # Python's max(u, u_lo), then min(u, 1.0)
+    u = np.where(u > 1.0, 1.0, u)
+    # Python's x ** 2, as in the scalar query: x * x differs in the last bit
+    # on ~0.1% of inputs, which can flip a near tie between candidates.
+    e = np.concatenate((x - (ax + u * dx), y - (ay + u * dy))).ravel().tolist()
+    sq = np.fromiter(map(pow, e, itertools.repeat(2)), float, len(e)).reshape(8, m)
+    dd = sq[:4] + sq[4:]
+    # The first valid segment is taken.  A later one has a key j + u no smaller
+    # than the best's, so of the scalar's tie rule only dd < best - 1e-18 applies.
+    best = np.zeros((3, m))  # dd, u and j of the segment taken so far
+    for c in range(4):
+        take = valid[c] & (~valid[:c].any(axis=0) | (dd[c] < best[0] - 1e-18))
+        best = np.where(take, (dd[c], u[c], j[c]), best)
+    # A row with no segment of nonzero length in reach takes vertex i0.
+    jz = np.minimum(i0, n - 2)
+    uz, uz_lo = (i0 - jz).astype(float), (lo_s - jz * ds) / ds
+    uz = np.minimum(np.where((jz == jmin) & guard & (uz_lo > uz), uz_lo, uz), 1.0)
+    jf = np.where(valid.any(axis=0), best[2], jz).astype(np.int64)
+    f = np.where(valid.any(axis=0), best[1], uz)
+    g = np.take(tab.t, jf, axis=1)
+    pts = g[_VALUES] + g[_DIFFS] * f
+    # math.hypot, as in the scalar query: np.hypot differs in the last bit on ~1% of inputs.
+    tn = np.fromiter(map(math.hypot, pts[2].tolist(), pts[3].tolist()), float, m)
+    pts[2:4] = np.where(tn == 0.0, tab.t[5:7, jf], pts[2:4] / np.where(tn == 0.0, 1.0, tn))
+    return (jf + f) * ds, pts
+
+
+def _interp_all(tab, s):
+    """Linear table interpolation of position, unit tangent and curvature (5, m)."""
+    u = np.minimum(np.maximum(s / tab.ds, 0.0), tab.n - 1)
+    j = np.minimum(u.astype(np.int64), tab.n - 2)
+    g = np.take(tab.t, j, axis=1)
+    pts = g[_VALUES] + g[_DIFFS] * (u - j)
+    pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), 1e-300)
+    return pts

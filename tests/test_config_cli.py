@@ -279,6 +279,21 @@ def test_cmd_sweep_timed_out_mission_is_error_row(tmp_path):
     assert "failed: baseline mission timed out" in (out / "sweep.txt").read_text()
 
 
+def test_cmd_run_timed_out_mission_exits_5(tmp_path, capsys):
+    # Both missions pass the 5 s limit; run still writes all its outputs.
+    cfgp = write_config(tmp_path, {"sim": {"max_time": 5.0}})
+    out = tmp_path / "to"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 5
+    names = ["path.csv", "summary.json", "trajectory_baseline.csv", "trajectory_proposed.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["baseline"]["timed_out"] and summary["proposed"]["timed_out"]
+    assert capsys.readouterr().err.splitlines() == [
+        "baseline mission timed out at t=5.00 s",
+        "proposed mission timed out at t=5.00 s",
+    ]
+
+
 def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
     pts = np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 15, 40)])
     np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")

@@ -8,11 +8,20 @@ from hypothesis import strategies as hs
 from pathfollow.guidance import GuidanceGains, blended_command, corrector_geometry
 from pathfollow.optimizer import (
     OptimizerSettings,
+    _guarded_projection,
+    _rollout_costs,
+    _Table,
     adaptive_interval,
     optimize_gains,
     rollout_cost,
 )
-from pathfollow.path import make_circle_path, make_line_path, make_sinusoid_path
+from pathfollow.path import (
+    ReferencePath,
+    make_circle_path,
+    make_line_path,
+    make_polyline_path,
+    make_sinusoid_path,
+)
 from pathfollow.vehicle import VehicleState, step
 
 
@@ -188,3 +197,96 @@ def test_optimize_horizon_comes_from_adaptive_interval():
     from pathfollow.path import curvature_radius
 
     assert res.horizon == pytest.approx(min(20.0, curvature_radius(pp)) / 5.0)
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit identity of the batched kernel
+# ----------------------------------------------------------------------
+
+# Gain updates of the stock proposed mission (sinusoid over x in [-15, 150],
+# heading 39.118 deg): (x, y, heading, s_min, s_proj) and the exact result
+# of optimize_gains before the kernel was vectorized further.
+STOCK_UPDATES = [
+    (
+        (-3.6107740019546357, 16.372402235837207, 0.9868956497560274, 32.27070017999215, 22.041166313054696),
+        (3.4299999999999997, 2.23, 0.27511607978894936, 4.0),
+    ),
+    (
+        (24.43046214266706, 1.7895839933998166, -1.0900750793979341, 71.9024930779502, 61.90537057239762),
+        (0.45, 10.0, 0.1756926210547684, 4.0),
+    ),
+    (
+        (117.1026665225003, -17.041043220297382, -0.48186735444866713, 212.0025011839532, 201.60748577609303),
+        (0.0, 0.0, 0.5100157821840258, 2.2852003583098273),
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def stock_path():
+    return make_sinusoid_path(-15.0, 150.0)
+
+
+@pytest.mark.parametrize("update, expected", STOCK_UPDATES)
+def test_optimize_gains_reproduces_recorded_stock_updates(stock_path, update, expected):
+    x, y, heading, s_min, s_proj = update
+    res = optimize_gains(VehicleState(x, y, heading, 5.0), stock_path, s_min, OptimizerSettings(), 10.0, 0.01, s_proj)
+    assert (res.k1, res.k2, res.cost, res.horizon) == expected
+    assert not res.fallback
+
+
+@pytest.mark.parametrize("rows", [[0], [60], [7, 120, 3], list(range(0, 121, 7)), list(range(40, 58))])
+def test_rollout_rows_are_bitwise_independent(stock_path, rows):
+    # The refine rounds roll out only distinct gain values, which is exact
+    # only if a row's cost does not depend on the other rows in the batch.
+    x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
+    st = VehicleState(x, y, heading, 5.0)
+    axis = np.linspace(0.0, 10.0, 11)
+    k1s, k2s = [a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")]
+    full = _rollout_costs(stock_path, st, s_min, s_proj, k1s, k2s, 10.0, 0.01, 400)
+    sub = _rollout_costs(stock_path, st, s_min, s_proj, k1s[rows], k2s[rows], 10.0, 0.01, 400)
+    assert full[rows].tobytes() == sub.tobytes()
+
+
+def corner_table():
+    # A right-angle corner at (2, 0), reached through four coincident
+    # vertices: zero-length segments and exact ties between the segments
+    # on either side of the corner.
+    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+    n = len(pts)
+    return ReferencePath(pts, np.tile([1.0, 0.0], (n, 1)), np.linspace(-0.5, 0.5, n), 1.0)
+
+
+GUARD_PATHS = {
+    "sinusoid": make_sinusoid_path(0.0, 150.0),
+    "circle": make_circle_path((0.0, 0.0), 20.0, turns=1.5),
+    "polyline": make_polyline_path([(0, 0), (10, 0), (10, 10), (0, 10), (0, 20)], 0.5),
+    "corner": corner_table(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_PATHS))
+def test_guarded_projection_matches_scalar_project_bitwise(kind):
+    # The look-ahead's no-crossing rows take the scalar guarded projection,
+    # resolved for all rows at once; compare it field for field with the
+    # scalar query on random states, most of them far off the path.
+    path = GUARD_PATHS[kind]
+    px, py, *_ = path.sample_table()
+    rng = np.random.default_rng(11)
+    m = 3000
+    x = rng.uniform(px.min() - 60.0, px.max() + 60.0, m)
+    y = rng.uniform(py.min() - 60.0, py.max() + 60.0, m)
+    s_hint = rng.uniform(0.0, path.total_length, m)
+    # Exact ties: the circle's centre, and points inside the table's corner.
+    x[:20], y[:20] = 0.0, 0.0
+    x[20:40], y[20:40] = rng.uniform(2.0, 5.0, 20), rng.uniform(-5.0, 0.0, 20)
+    s_hint[40:60] = 3.0  # guard at the coincident vertices of the table
+    # Near ties within 1e-18: points 1e-10 m from a sample, guard behind it.
+    k = rng.integers(1, px.size - 1, 40)
+    x[60:100], y[60:100] = px[k] + rng.normal(0.0, 1e-10, 40), py[k] + rng.normal(0.0, 1e-10, 40)
+    s_hint[60:100] = k * path.spacing * rng.uniform(0.0, 1.0, 40)
+    s, pts = _guarded_projection(_Table(path), x, y, s_hint)
+    for i in range(m):
+        pp, _ = path.project((x[i], y[i]), s_hint=s_hint[i], window=path.total_length)
+        got = (s[i], (pts[0, i], pts[1, i]), (pts[2, i], pts[3, i]), pts[4, i])
+        assert got == (pp.s, pp.position, pp.tangent, pp.curvature), (kind, i)

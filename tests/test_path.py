@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfollow.path import (
     MAX_RADIUS,
@@ -111,6 +113,35 @@ def test_project_hint_never_backtracks_past_guard(sinusoid):
         hint = float(rng.uniform(0, sinusoid.total_length))
         pp, _ = sinusoid.project(p, s_hint=hint)
         assert pp.s >= hint - 1.0 - 1e-9
+
+
+PROJECT_PATHS = {
+    "sinusoid": make_sinusoid_path(0.0, 150.0),
+    "circle": make_circle_path((5.0, -3.0), 12.0, "clockwise", 1.0, turns=0.8),
+    "polyline": make_polyline_path([(0, 0), (8, 3), (15, -2), (25, 4), (33, 0)], 0.2),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(PROJECT_PATHS)),
+    u=st.floats(-0.3, 1.3),
+    v=st.floats(-0.3, 1.3),
+    hint_frac=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_project_property_idempotent_and_guarded(kind, u, v, hint_frac):
+    # Points anywhere around the path's bounding box, with or without a hint.
+    path = PROJECT_PATHS[kind]
+    px, py, *_ = path.sample_table()
+    p = (px.min() + u * (px.max() - px.min()), py.min() + v * (py.max() - py.min()))
+    hint = None if hint_frac is None else hint_frac * path.total_length
+    pp, _ = path.project(p, s_hint=hint)
+    if hint is not None:
+        # Forward guard, up to the rounding of (segment + fraction) * spacing.
+        assert pp.s >= hint - 1.0 - 1e-9
+    pp2, d = path.project(pp.position, s_hint=None if hint is None else pp.s)
+    assert d < 1e-9
+    assert pp2.s == pytest.approx(pp.s, abs=1e-9)
 
 
 def stacked_vertex_table():
