@@ -193,13 +193,20 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
             pathmod.SENSE_CLOCKWISE,
         ):
             problems.append(f"path.sense: invalid {pspec.get('sense')!r}")
+        for key in ("start_angle_deg", "turns"):
+            if key in pspec:
+                _num(problems, "path", key, pspec[key], positive=key == "turns")
     elif kind == "line":
         _pair(problems, "path", "start", pspec.get("start"))
         if _pair(problems, "path", "direction", pspec.get("direction")) == (0.0, 0.0):
             problems.append("path.direction: must be a non-zero vector")
+        if "length" in pspec:
+            _num(problems, "path", "length", pspec["length"], positive=True)
     elif kind == "polyline":
         if "points" not in pspec and "file" not in pspec:
             problems.append("path: polyline needs 'points' or 'file'")
+        elif "points" not in pspec and not isinstance(pspec["file"], str):
+            problems.append(f"path.file: expected a file name, got {pspec['file']!r}")
 
     veh = merged["vehicle"]
     speed = _num(problems, "vehicle", "speed", veh.get("speed"), positive=True)

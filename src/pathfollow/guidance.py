@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, hypot, pi, sin
 
-from .geom import PARALLEL_EPS, Vec2, heading_vector, signed_angle, sub
+from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle, sub
 from .path import PathPoint, ReferencePath, radius_from_curvature
 from .vehicle import VehicleState
 
@@ -109,15 +110,24 @@ def baseline_step(state: VehicleState, path: ReferencePath, s_min: float, lookah
 
     Returns ``(a_cmd, lookahead_result)``; degenerate-geometry flags ride
     along on the result rather than raising.  Equals the blended law at
-    gains (1, 0).
+    gains (1, 0).  The command is :func:`latax_l1` written out inline, with
+    the operations of ``heading_vector``, ``signed_angle`` and
+    :func:`latax_toward` in their order, so it matches them bit for bit.
     """
-    la = path.lookahead_point(state.position, s_min, lookahead_dist)
-    p2 = la.point.position
-    d12 = math.hypot(p2[0] - state.x, p2[1] - state.y)
+    x, y = state.x, state.y
+    la = path.lookahead_point((x, y), s_min, lookahead_dist)
+    p2x, p2y = la.point.position
+    rx, ry = p2x - x, p2y - y
+    d12 = hypot(rx, ry)
     if d12 == 0.0:
         return 0.0, la
-    cmd = latax_toward(state.speed, eta(state, p2), max(d12, MIN_TARGET_DIST))
-    return cmd, la
+    hx, hy = cos(state.heading), sin(state.heading)
+    eta12 = atan2(hx * ry - hy * rx, hx * rx + hy * ry)
+    if eta12 <= -pi:
+        eta12 += TWO_PI
+    v = state.speed
+    # max(d12, MIN_TARGET_DIST) without the builtin call.
+    return 2.0 * v * v * sin(eta12) / (MIN_TARGET_DIST if MIN_TARGET_DIST > d12 else d12), la
 
 
 def track_projection(

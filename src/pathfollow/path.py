@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -30,6 +31,10 @@ MAX_RADIUS = 1e6
 
 # Shortest polyline chord accepted, relative to the longest one.
 MIN_CHORD_RATIO = 1e-6
+
+# Most samples in a path table or a constructor's fine grid (50 km of path at
+# the default spacing); larger requests are refused before allocation.
+MAX_SAMPLES = 1_000_000
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -78,7 +83,9 @@ class ReferencePath:
 
     The table also records its longest chord between neighbouring samples,
     which bounds how far the look-ahead scan may skip; a table whose samples
-    all coincide has no such bound and is rejected.
+    all coincide has no such bound and is rejected.  The scalar queries read
+    plain-float lists of the samples and of each segment's dx, dy and
+    dx^2 + dy^2, built once (0.64 MB per list per km at the default spacing).
     """
 
     def __init__(
@@ -102,25 +109,27 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        max_chord = float(np.max(np.hypot(np.diff(positions[:, 0]), np.diff(positions[:, 1]))))
+        dx, dy = np.diff(positions[:, 0]), np.diff(positions[:, 1])
+        max_chord = float(np.max(np.hypot(dx, dy)))
         if max_chord == 0.0:
             raise ValueError("degenerate path: all samples coincide")
 
         self._n = n
         self._ds = float(spacing)
         self._total = float(spacing) * (n - 1)
-        self._px = np.ascontiguousarray(positions[:, 0])
-        self._py = np.ascontiguousarray(positions[:, 1])
+        # One (2, n) position array: a projection window is one subtraction.
+        self._pxy = np.ascontiguousarray(positions.T)
+        self._px, self._py = self._pxy
         self._tx = np.ascontiguousarray(tangents[:, 0])
         self._ty = np.ascontiguousarray(tangents[:, 1])
         self._kappa = np.ascontiguousarray(curvatures)
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
-        # Plain-float copies for the scalar hot loops.
-        self._pxl = self._px.tolist()
-        self._pyl = self._py.tolist()
-        self._txl = self._tx.tolist()
-        self._tyl = self._ty.tolist()
-        self._kl = self._kappa.tolist()
+        # Plain-float lists for the scalar loops; numpy's - * + round like
+        # Python's, so the segment tables equal the loops' own arithmetic.
+        self._pxl, self._pyl, self._txl, self._tyl, self._kl = (
+            a.tolist() for a in (self._px, self._py, self._tx, self._ty, self._kappa)
+        )
+        self._dxl, self._dyl, self._seg2l = dx.tolist(), dy.tolist(), (dx * dx + dy * dy).tolist()
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -147,18 +156,13 @@ class ReferencePath:
         return j, u - j
 
     def _point_at_fraction(self, j: int, f: float) -> PathPoint:
-        pxl, pyl = self._pxl, self._pyl
-        x = pxl[j] + (pxl[j + 1] - pxl[j]) * f
-        y = pyl[j] + (pyl[j + 1] - pyl[j]) * f
-        tx = self._txl[j] + (self._txl[j + 1] - self._txl[j]) * f
-        ty = self._tyl[j] + (self._tyl[j + 1] - self._tyl[j]) * f
-        tn = math.hypot(tx, ty)
-        if tn == 0.0:
-            tx, ty = self._txl[j], self._tyl[j]
-        else:
-            tx, ty = tx / tn, ty / tn
-        k = self._kl[j] + (self._kl[j + 1] - self._kl[j]) * f
-        return PathPoint((j + f) * self._ds, (x, y), (tx, ty), k)
+        txl, tyl, kl = self._txl, self._tyl, self._kl
+        tx0, ty0, k0 = txl[j], tyl[j], kl[j]
+        tx, ty = tx0 + (txl[j + 1] - tx0) * f, ty0 + (tyl[j + 1] - ty0) * f
+        tn = hypot(tx, ty)
+        tangent = (tx0, ty0) if tn == 0.0 else (tx / tn, ty / tn)
+        position = (self._pxl[j] + self._dxl[j] * f, self._pyl[j] + self._dyl[j] * f)
+        return PathPoint((j + f) * self._ds, position, tangent, k0 + (kl[j + 1] - k0) * f)
 
     def point_at(self, s: float) -> PathPoint:
         """Evaluate position, unit tangent and curvature at arc length ``s``."""
@@ -181,49 +185,57 @@ class ReferencePath:
         local to [s_hint - 1, s_hint + window] and the returned arc length
         never falls below s_hint - 1 m, which prevents the projection from
         jumping backward on self-approaching paths.
+
+        The nearest sample comes from numpy, squared in place (numpy's
+        ``a ** 2`` is ``a * a``); the four segments around it are solved in
+        plain floats and squared with ``**``, which differs from ``x * x`` in
+        the last bit on about 0.1% of inputs, so the two are not swapped.
         """
         px, py = float(p[0]), float(p[1])
+        n, ds, total = self._n, self._ds, self._total
+        # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
+        # min(a, b), NaN and -0.0 included, without the builtin call.
         if s_hint is None:
-            lo_s = 0.0
-            d2 = (self._px - px) ** 2 + (self._py - py) ** 2
-            i0 = int(np.argmin(d2))
+            lo_s, ilo, d = 0.0, 0, self._pxy - ((px,), (py,))
         else:
-            lo_s = min(max(float(s_hint) - 1.0, 0.0), self._total)
-            hi_s = min(float(s_hint) + window, self._total)
-            ilo = int(lo_s / self._ds)
-            ihi = min(int(hi_s / self._ds) + 2, self._n)
-            seg = slice(ilo, max(ihi, ilo + 2))
-            d2 = (self._px[seg] - px) ** 2 + (self._py[seg] - py) ** 2
-            i0 = ilo + int(np.argmin(d2))
+            lo_s = float(s_hint) - 1.0
+            lo_s = 0.0 if 0.0 > lo_s else lo_s
+            lo_s = total if total < lo_s else lo_s
+            hi_s = float(s_hint) + window
+            ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
+            ihi = n if n < ihi else ihi
+            d = self._pxy[:, ilo : ilo + 2 if ilo + 2 > ihi else ihi] - ((px,), (py,))
+        d *= d
+        e = d[0]
+        e += d[1]
+        i0 = ilo + int(e.argmin())
 
         # The guard segment is the last one at most, even at lo_s = total.
-        j_min_allowed = min(int(lo_s / self._ds), self._n - 2)
-        best = None
-        pxl, pyl = self._pxl, self._pyl
-        for j in range(max(i0 - 2, j_min_allowed), min(i0 + 2, self._n - 1)):
-            ax, ay = pxl[j], pyl[j]
-            dx, dy = pxl[j + 1] - ax, pyl[j + 1] - ay
-            seg2 = dx * dx + dy * dy
+        j_min = min(int(lo_s / ds), n - 2)
+        guarded = lo_s > 0.0
+        pxl, pyl, dxl, dyl, seg2l = self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l
+        best_j, best_dd, best_key, best_u = -1, 0.0, 0.0, 0.0
+        for j in range(i0 - 2 if i0 - 2 > j_min else j_min, i0 + 2 if i0 + 2 < n - 1 else n - 1):
+            seg2 = seg2l[j]
             if seg2 == 0.0:
                 continue
+            ax, ay, dx, dy = pxl[j], pyl[j], dxl[j], dyl[j]
             u = ((px - ax) * dx + (py - ay) * dy) / seg2
-            u_lo = 0.0
-            if j == j_min_allowed and lo_s > 0.0:
-                u_lo = (lo_s - j * self._ds) / self._ds
-            u = min(max(u, u_lo), 1.0)
+            u_lo = (lo_s - j * ds) / ds if j == j_min and guarded else 0.0
+            u = u_lo if u_lo > u else u
+            u = 1.0 if 1.0 < u else u
             cx, cy = ax + u * dx, ay + u * dy
             dd = (px - cx) ** 2 + (py - cy) ** 2
-            if best is None or dd < best[0] - 1e-18 or (abs(dd - best[0]) <= 1e-18 and (j + u) < best[1]):
-                best = (dd, j + u, j, u)
-        if best is None:
+            if best_j < 0 or dd < best_dd - 1e-18 or (abs(dd - best_dd) <= 1e-18 and j + u < best_key):
+                best_dd, best_key, best_j, best_u = dd, j + u, j, u
+        if best_j < 0:
             # Every segment in reach has zero length and sits on vertex i0.
-            j = min(i0, self._n - 2)
+            j = min(i0, n - 2)
             u = float(i0 - j)
-            if j == j_min_allowed and lo_s > 0.0:
-                u = min(max(u, (lo_s - j * self._ds) / self._ds), 1.0)
-            best = ((px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j + u, j, u)
-        pp = self._point_at_fraction(best[2], best[3])
-        return pp, math.sqrt(best[0])
+            if j == j_min and guarded:
+                u = min(max(u, (lo_s - j * ds) / ds), 1.0)
+            best_dd, best_j, best_u = (px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j, u
+        return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
 
     # ------------------------------------------------------------------
     # Look-ahead
@@ -246,43 +258,44 @@ class ReferencePath:
         if not lookahead_dist > 0.0:
             raise ValueError("look-ahead distance must be positive")
         px, py = float(p[0]), float(p[1])
-        s0 = min(max(float(s_min), 0.0), self._total)
-        j = min(int(s0 / self._ds), self._n - 2)
+        ds, total, last = self._ds, self._total, self._n - 1
+        s0 = float(s_min)
+        s0 = 0.0 if 0.0 > s0 else s0
+        s0 = total if total < s0 else s0
+        j = min(int(s0 / ds), last - 1)
 
-        pxl, pyl = self._pxl, self._pyl
-        ds, max_chord = self._ds, self.max_chord
-        r2 = lookahead_dist * lookahead_dist
+        pxl, pyl, dxl, dyl, seg2l = self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l
+        max_chord, r2 = self.max_chord, lookahead_dist * lookahead_dist
         # Roots landing exactly on a table vertex jitter a hair outside [0, 1];
         # widen the acceptance band and clamp so seam roots are never dropped.
         # A skip leaves a full chord of margin, far wider than this band.
         eps = 1e-9
-        last = self._n - 1
         while j < last:
-            ax, ay = pxl[j], pyl[j]
-            rx, ry = ax - px, ay - py
-            skip = abs(math.hypot(rx, ry) - lookahead_dist) / max_chord - 1.0
+            rx, ry = pxl[j] - px, pyl[j] - py
+            skip = abs(hypot(rx, ry) - lookahead_dist) / max_chord - 1.0
             if skip >= last - j:
                 break  # no root on the rest of the path
             if skip >= 1.0:
                 j += int(skip)
                 continue
-            dx, dy = pxl[j + 1] - ax, pyl[j + 1] - ay
-            a = dx * dx + dy * dy
+            dx, dy, a = dxl[j], dyl[j], seg2l[j]
             b = rx * dx + ry * dy
-            c = rx * rx + ry * ry - r2
-            disc = b * b - a * c
+            disc = b * b - a * (rx * rx + ry * ry - r2)
             if a > 0.0 and disc >= 0.0:
-                sq = math.sqrt(disc)
+                sq = sqrt(disc)
                 u_lo = -eps
                 if j * ds < s0:
                     u_lo = (s0 - j * ds) / ds
-                for u in ((-b - sq) / a, (-b + sq) / a):
-                    if u_lo < u <= 1.0 + eps:
-                        return LookaheadResult(self._point_at_fraction(j, min(max(u, 0.0), 1.0)))
+                u = (-b - sq) / a
+                if not u_lo < u <= 1.0 + eps:
+                    u = (-b + sq) / a
+                if u_lo < u <= 1.0 + eps:
+                    u = 0.0 if 0.0 > u else u
+                    return LookaheadResult(self._point_at_fraction(j, 1.0 if 1.0 < u else u))
             j += 1
 
         ex, ey = pxl[-1], pyl[-1]
-        if math.hypot(ex - px, ey - py) < lookahead_dist:
+        if hypot(ex - px, ey - py) < lookahead_dist:
             return LookaheadResult(self.point_at(self._total), end_of_path=True)
         # No crossing anywhere ahead: fall back to the closest point over the
         # whole remaining path (forward-progress guard still applies).
@@ -301,6 +314,11 @@ class ReferencePath:
 # ----------------------------------------------------------------------
 # Constructors
 # ----------------------------------------------------------------------
+
+
+def _check_samples(count: float) -> None:
+    if not count <= MAX_SAMPLES:
+        raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES:,} per table or grid")
 
 
 def _from_parametric(
@@ -322,6 +340,7 @@ def _from_parametric(
     total = float(s_fine[-1])
     if not total > 0.0:
         raise ValueError("degenerate path: zero length")
+    _check_samples(total / spacing + 1.0)
     n = max(int(math.ceil(total / spacing)) + 1, 2)
     ds = total / (n - 1)
     s_grid = ds * np.arange(n)
@@ -348,6 +367,7 @@ def make_sinusoid_path(
     def ypp(x):
         return -0.06084 * np.sin(0.078 * x) - 0.13448 * np.cos(0.082 * x)
 
+    _check_samples((x_hi - x_lo) / 0.001 + 1.0)
     fine = np.linspace(x_lo, x_hi, max(int((x_hi - x_lo) / 0.001) + 1, 16))
     speeds = np.hypot(1.0, yp(fine))
 
@@ -383,6 +403,7 @@ def make_circle_path(
         raise ValueError("turns must be positive")
     sign = 1.0 if sense == SENSE_ANTICLOCKWISE else -1.0
     total = 2.0 * math.pi * radius * turns
+    _check_samples(total / spacing + 1.0)
     n = max(int(math.ceil(total / spacing)) + 1, 2)
     ds = total / (n - 1)
     s = ds * np.arange(n)
@@ -404,6 +425,7 @@ def make_line_path(
     if dn == 0.0:
         raise ValueError("degenerate direction: zero vector")
     ux, uy = direction[0] / dn, direction[1] / dn
+    _check_samples(length / spacing + 1.0)
     n = max(int(math.ceil(length / spacing)) + 1, 2)
     ds = length / (n - 1)
     s = ds * np.arange(n)
@@ -429,6 +451,7 @@ def make_polyline_path(points, spacing: float = DEFAULT_SPACING) -> ReferencePat
     if np.min(chord) <= MIN_CHORD_RATIO * np.max(chord):
         raise ValueError(f"polyline has repeated consecutive points (chord {np.min(chord):.3g} m)")
     t_knots = np.concatenate(([0.0], np.cumsum(chord)))
+    _check_samples(t_knots[-1] / (spacing / 4.0) + 1.0)
     spline = CubicSpline(t_knots, pts, axis=0)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)

@@ -128,18 +128,22 @@ class Mission:
 
     def step(self) -> tuple[float, Phase]:
         """Advance one integration step; returns the applied command and phase."""
-        if isinstance(self.phase, Done):
-            return 0.0, self.phase
+        phase = self.phase
+        if isinstance(phase, Done):
+            return 0.0, phase
 
-        self._check_transitions()
+        if not isinstance(phase, CloseRange):  # close range ends only by coasting out
+            self._check_transitions()
         cmd, cte, label = self._command_and_cte()
-        self.record.append(
-            self.state.t, self.state.x, self.state.y, self.state.heading,
-            cmd, cte, label, self.k1, self.k2,
-        )
-        self.state = vehicle.step(self.state, cmd, self.config.dt, self.config.a_max)
-        self._post_step()
-        return cmd, self.phase
+        state, cfg = self.state, self.config
+        self.record.append(state.t, state.x, state.y, state.heading, cmd, cte, label, self.k1, self.k2)
+        self.state = vehicle.step(state, cmd, cfg.dt, cfg.a_max)
+        phase = self.phase
+        if isinstance(phase, CloseRange) and phase.coast_left is not None:
+            phase.coast_left -= 1
+            if phase.coast_left <= 0:
+                self.phase = phase = Done()
+        return cmd, phase
 
     # ------------------------------------------------------------------
 
@@ -191,14 +195,14 @@ class Mission:
                 self._next_opt_t = self.state.t + res.horizon
 
         if cfg.controller == CONTROLLER_BASELINE:
-            cmd, la = guidance.baseline_step(self.state, self.path, phase.s_min, cfg.lookahead)
-            pp, cte = guidance.track_projection(
-                self.state, self.path, phase.s_min, cfg.lookahead, phase.s_proj
-            )
+            state, path, s_min = self.state, self.path, phase.s_min
+            cmd, la = guidance.baseline_step(state, path, s_min, cfg.lookahead)
+            pp, cte = guidance.track_projection(state, path, s_min, cfg.lookahead, phase.s_proj)
             phase.s_proj = pp.s
-            phase.s_min = max(phase.s_min, la.point.s)
-            ends = la.end_of_path or la.point.s >= self.path.total_length - cfg.end_s_tol
-            if ends:
+            la_s = la.point.s
+            if la_s > s_min:  # max(s_min, la_s)
+                phase.s_min = la_s
+            if la.end_of_path or la_s >= path.total_length - cfg.end_s_tol:
                 phase.coast_left = self._coast_steps()
                 return 0.0, cte, PHASE_CLOSE
             return cmd, cte, PHASE_CLOSE
@@ -218,13 +222,6 @@ class Mission:
     def _coast_steps(self) -> int:
         # Coast straight for one look-ahead time so trailing error is recorded.
         return max(1, int(round(self.config.lookahead / self.state.speed / self.config.dt)))
-
-    def _post_step(self) -> None:
-        phase = self.phase
-        if isinstance(phase, CloseRange) and phase.coast_left is not None:
-            phase.coast_left -= 1
-            if phase.coast_left <= 0:
-                self.phase = Done()
 
 
 def run_mission(path: ReferencePath, state: VehicleState, config: MissionConfig) -> RunRecord:

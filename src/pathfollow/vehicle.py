@@ -9,8 +9,8 @@ conserved exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -43,28 +43,31 @@ def step(
     """Advance one step under a zero-order-hold lateral acceleration.
 
     Classical 4th-order Runge-Kutta on (x, y, psi); the turn rate is
-    constant within the step so heading integrates exactly.
+    constant within the step so heading integrates exactly.  The new state
+    is constructed directly; its ``__post_init__`` wraps the wrapped heading
+    again, which leaves it unchanged.
     """
-    if not (isinstance(a_cmd, (int, float)) and math.isfinite(a_cmd)):
+    if not (isinstance(a_cmd, (int, float)) and isfinite(a_cmd)):
         raise ValueError(f"invalid command: {a_cmd!r}")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if a_max is not None:
-        a_cmd = min(max(a_cmd, -a_max), a_max)
+    if a_max is not None:  # min(max(a_cmd, -a_max), a_max)
+        a_cmd = -a_max if -a_max > a_cmd else a_cmd
+        a_cmd = a_max if a_max < a_cmd else a_cmd
 
     v = state.speed
     omega = a_cmd / v
     psi = state.heading
 
-    c1, s1 = math.cos(psi), math.sin(psi)
+    c1, s1 = cos(psi), sin(psi)
     psi2 = psi + 0.5 * dt * omega
-    c2, s2 = math.cos(psi2), math.sin(psi2)
+    c2, s2 = cos(psi2), sin(psi2)
     psi4 = psi + dt * omega
-    c4, s4 = math.cos(psi4), math.sin(psi4)
+    c4, s4 = cos(psi4), sin(psi4)
 
     x = state.x + v * dt / 6.0 * (c1 + 4.0 * c2 + c4)
     y = state.y + v * dt / 6.0 * (s1 + 4.0 * s2 + s4)
-    return replace(state, x=x, y=y, heading=wrap_angle(psi4), t=state.t + dt)
+    return VehicleState(x, y, wrap_angle(psi4), v, state.t + dt)
 
 
 def step_arrays(x, y, psi, a_cmd, speed: float, dt: float):

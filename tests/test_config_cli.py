@@ -318,8 +318,25 @@ def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
         # make_polyline_path rejected them.
         {"kind": "polyline", "points": [[0, 0], [10, 0], [10.00000001, 0], [20, 5]]},
         {"kind": "polyline", "points": [[0, 0], [10, 0], [10 + 1e-12, 0], [20, 5]]},
+        # Optional fields of the wrong type were TypeError tracebacks (exit 1).
+        {"kind": "line", "start": [0, 0], "direction": [1, 0], "length": "abc"},
+        {"kind": "circle", "center": [0, 0], "radius": 10.0, "turns": "two"},
+        {"kind": "circle", "center": [0, 0], "radius": 10.0, "start_angle_deg": None},
+        {"kind": "polyline", "file": 5},
+        # A boolean ran as 1 turn.
+        {"kind": "circle", "center": [0, 0], "radius": 10.0, "turns": True},
+        {"kind": "line", "start": [0, 0], "direction": [1, 0], "length": -5.0},
+        # Tables and fine grids past MAX_SAMPLES are refused before allocation.
+        {"kind": "line", "start": [0, 0], "direction": [1, 0], "length": 1e12},
+        {"kind": "sinusoid", "x_start": 0.0, "x_end": 1e9},
+        {"kind": "circle", "center": [0, 0], "radius": 1e9},
+        {"kind": "polyline", "points": [[0, 0], [1e9, 0], [2e9, 5]]},
     ],
-    ids=["zero_direction", "missing_file", "near_coincident_1e-8", "near_coincident_1e-12"],
+    ids=[
+        "zero_direction", "missing_file", "near_coincident_1e-8", "near_coincident_1e-12",
+        "length_str", "turns_str", "start_angle_null", "file_int", "turns_bool", "length_negative",
+        "line_1e12", "sinusoid_1e9", "circle_r1e9", "polyline_2e9",
+    ],
 )
 def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
     cfg = sweep_scenario()

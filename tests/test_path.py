@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pathfollow.path import (
     MAX_RADIUS,
+    MAX_SAMPLES,
     ReferencePath,
     curvature_radius,
     make_circle_path,
@@ -284,6 +285,26 @@ def test_polyline_rejects_degenerate_input():
         make_polyline_path([[0, 0], [0, 0], [1, 1]])
     with pytest.raises(ValueError):
         make_polyline_path([[1, 1]] * 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_line_path((0.0, 0.0), (1.0, 0.0), 1e12),
+        lambda: make_line_path((0.0, 0.0), (1.0, 0.0), math.inf),
+        lambda: make_sinusoid_path(0.0, 1e9),
+        lambda: make_sinusoid_path(-1e308, 1e308),
+        lambda: make_circle_path((0.0, 0.0), 1e9),
+        lambda: make_circle_path((0.0, 0.0), 10.0, turns=1e9),
+        lambda: make_polyline_path([[0, 0], [1e9, 0], [2e9, 5]]),
+    ],
+    ids=["line", "line_inf", "sinusoid", "sinusoid_overflow", "circle", "circle_turns", "polyline"],
+)
+def test_oversized_tables_are_refused_before_allocation(build):
+    # Each of these asked numpy for 1e10-1e13 points (MemoryError or an
+    # exhausted host) before the MAX_SAMPLES check.
+    with pytest.raises(ValueError, match=f"limit of {MAX_SAMPLES:,}"):
+        build()
 
 
 @pytest.mark.parametrize("gap", [1e-8, 1e-12])
