@@ -197,8 +197,10 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     headings = cfg.sweep_headings_deg
 
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # A fork pool starts every worker at once: never more than rows or cores.
+    workers = min(args.threads, len(headings), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, [cfg] * len(headings), [path] * len(headings), headings))
     else:
         rows = [_sweep_row(cfg, path, h) for h in headings]
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the initial-heading sweep comparison table")
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--out", default="runs/sweep")
-    p_sweep.add_argument("--threads", type=int, default=1, help="parallel sweep rows")
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes, at most one per row and per CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="diff two run directories")

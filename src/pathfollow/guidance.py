@@ -1,13 +1,14 @@
-"""Close-range guidance laws.
+"""Close-range guidance law and the arc command every phase steers with.
 
-Two laws live here.  The baseline steers at a virtual target held a fixed
-look-ahead distance ahead on the path, commanding the lateral acceleration
-2 V^2 sin(eta) / L that flies the circular arc through vehicle and target.
-The blended law adds a corrector point: the intersection of the path tangent
-at the vehicle's projection with the line through the look-ahead point
-perpendicular to the velocity.  Commands toward the look-ahead and corrector
-points are mixed by curvature- and geometry-dependent weights, which embeds
-local path shape into the command and tightens tracking on curvy paths.
+:func:`arc_command` is the arc law 2 V^2 sin(eta) / L toward a point, the
+lateral acceleration that flies the circular arc through vehicle and point.
+The close-range law aims it at a virtual target a fixed look-ahead distance
+ahead on the path and at a corrector point: the intersection of the path
+tangent at the vehicle's projection with the line through the look-ahead
+point perpendicular to the velocity.  The two commands are mixed by
+curvature- and geometry-dependent weights with gains (k1, k2), which embeds
+local path shape into the command.  At k2 = 0 the corrector weight is 0 and
+the law is the constant-L1 baseline for every k1 (:func:`baseline_step`).
 
 All operations are pure; geometry and gains are value types, so concurrent
 evaluation with different gains over the same immutable path is safe.
@@ -105,29 +106,35 @@ def latax_l1(state: VehicleState, target: Vec2, lookahead_dist: float) -> float:
     return latax_toward(state.speed, eta(state, target), lookahead_dist)
 
 
+def arc_command(state: VehicleState, tx: float, ty: float) -> float:
+    """Arc command 2 V^2 sin(eta) / max(d, MIN_TARGET_DIST) toward ``(tx, ty)``; 0 at the point.
+
+    :func:`latax_toward` of the ``signed_angle`` from ``heading_vector`` to the line
+    of sight, inlined with their operations in order, so it matches them bit for bit.
+    """
+    rx, ry = tx - state.x, ty - state.y
+    d = hypot(rx, ry)
+    if d == 0.0:
+        return 0.0
+    hx, hy = cos(state.heading), sin(state.heading)
+    ang = atan2(hx * ry - hy * rx, hx * rx + hy * ry)
+    if ang <= -pi:
+        ang += TWO_PI
+    v = state.speed
+    # max(d, MIN_TARGET_DIST) without the builtin call.
+    return 2.0 * v * v * sin(ang) / (MIN_TARGET_DIST if MIN_TARGET_DIST > d else d)
+
+
 def baseline_step(state: VehicleState, path: ReferencePath, s_min: float, lookahead_dist: float):
     """One baseline evaluation: look-ahead query plus arc command.
 
     Returns ``(a_cmd, lookahead_result)``; degenerate-geometry flags ride
     along on the result rather than raising.  Equals the blended law at
-    gains (1, 0).  The command is :func:`latax_l1` written out inline, with
-    the operations of ``heading_vector``, ``signed_angle`` and
-    :func:`latax_toward` in their order, so it matches them bit for bit.
+    gains (k1, 0) for every k1.
     """
-    x, y = state.x, state.y
-    la = path.lookahead_point((x, y), s_min, lookahead_dist)
-    p2x, p2y = la.point.position
-    rx, ry = p2x - x, p2y - y
-    d12 = hypot(rx, ry)
-    if d12 == 0.0:
-        return 0.0, la
-    hx, hy = cos(state.heading), sin(state.heading)
-    eta12 = atan2(hx * ry - hy * rx, hx * rx + hy * ry)
-    if eta12 <= -pi:
-        eta12 += TWO_PI
-    v = state.speed
-    # max(d12, MIN_TARGET_DIST) without the builtin call.
-    return 2.0 * v * v * sin(eta12) / (MIN_TARGET_DIST if MIN_TARGET_DIST > d12 else d12), la
+    la = path.lookahead_point((state.x, state.y), s_min, lookahead_dist)
+    tx, ty = la.point.position
+    return arc_command(state, tx, ty), la
 
 
 def track_projection(

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Vec2, heading_vector, perp_left, signed_angle
+from .geom import Vec2, heading_vector, perp_left
+from .guidance import arc_command
 from .path import ReferencePath, SENSE_ANTICLOCKWISE, SENSE_CLOCKWISE
 from .vehicle import VehicleState
-from .guidance import MIN_TARGET_DIST, latax_toward
 
 
 class InfeasibleGeometryError(RuntimeError):
@@ -248,13 +248,7 @@ def midcourse_command(state: VehicleState, sol: ContactSolution) -> float:
     Along the exact tangent arc sin(eta)/L is constant, so the magnitude
     stays at V^2 / lambda until arrival.
     """
-    wx, wy = sol.w
-    dx, dy = wx - state.x, wy - state.y
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return 0.0
-    ang = signed_angle(heading_vector(state.heading), (dx, dy))
-    return latax_toward(state.speed, ang, max(d, MIN_TARGET_DIST))
+    return arc_command(state, *sol.w)
 
 
 def circle_follow_command(state: VehicleState, circle: InitiationCircle, lookahead_dist: float) -> float:
@@ -273,9 +267,4 @@ def circle_follow_command(state: VehicleState, circle: InitiationCircle, lookahe
     theta = circle.angle_of(state.position) + s * dtheta
     tx = circle.center[0] + big_r * math.cos(theta)
     ty = circle.center[1] + big_r * math.sin(theta)
-    dx, dy = tx - state.x, ty - state.y
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return 0.0
-    ang = signed_angle(heading_vector(state.heading), (dx, dy))
-    return latax_toward(state.speed, ang, max(d, MIN_TARGET_DIST))
+    return arc_command(state, tx, ty)

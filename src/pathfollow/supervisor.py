@@ -7,6 +7,10 @@ The phase is classified once at mission start: mid-course when the vehicle
 is at least twice the start curvature radius away from the path start,
 otherwise the close-range law applies immediately.
 
+Both controllers fly one close-range tick: the baseline is gains (1, 0)
+with no optimizer, the proposed controller the configured gains and
+optimizer.  While k2 = 0 the tick evaluates only the look-ahead term.
+
 Each integration step emits exactly one telemetry record.  Cross-track
 error follows the phase convention: distance to the path start point during
 mid-course, distance to the closest path point otherwise.
@@ -98,8 +102,11 @@ class Mission:
         self.state = state
         self.config = config
         self.record = RunRecord(controller=config.controller)
-        self.k1 = config.k1
-        self.k2 = config.k2
+        # The baseline is the blended law at gains (1, 0), never tuned.
+        baseline = config.controller == CONTROLLER_BASELINE
+        k1, k2 = (1.0, 0.0) if baseline else (config.k1, config.k2)
+        self.gains = guidance.GuidanceGains(k1, k2, config.lookahead)
+        self._optimizer = None if baseline else config.optimizer
         self._next_opt_t = -math.inf
 
         r0 = curvature_radius(path.point_at(0.0))
@@ -136,7 +143,7 @@ class Mission:
             self._check_transitions()
         cmd, cte, label = self._command_and_cte()
         state, cfg = self.state, self.config
-        self.record.append(state.t, state.x, state.y, state.heading, cmd, cte, label, self.k1, self.k2)
+        self.record.append(state.t, state.x, state.y, state.heading, cmd, cte, label, self.gains.k1, self.gains.k2)
         self.state = vehicle.step(state, cmd, cfg.dt, cfg.a_max)
         phase = self.phase
         if isinstance(phase, CloseRange) and phase.coast_left is not None:
@@ -185,39 +192,29 @@ class Mission:
             phase.s_proj = pp.s
             return 0.0, cte, PHASE_CLOSE
 
-        if cfg.controller == CONTROLLER_PROPOSED and cfg.optimizer is not None:
-            if self.state.t >= self._next_opt_t:
-                res = opt.optimize_gains(
-                    self.state, self.path, phase.s_min, cfg.optimizer,
-                    cfg.lookahead, cfg.dt, s_proj=phase.s_proj,
-                )
-                self.k1, self.k2 = res.k1, res.k2
-                self._next_opt_t = self.state.t + res.horizon
+        state, path, s_min = self.state, self.path, phase.s_min
+        if self._optimizer is not None and state.t >= self._next_opt_t:
+            res = opt.optimize_gains(state, path, s_min, self._optimizer, cfg.lookahead, cfg.dt, s_proj=phase.s_proj)
+            self.gains = guidance.GuidanceGains(res.k1, res.k2, cfg.lookahead)
+            self._next_opt_t = state.t + res.horizon
 
-        if cfg.controller == CONTROLLER_BASELINE:
-            state, path, s_min = self.state, self.path, phase.s_min
+        gains = self.gains
+        if gains.k2 == 0.0:
+            # The corrector weight is 0, so the law is its look-ahead term alone.
             cmd, la = guidance.baseline_step(state, path, s_min, cfg.lookahead)
             pp, cte = guidance.track_projection(state, path, s_min, cfg.lookahead, phase.s_proj)
-            phase.s_proj = pp.s
-            la_s = la.point.s
-            if la_s > s_min:  # max(s_min, la_s)
-                phase.s_min = la_s
-            if la.end_of_path or la_s >= path.total_length - cfg.end_s_tol:
-                phase.coast_left = self._coast_steps()
-                return 0.0, cte, PHASE_CLOSE
-            return cmd, cte, PHASE_CLOSE
-
-        gains = guidance.GuidanceGains(self.k1, self.k2, cfg.lookahead)
-        geom = guidance.corrector_geometry(
-            self.state, self.path, phase.s_min, cfg.lookahead, proj_hint=phase.s_proj
-        )
-        phase.s_proj = geom.proj.s
-        phase.s_min = max(phase.s_min, geom.p2.s)
-        ends = geom.end_of_path or geom.p2.s >= self.path.total_length - cfg.end_s_tol
-        if ends:
+            la_s, end_of_path = la.point.s, la.end_of_path
+        else:
+            geom = guidance.corrector_geometry(state, path, s_min, cfg.lookahead, proj_hint=phase.s_proj)
+            cmd = guidance.blended_command(state, geom, gains)
+            pp, cte, la_s, end_of_path = geom.proj, geom.proj_dist, geom.p2.s, geom.end_of_path
+        phase.s_proj = pp.s
+        if la_s > s_min:  # max(s_min, la_s)
+            phase.s_min = la_s
+        if end_of_path or la_s >= path.total_length - cfg.end_s_tol:
             phase.coast_left = self._coast_steps()
-            return 0.0, geom.proj_dist, PHASE_CLOSE
-        return guidance.blended_command(self.state, geom, gains), geom.proj_dist, PHASE_CLOSE
+            return 0.0, cte, PHASE_CLOSE
+        return cmd, cte, PHASE_CLOSE
 
     def _coast_steps(self) -> int:
         # Coast straight for one look-ahead time so trailing error is recorded.

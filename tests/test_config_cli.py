@@ -210,6 +210,39 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "threads, cpus, workers",
+    [(1000, 2, 2), (1000, 64, 3), (2, 64, 2), (1000, None, None), (1, 64, None), (0, 64, None)],
+)
+def test_cmd_sweep_caps_worker_processes(tmp_path, monkeypatch, threads, cpus, workers):
+    # A fork pool starts all its workers at once, so --threads is capped by
+    # the row count and the CPU count.  The fake pool starts no process.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_sweep_row", lambda cfg, path, h: {"heading_deg": h, "error": "not flown"})
+    cfg = sweep_scenario()
+    cfg["sweep"] = {"headings_deg": [-10.0, 15.0, 40.0]}
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out), "--threads", str(threads)]) == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_cmd_sweep_records_failed_rows(tmp_path):
     cfg = {
         "path": {"kind": "sinusoid", "x_start": 0.0, "x_end": 150.0},

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -206,6 +207,8 @@ def test_lookahead_speed_perpendicular_los_is_clamped_to_zero():
 
 
 def test_blended_recovers_baseline_at_gains_one_zero():
+    # At k2 = 0 the corrector weight is 0 for every k1, 0 included, so the
+    # blended command is the baseline's bit for bit.
     path = make_sinusoid_path(0.0, 150.0)
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -217,8 +220,9 @@ def test_blended_recovers_baseline_at_gains_one_zero():
         )
         g = corrector_geometry(st, path, 0.0, 10.0)
         cmd_b, _ = baseline_step(st, path, 0.0, 10.0)
-        cmd_p = blended_command(st, g, GuidanceGains(1.0, 0.0, 10.0))
-        assert cmd_p == cmd_b  # bitwise: same geometry, same arithmetic
+        for k1 in (0.0, 1.0, float(rng.uniform(0.0, 10.0)), 10.0):
+            cmd_p = blended_command(st, g, GuidanceGains(k1, 0.0, 10.0))
+            assert struct.pack("<d", cmd_p) == struct.pack("<d", cmd_b), k1
 
 
 def test_blended_single_term_selection():

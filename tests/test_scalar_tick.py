@@ -7,8 +7,11 @@ Two kinds of check:
   digests of their struct-packed telemetry columns;
 * a derandomized property test that compares ``ReferencePath.project``
   (hinted and global), ``ReferencePath.lookahead_point``,
-  ``guidance.baseline_step`` and ``vehicle.step`` with references written
-  here in the original arithmetic (``latax_l1`` for the baseline command):
+  ``guidance.baseline_step``, ``midcourse.midcourse_command``,
+  ``midcourse.circle_follow_command`` and ``vehicle.step`` with references
+  written here in the original arithmetic (``latax_l1`` for the baseline
+  command, ``latax_toward(signed_angle(heading_vector(...)))`` for the
+  mid-course ones):
   numpy ``** 2`` windows, Python ``** 2`` in the four-segment refine, segment
   differences formed on every call, builtin ``min``/``max`` and
   ``dataclasses.replace``.  Floats are compared by their bytes, so a changed
@@ -27,9 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathfollow.geom import wrap_angle
-from pathfollow.guidance import MIN_TARGET_DIST, baseline_step, latax_l1
+from pathfollow.geom import heading_vector, signed_angle, wrap_angle
+from pathfollow.guidance import MIN_TARGET_DIST, arc_command, baseline_step, latax_l1, latax_toward
+from pathfollow.midcourse import ContactSolution, InitiationCircle, circle_follow_command, midcourse_command
 from pathfollow.path import (
+    SENSE_ANTICLOCKWISE,
+    SENSE_CLOCKWISE,
     LookaheadResult,
     PathPoint,
     make_circle_path,
@@ -90,6 +96,17 @@ def test_trajectory_bytes_unchanged(x_lo, x, y, heading_deg, controller, k2, ste
     assert not run.timed_out
     assert (len(run), len(set(run.phase))) == (steps, phases)
     assert trajectory_digest(run) == digest
+
+
+def test_fixed_gain_look_ahead_only_trajectory_unchanged():
+    # The proposed law at fixed gains (2.5, 0), which the tick evaluates as
+    # its look-ahead term alone, recorded before that shortcut existed.
+    run = run_mission(
+        sinusoid(0.0), VehicleState(-50.0, 20.0, 0.0, 5.0), MissionConfig(controller="proposed", k1=2.5, k2=0.0)
+    )
+    assert not run.timed_out
+    assert (len(run), len(set(run.phase))) == (7241, 3)
+    assert trajectory_digest(run) == "ce07ff31524942d5a5eee7b992a1441b4650b90a747343d19c898e32cfed6e0b"
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +222,26 @@ def ref_baseline_step(state, path, s_min, lookahead_dist):
     return latax_l1(state, p2, max(d12, MIN_TARGET_DIST)), la
 
 
+def ref_arc(state, tx, ty):
+    dx, dy = tx - state.x, ty - state.y
+    d = math.hypot(dx, dy)
+    if d == 0.0:
+        return 0.0
+    ang = signed_angle(heading_vector(state.heading), (dx, dy))
+    return latax_toward(state.speed, ang, max(d, MIN_TARGET_DIST))
+
+
+def ref_circle_aim(state, circle, lookahead_dist):
+    big_r = circle.radius
+    chord = lookahead_dist
+    if chord > 2.0 * big_r:
+        chord = 1.8 * big_r
+    dtheta = 2.0 * math.asin(chord / (2.0 * big_r))
+    s = 1.0 if circle.sense == SENSE_ANTICLOCKWISE else -1.0
+    theta = circle.angle_of(state.position) + s * dtheta
+    return circle.center[0] + big_r * math.cos(theta), circle.center[1] + big_r * math.sin(theta)
+
+
 def ref_step(state, a_cmd, dt, a_max=None):
     if a_max is not None:
         a_cmd = min(max(a_cmd, -a_max), a_max)
@@ -298,6 +335,34 @@ def test_path_queries_match_reference_bits(kind, seed, lookahead):
 
 
 SPECIAL_HEADINGS = [0.0, -0.0, math.pi, -math.pi, 1e-17, -1e-17, -1e-300, math.nextafter(-math.pi, 0.0)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_midcourse_commands_match_reference_bits(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        heading = rng.choice(SPECIAL_HEADINGS) if rng.random() < 0.2 else rng.uniform(-math.pi, math.pi)
+        state = VehicleState(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), heading, rng.uniform(0.5, 30.0))
+        # The aim point: the vehicle itself, inside the distance floor, or anywhere.
+        u = rng.random()
+        if u < 0.1:
+            w = (state.x, state.y)
+        elif u < 0.3:
+            w = (state.x + rng.uniform(-0.1, 0.1), state.y + rng.uniform(-0.1, 0.1))
+        else:
+            w = (rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+        assert_same_bits(arc_command(state, *w), ref_arc(state, *w))
+        assert_same_bits(midcourse_command(state, ContactSolution(w, 1.0, 0.0, True, "external")), ref_arc(state, *w))
+        circle = InitiationCircle(
+            (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)),
+            rng.uniform(1.0, 30.0),
+            rng.choice((SENSE_ANTICLOCKWISE, SENSE_CLOCKWISE)),
+        )
+        lookahead = rng.uniform(0.5, 70.0)  # chords past the diameter are clamped
+        assert_same_bits(
+            circle_follow_command(state, circle, lookahead), ref_arc(state, *ref_circle_aim(state, circle, lookahead))
+        )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

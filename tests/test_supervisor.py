@@ -63,6 +63,17 @@ def test_baseline_and_fixed_gain_blended_trajectories_identical(bench_path):
     assert rb.x == rp.x and rb.y == rp.y and rb.a_cmd == rp.a_cmd
 
 
+def test_baseline_flies_and_logs_gains_one_zero(bench_path):
+    # The baseline ignores the configured gains and optimizer: it flies
+    # (1, 0) untuned and its telemetry says so.
+    st = VehicleState(-15.0, 0.0, math.radians(39.118), 5.0)
+    rd = run_mission(bench_path, st, MissionConfig(controller="baseline"))
+    cfg = MissionConfig(controller="baseline", k1=2.0, k2=1.0, optimizer=OptimizerSettings())
+    rg = run_mission(bench_path, st, cfg)
+    assert rg.x == rd.x and rg.a_cmd == rd.a_cmd
+    assert set(rg.k1) == {1.0} and set(rg.k2) == {0.0}
+
+
 def test_full_mission_phase_sequence(bench_path):
     cfg = MissionConfig(
         controller="proposed", optimizer=OptimizerSettings(), initiation_radius=10.0
