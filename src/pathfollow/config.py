@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import path as pathmod
-from .optimizer import OptimizerSettings
+from .optimizer import MAX_GRID, OptimizerSettings
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig
 from .vehicle import VehicleState
 
@@ -239,8 +239,8 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
         enabled = True
     k_max = _num(problems, "optimizer", "k_max", ob.get("k_max"), positive=True)
     grid = ob.get("grid")
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 3:
-        problems.append(f"optimizer.grid: expected integer >= 3, got {grid!r}")
+    if not isinstance(grid, int) or isinstance(grid, bool) or not 3 <= grid <= MAX_GRID:
+        problems.append(f"optimizer.grid: expected integer in [3, {MAX_GRID}], got {grid!r}")
         grid = 11
     rounds = ob.get("refine_rounds")
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:

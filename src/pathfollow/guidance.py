@@ -10,8 +10,10 @@ curvature- and geometry-dependent weights with gains (k1, k2), which embeds
 local path shape into the command.  At k2 = 0 the corrector weight is 0 and
 the law is the constant-L1 baseline for every k1 (:func:`baseline_step`).
 
-All operations are pure; geometry and gains are value types, so concurrent
-evaluation with different gains over the same immutable path is safe.
+:func:`blended_many` is the same law over numpy rows, for the gain tuner's
+batched rollouts.  All operations are pure; geometry and gains are value
+types, so concurrent evaluation with different gains over the same immutable
+path is safe.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, pi, sin
 
+import numpy as np
+
 from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle, sub
-from .path import PathPoint, ReferencePath, radius_from_curvature
+from .path import PathPoint, ReferencePath, radii_from_curvatures, radius_from_curvature
 from .vehicle import VehicleState
 
 # Lower clamp on target distances: the arc command is singular as a target
@@ -271,3 +275,58 @@ def blended_command(state: VehicleState, geom: CorrectorGeometry, gains: Guidanc
     a14 = latax_toward(v, geom.eta14, max(geom.lc, MIN_TARGET_DIST))
     w1, w2 = blend_weights(gains, geom.r_l1, geom.l23, geom.l43, geom.v_m)
     return weighted_blend(w1, w2, a12, a14)
+
+
+def blended_many(x, y, hx, hy, proj, p2, speed: float, k1s, k2s):
+    """:func:`corrector_geometry` + :func:`blended_command` over rows, one numpy call per operation.
+
+    ``hx, hy`` are the headings' cosines and sines, ``proj`` holds the
+    projections' rows x, y, tx, ty and ``p2`` the look-ahead points' rows x,
+    y, tx, ty, kappa.  Same clamps and fallbacks as the scalar law; numpy's
+    hypot and arctan2 may differ from the math module's in the last bit.
+    """
+    cx, cy, ttx, tty = proj
+    p2x, p2y, t2x, t2y, kap2 = p2
+    rx = p2x - x
+    ry = p2y - y
+    d12 = np.hypot(rx, ry)
+    q = hx * rx + hy * ry
+    eta12 = np.arctan2(hx * ry - hy * rx, q)
+    eta12 = np.where(eta12 <= -np.pi, eta12 + TWO_PI, eta12)
+
+    den = ttx * hx + tty * hy
+    degen = np.abs(den) < PARALLEL_EPS
+    dens = np.where(degen, 1.0, den)
+    tpar = ((p2x - cx) * hx + (p2y - cy) * hy) / dens
+    p4x = np.where(degen, p2x, cx + tpar * ttx)
+    p4y = np.where(degen, p2y, cy + tpar * tty)
+
+    p3x = x + q * hx
+    p3y = y + q * hy
+    l23 = np.hypot(p2x - p3x, p2y - p3y)
+    l43 = np.hypot(p4x - p3x, p4y - p3y)
+    lcx = p4x - x
+    lcy = p4y - y
+    lc = np.hypot(lcx, lcy)
+    eta14 = np.arctan2(hx * lcy - hy * lcx, hx * lcx + hy * lcy)
+    eta14 = np.where(eta14 <= -np.pi, eta14 + TWO_PI, eta14)
+    eta14 = np.where(lc > 0.0, eta14, 0.0)
+
+    r_l1 = radii_from_curvatures(kap2)
+
+    cosb = (t2x * rx + t2y * ry) / np.maximum(d12, 1e-12)
+    cb = np.where(cosb >= 0.0, np.maximum(cosb, COS_BETA_MIN), np.minimum(cosb, -COS_BETA_MIN))
+    v_l = np.minimum(np.maximum(speed * np.cos(eta12) / cb, 0.0), LOOKAHEAD_SPEED_CAP * speed)
+    v_m = 0.5 * (speed + v_l)
+
+    two_v2 = 2.0 * speed * speed
+    a12 = two_v2 * np.sin(eta12) / np.maximum(d12, MIN_TARGET_DIST)
+    a14 = two_v2 * np.sin(eta14) / np.maximum(lc, MIN_TARGET_DIST)
+    w1 = k1s * r_l1 / (1.0 + l23)
+    w2 = k2s * v_m / (r_l1 * (1.0 + l43))
+    wsum = w1 + w2
+    return np.where(
+        (wsum < WEIGHT_EPS) | (w2 == 0.0),
+        a12,
+        np.where(w1 == 0.0, a14, (w1 * a12 + w2 * a14) / np.where(wsum < WEIGHT_EPS, 1.0, wsum)),
+    )

@@ -5,6 +5,9 @@ A path is stored as a dense table of samples uniformly spaced in arc length
 Between samples the position is linear, so closest-point projection and
 look-ahead circle intersections are solved exactly segment by segment, which
 keeps every query deterministic and self-consistent with the stored geometry.
+The gain tuner's rollouts ask the same questions for many states at once:
+``project_many``, ``lookahead_many`` and ``point_at_many`` answer them on the
+same table, beside their scalar forms and under the same rules.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; arbitrary polylines are resampled through a cubic
@@ -14,6 +17,7 @@ read-only, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import hypot, sqrt
@@ -35,6 +39,15 @@ MIN_CHORD_RATIO = 1e-6
 # Most samples in a path table or a constructor's fine grid (50 km of path at
 # the default spacing); larger requests are refused before allocation.
 MAX_SAMPLES = 1_000_000
+
+# Rows of a path's sample table: a segment's start x, y, vector dx, dy and
+# squared length, then tx, ty, kappa; row _DIFFS[i] differences row _VALUES[i].
+_VALUES = [0, 1, 5, 6, 7]
+_DIFFS = [2, 3, 8, 9, 10]
+_LOOK_WIDTHS = (4, 16, 64)  # batched look-ahead chunk widths; later chunks reuse the last
+_OFFSETS = np.arange(_LOOK_WIDTHS[-1])
+_BLOCK_CELLS = 1 << 17  # batched guarded projection: rows per block times samples (~1 MB)
+_COARSE = 16  # batched guarded projection: samples per stretch of its coarse pass
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -78,14 +91,23 @@ def radius_from_curvature(kappa: float) -> float:
     return min(MAX_RADIUS, max(MIN_RADIUS, 1.0 / k))
 
 
+def radii_from_curvatures(kappa: np.ndarray) -> np.ndarray:
+    """The clamp of :func:`radius_from_curvature` over an array."""
+    return np.minimum(MAX_RADIUS, np.maximum(MIN_RADIUS, 1.0 / np.maximum(np.abs(kappa), 1.0 / MAX_RADIUS)))
+
+
 class ReferencePath:
     """Arc-length parameterized planar curve backed by a uniform sample table.
 
-    The table also records its longest chord between neighbouring samples,
-    which bounds how far the look-ahead scan may skip; a table whose samples
-    all coincide has no such bound and is rejected.  The scalar queries read
-    plain-float lists of the samples and of each segment's dx, dy and
-    dx^2 + dy^2, built once (0.64 MB per list per km at the default spacing).
+    The samples live in one read-only table of 11 rows: x, y, the segment to
+    the next sample (dx, dy, dx^2 + dy^2), then tx, ty, kappa and their
+    differences to the next sample.  63 zero-length segments pad its end for
+    the batched look-ahead's chunks to run into; it takes 88 bytes per sample
+    (1.8 MB per km at the default spacing).  The scalar queries read
+    plain-float lists of the first eight rows, built once (0.64 MB per list
+    per km).  The path also records its longest chord between neighbouring
+    samples, which bounds how far the look-ahead scans may skip; a table
+    whose samples all coincide has no such bound and is rejected.
     """
 
     def __init__(
@@ -109,27 +131,24 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        dx, dy = np.diff(positions[:, 0]), np.diff(positions[:, 1])
-        max_chord = float(np.max(np.hypot(dx, dy)))
+        t = np.zeros((11, n - 1 + _LOOK_WIDTHS[-1]))
+        for v, d, col in zip(_VALUES, _DIFFS, (*positions.T, *tangents.T, curvatures)):
+            t[v, :n] = col
+            np.subtract(col[1:], col[:-1], out=t[d, : n - 1])
+        t[4] = t[2] * t[2] + t[3] * t[3]
+        max_chord = float(np.max(np.hypot(t[2, : n - 1], t[3, : n - 1])))
         if max_chord == 0.0:
             raise ValueError("degenerate path: all samples coincide")
+        t.flags.writeable = False
 
         self._n = n
         self._ds = float(spacing)
         self._total = float(spacing) * (n - 1)
-        # One (2, n) position array: a projection window is one subtraction.
-        self._pxy = np.ascontiguousarray(positions.T)
-        self._px, self._py = self._pxy
-        self._tx = np.ascontiguousarray(tangents[:, 0])
-        self._ty = np.ascontiguousarray(tangents[:, 1])
-        self._kappa = np.ascontiguousarray(curvatures)
+        self._table = t
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
-        # Plain-float lists for the scalar loops; numpy's - * + round like
-        # Python's, so the segment tables equal the loops' own arithmetic.
-        self._pxl, self._pyl, self._txl, self._tyl, self._kl = (
-            a.tolist() for a in (self._px, self._py, self._tx, self._ty, self._kappa)
-        )
-        self._dxl, self._dyl, self._seg2l = dx.tolist(), dy.tolist(), (dx * dx + dy * dy).tolist()
+        # Plain-float rows for the scalar loops; numpy's - * + round like
+        # Python's, so the segment rows equal the loops' own arithmetic.
+        self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l, self._txl, self._tyl, self._kl = t[:8, :n].tolist()
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -169,6 +188,15 @@ class ReferencePath:
         j, f = self._segment_fraction(float(s))
         return self._point_at_fraction(j, f)
 
+    def point_at_many(self, s: np.ndarray) -> np.ndarray:
+        """Position, unit tangent and curvature at many arc lengths, as rows x, y, tx, ty, kappa."""
+        u = np.minimum(np.maximum(s / self._ds, 0.0), self._n - 1)
+        j = np.minimum(u.astype(np.int64), self._n - 2)
+        g = np.take(self._table, j, axis=1)
+        pts = g[_VALUES] + g[_DIFFS] * (u - j)
+        pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), 1e-300)
+        return pts
+
     # ------------------------------------------------------------------
     # Projection
     # ------------------------------------------------------------------
@@ -196,15 +224,15 @@ class ReferencePath:
         # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
         # min(a, b), NaN and -0.0 included, without the builtin call.
         if s_hint is None:
-            lo_s, ilo, d = 0.0, 0, self._pxy - ((px,), (py,))
+            lo_s, ilo, d = 0.0, 0, self._table[:2, :n] - ((px,), (py,))
         else:
             lo_s = float(s_hint) - 1.0
             lo_s = 0.0 if 0.0 > lo_s else lo_s
             lo_s = total if total < lo_s else lo_s
             hi_s = float(s_hint) + window
             ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
-            ihi = n if n < ihi else ihi
-            d = self._pxy[:, ilo : ilo + 2 if ilo + 2 > ihi else ihi] - ((px,), (py,))
+            ihi = ilo + 2 if ilo + 2 > ihi else ihi
+            d = self._table[:2, ilo : n if n < ihi else ihi] - ((px,), (py,))
         d *= d
         e = d[0]
         e += d[1]
@@ -236,6 +264,26 @@ class ReferencePath:
                 u = min(max(u, (lo_s - j * ds) / ds), 1.0)
             best_dd, best_j, best_u = (px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j, u
         return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
+
+    def project_many(self, x: np.ndarray, y: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arc lengths and distances of a windowed exact projection per row, with a 1 m backward
+        guard: the nearest of 32 samples from the guard picks two segments, solved as one (K, 2) array."""
+        n, t = self._n, self._table
+        lo_u = np.fmax(s_prev - 1.0, 0.0) / self._ds
+        j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
+        sx, sy = np.take(t[:2], np.minimum(j_lo[:, None] + _OFFSETS[:32], n - 1), axis=1)
+        xc, yc = x[:, None], y[:, None]
+        i_star = j_lo + np.argmin((sx - xc) ** 2 + (sy - yc) ** 2, axis=1)
+        # The segments ending and starting at the nearest sample.
+        jc = np.minimum(np.maximum(i_star[:, None] - np.array([1, 0]), j_lo[:, None]), n - 2)
+        ax, ay, dxs, dys, a = np.take(t[:5], jc, axis=1)
+        u = ((xc - ax) * dxs + (yc - ay) * dys) / np.maximum(a, 1e-300)
+        u_min = np.where(jc == j_lo[:, None], np.minimum(lo_u - j_lo, 1.0)[:, None], 0.0)
+        u = np.minimum(np.maximum(u, u_min), 1.0)
+        dd = (xc - (ax + u * dxs)) ** 2 + (yc - (ay + u * dys)) ** 2
+        s_cand = (jc + u) * self._ds
+        second = dd[:, 1] < dd[:, 0]
+        return np.where(second, s_cand[:, 1], s_cand[:, 0]), np.sqrt(np.where(second, dd[:, 1], dd[:, 0]))
 
     # ------------------------------------------------------------------
     # Look-ahead
@@ -302,13 +350,139 @@ class ReferencePath:
         pp, _ = self.project(p, s_hint=s0, window=self._total)
         return LookaheadResult(pp, fallback=True)
 
-    # ------------------------------------------------------------------
-    # Raw table access for batched queries
-    # ------------------------------------------------------------------
+    def lookahead_many(self, x: np.ndarray, y: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
+        """First circle/path crossing after s_lb per row, scanned in chunks.
+
+        Same answers as :meth:`lookahead_point`.  Rows scan the segments in
+        path order and the scalar skip bound passes only segments without a
+        root, so chunk widths and skip tests do not change the first
+        crossing.  The first chunk, 4 wide for the usual advance of 0-2
+        segments, skips nothing; chunks of 16, then 64 cover the rows left.
+
+        Returns the arc lengths, the rows that end the path (no crossing, end
+        inside the circle), and None or the other rows without a crossing
+        with their :meth:`_guarded_project_many` points.
+        """
+        n, t = self._n, self._table
+        l2 = lookahead_dist * lookahead_dist
+        eps = 1e-9  # the scalar query's vertex-seam tolerance
+        u_s = s_lb / self._ds
+        j = np.minimum(u_s.astype(np.int64), n - 2)
+        # Only the segment holding s_lb starts past -eps.
+        u_lo = np.where(_OFFSETS[: _LOOK_WIDTHS[0]] == 0, (u_s - j)[:, None], -eps)
+        s_out = np.full(x.size, np.nan)
+        rows, xr, yr = np.arange(x.size), x, y
+        for chunk, width in enumerate(itertools.chain(_LOOK_WIDTHS, itertools.repeat(_LOOK_WIDTHS[-1]))):
+            while chunk:
+                # No root lies within gap / max_chord - 1 segments of a vertex whose distance differs
+                # from L1 by gap (a nan state skips nothing); past the end a row waits on padding.
+                gap = np.abs(np.hypot(np.take(t[0], j) - xr, np.take(t[1], j) - yr) - lookahead_dist)
+                skip = gap / self.max_chord - 1.0
+                jump = (skip >= 1.0) & (j < n - 1)
+                if not jump.any():
+                    break
+                j = np.minimum(j + np.where(jump, np.minimum(skip, n), 0.0).astype(np.int64), n - 1)
+            if chunk and (j == n - 1).all():
+                break  # every row left has skipped past the last segment
+            idx = j[:, None] + _OFFSETS[:width]
+            ax, ay, dxs, dys, a = np.take(t[:5], idx, axis=1)
+            rxs, rys = ax - xr[:, None], ay - yr[:, None]
+            nb = -(rxs * dxs + rys * dys)
+            disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
+            ok = (disc >= 0.0) & (a > 0.0)
+            sq, sa = np.sqrt(np.where(ok, disc, 0.0)), np.where(ok, a, 1.0)
+            u1, u2 = (nb - sq) / sa, (nb + sq) / sa
+            lo = u_lo if chunk == 0 else -eps
+            in1 = (u1 > lo) & (u1 <= 1.0 + eps)
+            has = ok & (in1 | ((u2 > lo) & (u2 <= 1.0 + eps)))
+            hit = has.any(axis=1)
+            hr = np.flatnonzero(hit)
+            if hr.size:
+                kf = has[hr].argmax(axis=1)
+                u = np.where(in1[hr, kf], u1[hr, kf], u2[hr, kf])
+                s_out[rows[hr]] = (idx[hr, kf] + np.minimum(np.maximum(u, 0.0), 1.0)) * self._ds
+            j = j + width
+            keep = ~hit & (j <= n - 2)
+            if not keep.any():
+                break
+            rows, xr, yr, j = rows[keep], xr[keep], yr[keep], j[keep]
+
+        miss = np.flatnonzero(np.isnan(s_out))
+        if miss.size:
+            s_out[miss] = self._total
+            inside = (t[0, n - 1] - x[miss]) ** 2 + (t[1, n - 1] - y[miss]) ** 2 < l2
+            if not inside.all():
+                far = miss[~inside]
+                s_out[far], points = self._guarded_project_many(x[far], y[far], s_lb[far])
+                return s_out, miss[inside], (far, points)
+        return s_out, miss, None
+
+    def _guarded_project_many(self, x: np.ndarray, y: np.ndarray, s_hint: np.ndarray):
+        """``project(p, s_hint, window=total_length)`` for many rows, bit for bit.
+
+        Same arithmetic, 1e-18 tie rule and zero-length-segment branch as the
+        scalar query.  Returns the arc lengths and the points as rows x, y,
+        tx, ty, kappa.
+        """
+        n, ds, m, t = self._n, self._ds, x.size, self._table
+        lo_s = np.minimum(np.maximum(s_hint - 1.0, 0.0), self._total)
+        ilo = (lo_s / ds).astype(np.int64)
+        # Nearest sample at or after ilo (first on a tie), in row blocks.  Samples
+        # k apart differ in distance by at most k max chords, so a stretch of
+        # _COARSE samples starting more than _COARSE chords farther than some
+        # sample past ilo holds no minimum (a chord to spare for rounding).
+        i0 = np.empty(m, dtype=np.int64)
+        block = max(1, _BLOCK_CELLS // n)
+        for b in range(0, m, block):
+            lo, xs, ys = ilo[b : b + block, None], x[b : b + block, None], y[b : b + block, None]
+            first = np.arange(lo.min() // _COARSE * _COARSE, n, _COARSE)
+            dc = np.sqrt((t[0, first] - xs) ** 2 + (t[1, first] - ys) ** 2)
+            bound = np.min(dc, axis=1, where=first >= lo, initial=np.inf, keepdims=True)
+            near = (dc - _COARSE * self.max_chord <= bound) & (first + _COARSE > lo)
+            start = np.maximum(first[near.argmax(axis=1)], lo[:, 0])
+            stop = np.minimum(first[near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)] + _COARSE, n)
+            idx = np.minimum(start[:, None] + np.arange((stop - start).max()), stop[:, None] - 1)
+            sx, sy = np.take(t[0], idx), np.take(t[1], idx)
+            i0[b : b + block] = start + np.argmin((sx - xs) ** 2 + (sy - ys) ** 2, axis=1)
+
+        # Segments i0 - 2 .. i0 + 1, in the scalar loop's order.
+        jmin = np.minimum(ilo, n - 2)
+        guard = lo_s > 0.0
+        j = i0 + np.arange(-2, 2)[:, None]
+        ax, ay, dx, dy, seg2 = np.take(t[:5], np.minimum(np.maximum(j, 0), n - 2), axis=1)
+        valid = (j >= jmin) & (j <= n - 2) & (seg2 != 0.0)
+        u = ((x - ax) * dx + (y - ay) * dy) / np.where(valid, seg2, 1.0)
+        u_lo = np.where((j == jmin) & guard, (lo_s - j * ds) / ds, 0.0)
+        u = np.where(u_lo > u, u_lo, u)  # Python's max(u, u_lo), then min(u, 1.0)
+        u = np.where(u > 1.0, 1.0, u)
+        # Python's x ** 2, as in the scalar query: x * x differs in the last bit
+        # on ~0.1% of inputs, which can flip a near tie between candidates.
+        e = np.concatenate((x - (ax + u * dx), y - (ay + u * dy))).ravel().tolist()
+        sq = np.fromiter(map(pow, e, itertools.repeat(2)), float, len(e)).reshape(8, m)
+        dd = sq[:4] + sq[4:]
+        # The first valid segment is taken.  A later one has a key j + u no smaller
+        # than the best's, so of the scalar's tie rule only dd < best - 1e-18 applies.
+        best = np.zeros((3, m))  # dd, u and j of the segment taken so far
+        for c in range(4):
+            take = valid[c] & (~valid[:c].any(axis=0) | (dd[c] < best[0] - 1e-18))
+            best = np.where(take, (dd[c], u[c], j[c]), best)
+        # A row with no segment of nonzero length in reach takes vertex i0.
+        jz = np.minimum(i0, n - 2)
+        uz, uz_lo = (i0 - jz).astype(float), (lo_s - jz * ds) / ds
+        uz = np.minimum(np.where((jz == jmin) & guard & (uz_lo > uz), uz_lo, uz), 1.0)
+        jf = np.where(valid.any(axis=0), best[2], jz).astype(np.int64)
+        f = np.where(valid.any(axis=0), best[1], uz)
+        g = np.take(t, jf, axis=1)
+        pts = g[_VALUES] + g[_DIFFS] * f
+        # math.hypot, as in the scalar query: np.hypot differs in the last bit on ~1% of inputs.
+        tn = np.fromiter(map(math.hypot, pts[2].tolist(), pts[3].tolist()), float, m)
+        pts[2:4] = np.where(tn == 0.0, t[5:7, jf], pts[2:4] / np.where(tn == 0.0, 1.0, tn))
+        return (jf + f) * ds, pts
 
     def sample_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only sample arrays (px, py, tx, ty, kappa)."""
-        return self._px, self._py, self._tx, self._ty, self._kappa
+        """Read-only views of the sample rows (px, py, tx, ty, kappa)."""
+        t, n = self._table, self._n
+        return t[0, :n], t[1, :n], t[5, :n], t[6, :n], t[7, :n]
 
 
 # ----------------------------------------------------------------------

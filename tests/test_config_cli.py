@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathfollow
 from pathfollow import cli
 from pathfollow.cli import main
 from pathfollow.config import (
@@ -380,6 +385,33 @@ def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_oversized_optimizer_grid_exits_2(tmp_path, capsys, command):
+    # A million-point grid asked numpy for 7.28 TiB and died with a traceback.
+    cfg = sweep_scenario()
+    cfg["optimizer"] = {"grid": 1_000_000}
+    cfg["controller"] = "proposed"
+    out = tmp_path / "bad"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: optimizer.grid")
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "summary.json").write_text("{}")
+    src = str(Path(pathfollow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pathfollow", "compare", str(a), str(b)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "summary.json: identical\n"
 
 
 def test_cmd_compare(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pathfollow.path import (
     ReferencePath,
     make_circle_path,
+    make_line_path,
     make_polyline_path,
     make_sinusoid_path,
 )
@@ -136,3 +137,67 @@ def test_coincident_samples_rejected():
     # All samples at one point: no chord to bound the scan's skip by.
     with pytest.raises(ValueError, match="coincide"):
         sample_table_path([(3.0, 4.0)] * 5, 0.05)
+
+
+BATCH_PATHS = {
+    "sinusoid": make_sinusoid_path(0.0, 150.0),
+    "circle": make_circle_path((0.0, 0.0), 20.0, turns=1.5),
+    "polyline": make_polyline_path([(0, 0), (10, 0), (10, 10), (0, 10), (0, 20)], 0.5),
+    "line": make_line_path((0.0, 0.0), (1.0, 0.0), 100.0),
+}
+
+
+@pytest.mark.parametrize("radius", [3.0, 10.0])
+@pytest.mark.parametrize("kind", sorted(BATCH_PATHS))
+def test_lookahead_many_matches_scalar_bitwise(kind, radius):
+    # Seeded states: half within 1.5 look-ahead distances of the path
+    # (crossings and ends), 200 whose circle passes within 1e-7 samples of a
+    # table vertex just past s_lb (seam roots), the rest in a box 60 m
+    # around the path (mostly fallbacks).
+    path = BATCH_PATHS[kind]
+    px, py, *_ = path.sample_table()
+    rng = np.random.default_rng(7)
+    m = 2000
+    s_lb = rng.uniform(0.0, path.total_length, m)
+    x = rng.uniform(px.min() - 60.0, px.max() + 60.0, m)
+    y = rng.uniform(py.min() - 60.0, py.max() + 60.0, m)
+    for i in range(m // 2):
+        pp = path.point_at(s_lb[i] + rng.uniform(-radius, 2.0 * radius))
+        off = rng.uniform(-1.5 * radius, 1.5 * radius)
+        x[i], y[i] = pp.position[0] - off * pp.tangent[1], pp.position[1] + off * pp.tangent[0]
+    for i in range(m // 2, m // 2 + 200):
+        v = int(rng.integers(1, px.size - 1))
+        theta, r = rng.uniform(-math.pi, math.pi), radius + path.spacing * rng.uniform(-1e-7, 1e-7)
+        x[i], y[i] = px[v] - r * math.cos(theta), py[v] - r * math.sin(theta)
+        s_lb[i] = (v - rng.uniform(0.0, 0.5)) * path.spacing
+    s, end_rows, fallback = path.lookahead_many(x, y, s_lb, radius)
+    ended, fell = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    ended[end_rows] = True
+    points = np.full((5, m), np.nan)
+    if fallback is not None:
+        fell[fallback[0]] = True
+        points[:, fallback[0]] = fallback[1]
+    for i in range(m):
+        la = path.lookahead_point((x[i], y[i]), s_lb[i], radius)
+        assert (la.end_of_path, la.fallback) == (ended[i], fell[i]), (kind, i)
+        assert s[i] == la.point.s, (kind, i)
+        if la.fallback:
+            pp = la.point
+            got = ((points[0, i], points[1, i]), (points[2, i], points[3, i]), points[4, i])
+            assert got == (pp.position, pp.tangent, pp.curvature), (kind, i)
+    assert ended.any() and fell.any() and not (ended | fell).all()
+
+
+def test_lookahead_many_skips_guarded_projection_when_every_miss_ends(monkeypatch):
+    # Rows without a crossing whose path end lies inside the circle need no
+    # fallback point, so the batched guarded projection must not run.
+    def refuse(*args):
+        raise AssertionError("guarded projection called")
+
+    monkeypatch.setattr(ReferencePath, "_guarded_project_many", refuse)
+    path = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
+    x, y = np.array([50.0, 95.0, 97.0, 99.5]), np.array([0.0, 0.0, 1.0, -2.0])
+    s, end_rows, fallback = path.lookahead_many(x, y, x.copy(), 10.0)
+    assert fallback is None
+    assert end_rows.tolist() == [1, 2, 3]
+    assert s.tolist() == [60.0] + [path.total_length] * 3

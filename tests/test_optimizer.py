@@ -7,10 +7,9 @@ from hypothesis import strategies as hs
 
 from pathfollow.guidance import GuidanceGains, blended_command, corrector_geometry
 from pathfollow.optimizer import (
+    MAX_GRID,
     OptimizerSettings,
-    _guarded_projection,
     _rollout_costs,
-    _Table,
     adaptive_interval,
     optimize_gains,
     rollout_cost,
@@ -30,6 +29,8 @@ def test_settings_validation():
         OptimizerSettings(k_max=0.0)
     with pytest.raises(ValueError):
         OptimizerSettings(grid=2)
+    with pytest.raises(ValueError):
+        OptimizerSettings(grid=MAX_GRID + 1)
     with pytest.raises(ValueError):
         OptimizerSettings(d_limit=0.0)
 
@@ -285,7 +286,7 @@ def test_guarded_projection_matches_scalar_project_bitwise(kind):
     k = rng.integers(1, px.size - 1, 40)
     x[60:100], y[60:100] = px[k] + rng.normal(0.0, 1e-10, 40), py[k] + rng.normal(0.0, 1e-10, 40)
     s_hint[60:100] = k * path.spacing * rng.uniform(0.0, 1.0, 40)
-    s, pts = _guarded_projection(_Table(path), x, y, s_hint)
+    s, pts = path._guarded_project_many(x, y, s_hint)
     for i in range(m):
         pp, _ = path.project((x[i], y[i]), s_hint=s_hint[i], window=path.total_length)
         got = (s[i], (pts[0, i], pts[1, i]), (pts[2, i], pts[3, i]), pts[4, i])
