@@ -1,13 +1,15 @@
 """Scenario configuration: schema validation and object construction.
 
 Scenarios are single JSON files (diffable, versionable).  The schema is
-documented in the README; :func:`default_scenario` returns the stock
-benchmark setup (sinusoid path, 5 m/s vehicle starting at (-15, 0), 10 m
-look-ahead, 11-heading sweep).
+documented in the README and written down once here, in ``_SECTIONS`` and
+``_PATHS``: every key with its default and its check.  :func:`default_scenario`
+returns the stock benchmark setup (sinusoid path, 5 m/s vehicle starting at
+(-15, 0), 10 m look-ahead, 11-heading sweep).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -33,24 +35,105 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
+# ----------------------------------------------------------------------
+# Schema: each key maps to (default, check).  A check returns the parsed value or raises
+# ValueError naming the problem; a required key defaults to None, which its check refuses.
+# ----------------------------------------------------------------------
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check(ok, message: str, convert=None):
+    """Check returning ``v`` (or ``convert(v)``) if ``ok(v)``, else raising ``message.format(v)``."""
+    def check(v):  # ok(v) may raise with its own message
+        if not ok(v):
+            raise ValueError(message.format(v))
+        return v if convert is None else convert(v)
+    return check
+
+
+def _optional(check):
+    return lambda v: None if v is None else check(v)
+
+
+def _number(v) -> float:
+    if v is None:
+        raise ValueError("missing value")
+    if not _real(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _headings(v) -> list[float]:
+    if not isinstance(v, list) or not v:
+        raise ValueError("expected a non-empty list")
+    if bad := [h for h in v if not _real(h)]:
+        raise ValueError(f"non-numeric entries {bad!r}")
+    return [float(h) for h in v]
+
+
+_POSITIVE = _check(lambda v: _number(v) > 0, "must be positive, got {!r}", float)
+_NONNEGATIVE = _check(lambda v: _number(v) >= 0, "must be non-negative", float)
+_PAIR = _check(
+    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_real, v)),
+    "expected [x, y] numbers, got {!r}",
+    lambda v: (float(v[0]), float(v[1])),
+)
+_SENSES = (pathmod.SENSE_ANTICLOCKWISE, pathmod.SENSE_CLOCKWISE)
+_CONTROLLERS = (CONTROLLER_BASELINE, CONTROLLER_PROPOSED, CONTROLLER_BOTH)
+
+# The keys of ``path`` besides ``kind`` (default "sinusoid"); the polyline
+# points are checked when the path is built.
+_PATHS = {
+    "sinusoid": {"x_start": (-15.0, _number), "x_end": (150.0, _number)},
+    "circle": {
+        "center": (None, _PAIR),
+        "radius": (None, _POSITIVE),
+        "sense": (pathmod.SENSE_ANTICLOCKWISE, _check(lambda v: v in _SENSES, "invalid {!r}")),
+        "start_angle_deg": (0.0, _number),
+        "turns": (2.0, _POSITIVE),
+    },
+    "line": {
+        "start": (None, _PAIR),
+        "direction": (None, _check(lambda v: _PAIR(v) != (0.0, 0.0), "must be a non-zero vector", _PAIR)),
+        "length": (1000.0, _POSITIVE),
+    },
+    "polyline": {
+        "points": (None, lambda v: v),
+        "file": (None, _check(lambda v: v is None or isinstance(v, str), "expected a file name, got {!r}")),
+    },
+}
+
+# Sections in README order; ``controller`` is a plain top-level value.
+_SECTIONS = {
+    "vehicle": {"speed": (5.0, _POSITIVE), "start": ([-15.0, 0.0], _PAIR), "heading_deg": (39.118, _number)},
+    "guidance": {  # initiation_radius None: lookahead / 2
+        "lookahead": (10.0, _POSITIVE), "initiation_radius": (None, _optional(_POSITIVE)),
+        "k1": (1.0, _NONNEGATIVE), "k2": (0.0, _NONNEGATIVE),
+    },
+    "sim": {"dt": (0.01, _POSITIVE), "a_max": (None, _optional(_POSITIVE)), "max_time": (1800.0, _POSITIVE)},
+    "controller": (CONTROLLER_BOTH, _check(lambda v: v in _CONTROLLERS, "expected baseline/proposed/both, got {!r}")),
+    "optimizer": {
+        "enabled": (True, _check(lambda v: isinstance(v, bool), "expected true/false, got {!r}")),
+        "k_max": (10.0, _POSITIVE),
+        "grid": (11, _check(lambda v: type(v) is int and 3 <= v <= MAX_GRID,
+                            f"expected integer in [3, {MAX_GRID}], got {{!r}}")),
+        "refine_rounds": (2, _check(lambda v: type(v) is int and v >= 0, "expected integer >= 0, got {!r}")),
+        "d_limit": (None, _optional(_POSITIVE)),  # None: 2 * lookahead
+    },
+    "tolerances": {"arrive_pos": (0.25, _POSITIVE), "arrive_heading_deg": (2.0, _POSITIVE), "end_s": (0.1, _POSITIVE)},
+    "sweep": {"headings_deg": (DEFAULT_SWEEP_HEADINGS, _headings)},
+}
+
+
 def default_scenario() -> dict:
     """Stock benchmark scenario matching the reference comparison setup."""
-    return {
-        "path": {"kind": "sinusoid", "x_start": -15.0, "x_end": 150.0},
-        "vehicle": {"speed": 5.0, "start": [-15.0, 0.0], "heading_deg": 39.118},
-        "guidance": {"lookahead": 10.0, "initiation_radius": None, "k1": 1.0, "k2": 0.0},
-        "sim": {"dt": 0.01, "a_max": None, "max_time": 1800.0},
-        "controller": CONTROLLER_BOTH,
-        "optimizer": {
-            "enabled": True,
-            "k_max": 10.0,
-            "grid": 11,
-            "refine_rounds": 2,
-            "d_limit": None,
-        },
-        "tolerances": {"arrive_pos": 0.25, "arrive_heading_deg": 2.0, "end_s": 0.1},
-        "sweep": {"headings_deg": list(DEFAULT_SWEEP_HEADINGS)},
-    }
+    out = {"path": {"kind": "sinusoid", **{k: row[0] for k, row in _PATHS["sinusoid"].items()}}}
+    for name, rows in _SECTIONS.items():
+        out[name] = rows[0] if isinstance(rows, tuple) else {k: row[0] for k, row in rows.items()}
+    return copy.deepcopy(out)
 
 
 @dataclass
@@ -59,6 +142,7 @@ class ScenarioConfig:
 
     ``mission`` holds every per-mission setting; :meth:`mission_config` sets
     the controller each run flies (``controller`` here may be ``both``).
+    ``path_spec`` is the checked ``path`` object with every key of its kind.
     """
 
     path_spec: dict
@@ -80,35 +164,23 @@ class ScenarioConfig:
             if kind == "sinusoid":
                 return pathmod.make_sinusoid_path(spec["x_start"], spec["x_end"])
             if kind == "circle":
-                return pathmod.make_circle_path(
-                    tuple(spec["center"]),
-                    spec["radius"],
-                    spec.get("sense", pathmod.SENSE_ANTICLOCKWISE),
-                    math.radians(spec.get("start_angle_deg", 0.0)),
-                    spec.get("turns", 2.0),
-                )
+                angle = math.radians(spec["start_angle_deg"])
+                return pathmod.make_circle_path(spec["center"], spec["radius"], spec["sense"], angle, spec["turns"])
             if kind == "line":
-                return pathmod.make_line_path(
-                    tuple(spec["start"]), tuple(spec["direction"]), spec.get("length", 1000.0)
-                )
-            if kind == "polyline":
-                if "points" in spec:
-                    pts = spec["points"]
-                else:
-                    fname = FsPath(spec["file"])
-                    if not fname.is_absolute() and self.base_dir is not None:
-                        fname = self.base_dir / fname
-                    pts = np.loadtxt(fname, delimiter=",", ndmin=2)
-                return pathmod.make_polyline_path(pts)
-        except (OSError, ValueError) as exc:
+                return pathmod.make_line_path(spec["start"], spec["direction"], spec["length"])
+            pts = spec["points"]
+            if pts is None:
+                fname = FsPath(spec["file"])
+                if not fname.is_absolute() and self.base_dir is not None:
+                    fname = self.base_dir / fname
+                pts = np.loadtxt(fname, delimiter=",", ndmin=2)
+            return pathmod.make_polyline_path(pts)
+        except (OSError, TypeError, ValueError) as exc:  # TypeError: e.g. a point that is an object
             raise ConfigError([f"path: {exc}"]) from exc
-        raise ConfigError([f"unknown path kind {kind!r}"])
 
     def build_state(self, heading_deg: float | None = None) -> VehicleState:
         h = self.heading_deg if heading_deg is None else heading_deg
-        return VehicleState(
-            x=self.start[0], y=self.start[1], heading=math.radians(h), speed=self.speed
-        )
+        return VehicleState(x=self.start[0], y=self.start[1], heading=math.radians(h), speed=self.speed)
 
     @property
     def optimizer(self) -> OptimizerSettings | None:
@@ -128,169 +200,63 @@ class ScenarioConfig:
 # Parsing and validation
 # ----------------------------------------------------------------------
 
-_TOP_KEYS = {"path", "vehicle", "guidance", "sim", "controller", "optimizer", "tolerances", "sweep"}
-_PATH_KINDS = {"sinusoid", "circle", "line", "polyline"}
 
-
-def _num(problems, section, key, value, positive=False, allow_none=False):
-    if value is None:
-        if allow_none:
-            return None
-        problems.append(f"{section}.{key}: missing value")
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        problems.append(f"{section}.{key}: expected a finite number, got {value!r}")
-        return None
-    if positive and not value > 0:
-        problems.append(f"{section}.{key}: must be positive, got {value!r}")
-        return None
-    return float(value)
-
-
-def _pair(problems, section, key, value):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
-    ):
-        problems.append(f"{section}.{key}: expected [x, y] numbers, got {value!r}")
-        return None
-    return (float(value[0]), float(value[1]))
+def _walk(problems: list[str], name: str, section, rows: dict) -> dict:
+    """Check one section against its rows; returns it with the defaults filled in."""
+    if not isinstance(section, dict):
+        problems.append(f"{name}: expected an object, got {section!r}")
+        section = {}
+    if unknown := sorted(set(section) - set(rows)):
+        problems.append(f"unknown {name} keys: {unknown}")
+    out = {}
+    for key, (default, check) in rows.items():
+        try:
+            out[key] = check(section.get(key, default))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
+            problems.append(f"{name}.{key}: {exc}")
+    return out
 
 
 def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig:
     """Validate a scenario dict against the schema; raises ConfigError."""
-    problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected an object"])
-    defaults = default_scenario()
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-
-    merged = {}
-    for key in _TOP_KEYS:
-        base = defaults[key]
-        if isinstance(base, dict):
-            merged[key] = {**base, **(data.get(key) or {})}
-        else:
-            merged[key] = data.get(key, base)
-
-    pspec = merged["path"]
-    kind = pspec.get("kind")
-    if kind not in _PATH_KINDS:
-        problems.append(f"path.kind: expected one of {sorted(_PATH_KINDS)}, got {kind!r}")
-    elif kind == "sinusoid":
-        lo = _num(problems, "path", "x_start", pspec.get("x_start"))
-        hi = _num(problems, "path", "x_end", pspec.get("x_end"))
-        if lo is not None and hi is not None and not lo < hi:
-            problems.append("path: empty domain, x_start must be below x_end")
-    elif kind == "circle":
-        _pair(problems, "path", "center", pspec.get("center"))
-        _num(problems, "path", "radius", pspec.get("radius"), positive=True)
-        if pspec.get("sense", pathmod.SENSE_ANTICLOCKWISE) not in (
-            pathmod.SENSE_ANTICLOCKWISE,
-            pathmod.SENSE_CLOCKWISE,
-        ):
-            problems.append(f"path.sense: invalid {pspec.get('sense')!r}")
-        for key in ("start_angle_deg", "turns"):
-            if key in pspec:
-                _num(problems, "path", key, pspec[key], positive=key == "turns")
-    elif kind == "line":
-        _pair(problems, "path", "start", pspec.get("start"))
-        if _pair(problems, "path", "direction", pspec.get("direction")) == (0.0, 0.0):
-            problems.append("path.direction: must be a non-zero vector")
-        if "length" in pspec:
-            _num(problems, "path", "length", pspec["length"], positive=True)
-    elif kind == "polyline":
-        if "points" not in pspec and "file" not in pspec:
-            problems.append("path: polyline needs 'points' or 'file'")
-        elif "points" not in pspec and not isinstance(pspec["file"], str):
-            problems.append(f"path.file: expected a file name, got {pspec['file']!r}")
-
-    veh = merged["vehicle"]
-    speed = _num(problems, "vehicle", "speed", veh.get("speed"), positive=True)
-    start = _pair(problems, "vehicle", "start", veh.get("start"))
-    heading = _num(problems, "vehicle", "heading_deg", veh.get("heading_deg"))
-
-    gd = merged["guidance"]
-    lookahead = _num(problems, "guidance", "lookahead", gd.get("lookahead"), positive=True)
-    radius = _num(problems, "guidance", "initiation_radius", gd.get("initiation_radius"), positive=True, allow_none=True)
-    k1 = _num(problems, "guidance", "k1", gd.get("k1"))
-    k2 = _num(problems, "guidance", "k2", gd.get("k2"))
-    if k1 is not None and k1 < 0:
-        problems.append("guidance.k1: must be non-negative")
-    if k2 is not None and k2 < 0:
-        problems.append("guidance.k2: must be non-negative")
-
-    sim = merged["sim"]
-    dt = _num(problems, "sim", "dt", sim.get("dt"), positive=True)
-    a_max = _num(problems, "sim", "a_max", sim.get("a_max"), positive=True, allow_none=True)
-    max_time = _num(problems, "sim", "max_time", sim.get("max_time"), positive=True)
-
-    controller = merged["controller"]
-    if controller not in (CONTROLLER_BASELINE, CONTROLLER_PROPOSED, CONTROLLER_BOTH):
-        problems.append(f"controller: expected baseline/proposed/both, got {controller!r}")
-
-    ob = merged["optimizer"]
-    enabled = ob.get("enabled", True)
-    if not isinstance(enabled, bool):
-        problems.append(f"optimizer.enabled: expected true/false, got {enabled!r}")
-        enabled = True
-    k_max = _num(problems, "optimizer", "k_max", ob.get("k_max"), positive=True)
-    grid = ob.get("grid")
-    if not isinstance(grid, int) or isinstance(grid, bool) or not 3 <= grid <= MAX_GRID:
-        problems.append(f"optimizer.grid: expected integer in [3, {MAX_GRID}], got {grid!r}")
-        grid = 11
-    rounds = ob.get("refine_rounds")
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
-        problems.append(f"optimizer.refine_rounds: expected integer >= 0, got {rounds!r}")
-        rounds = 2
-    d_limit = _num(problems, "optimizer", "d_limit", ob.get("d_limit"), positive=True, allow_none=True)
-
-    tol = merged["tolerances"]
-    arrive_pos = _num(problems, "tolerances", "arrive_pos", tol.get("arrive_pos"), positive=True)
-    arrive_heading = _num(problems, "tolerances", "arrive_heading_deg", tol.get("arrive_heading_deg"), positive=True)
-    end_s = _num(problems, "tolerances", "end_s", tol.get("end_s"), positive=True)
-
-    sweep = merged["sweep"]
-    headings = sweep.get("headings_deg")
-    if not isinstance(headings, list) or not headings:
-        problems.append("sweep.headings_deg: expected a non-empty list")
-        headings = list(DEFAULT_SWEEP_HEADINGS)
-    else:
-        bad = [h for h in headings if not isinstance(h, (int, float)) or isinstance(h, bool) or not math.isfinite(h)]
-        if bad:
-            problems.append(f"sweep.headings_deg: non-numeric entries {bad!r}")
-
+    problems: list[str] = []
+    if unknown := sorted(set(data) - {"path", *_SECTIONS}):
+        problems.append(f"unknown top-level keys: {unknown}")
+    spec, pspec = data.get("path", {}), {}
+    kind = spec.get("kind", "sinusoid") if isinstance(spec, dict) else "sinusoid"
+    if not isinstance(kind, str) or kind not in _PATHS:
+        problems.append(f"path.kind: expected one of {sorted(_PATHS)}, got {kind!r}")
+    else:  # the kind row only fills in the kind checked above
+        pspec = _walk(problems, "path", spec, {"kind": (kind, str), **_PATHS[kind]})
+    if kind == "sinusoid" and {"x_start", "x_end"} <= pspec.keys() and not pspec["x_start"] < pspec["x_end"]:
+        problems.append("path: empty domain, x_start must be below x_end")
+    if kind == "polyline" and pspec["points"] is None and pspec.get("file", "") is None:
+        problems.append("path: polyline needs 'points' or 'file'")
+    sec = {}
+    for name, rows in _SECTIONS.items():
+        if isinstance(rows, dict):
+            sec[name] = _walk(problems, name, data.get(name, {}), rows)
+            continue
+        try:  # a plain top-level value
+            sec[name] = rows[1](data.get(name, rows[0]))
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
     if problems:
         raise ConfigError(problems)
 
-    if d_limit is None:
-        d_limit = 2.0 * lookahead
-
+    veh, gd, sim, opt, tol = (sec[k] for k in ("vehicle", "guidance", "sim", "optimizer", "tolerances"))
+    d_limit = 2.0 * gd["lookahead"] if opt["d_limit"] is None else opt["d_limit"]
+    tuner = OptimizerSettings(opt["k_max"], opt["grid"], opt["refine_rounds"], d_limit) if opt["enabled"] else None
     mission = MissionConfig(
-        lookahead=lookahead,
-        initiation_radius=radius,
-        dt=dt,
-        k1=k1,
-        k2=k2,
-        optimizer=OptimizerSettings(k_max=k_max, grid=grid, refine_rounds=rounds, d_limit=d_limit) if enabled else None,
-        arrive_pos_tol=arrive_pos,
-        arrive_heading_tol=math.radians(arrive_heading),
-        end_s_tol=end_s,
-        a_max=a_max,
-        max_time=max_time,
+        lookahead=gd["lookahead"], initiation_radius=gd["initiation_radius"], dt=sim["dt"], k1=gd["k1"], k2=gd["k2"],
+        optimizer=tuner, arrive_pos_tol=tol["arrive_pos"], arrive_heading_tol=math.radians(tol["arrive_heading_deg"]),
+        end_s_tol=tol["end_s"], a_max=sim["a_max"], max_time=sim["max_time"],
     )
     return ScenarioConfig(
-        path_spec=pspec,
-        speed=speed,
-        start=start,
-        heading_deg=heading,
-        controller=controller,
-        mission=mission,
-        sweep_headings_deg=[float(h) for h in headings],
-        base_dir=base_dir,
+        path_spec=pspec, speed=veh["speed"], start=veh["start"], heading_deg=veh["heading_deg"], base_dir=base_dir,
+        controller=sec["controller"], mission=mission, sweep_headings_deg=sec["sweep"]["headings_deg"],
     )
 
 
@@ -300,9 +266,11 @@ def load_scenario(path: str | FsPath | None) -> ScenarioConfig:
         return parse_scenario(default_scenario())
     fp = FsPath(path)
     try:
-        data = json.loads(fp.read_text())
+        data = json.loads(fp.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {fp}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config {fp}: {exc}"])
     return parse_scenario(data, base_dir=fp.parent)

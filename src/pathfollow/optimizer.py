@@ -33,7 +33,8 @@ MAX_GRID = 101
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Search box, grid resolution and horizon cap for the online tuner."""
+    """Search box, grid resolution and horizon cap for the online tuner.  ``d_limit``
+    defaults to 20 m here; in a scenario, ``null`` means twice the look-ahead."""
 
     k_max: float = 10.0
     grid: int = 11
@@ -78,11 +79,13 @@ def rollout_cost(
     horizon: float,
     dt: float,
     s_proj: float | None = None,
+    a_max: float | None = None,
 ) -> float:
     """RMS cross-track error of a closed-loop rollout with fixed gains.
 
     Clones the mission state and propagates the blended law over ``horizon``
-    at the mission time step.  Deterministic for identical inputs; geometry
+    at the mission time step, saturating commands at ``a_max`` as
+    :func:`vehicle.step` does.  Deterministic for identical inputs; geometry
     breakdowns surface as an infinite cost.
     """
     if not horizon > 0.0:
@@ -90,7 +93,7 @@ def rollout_cost(
     n_steps = max(1, int(round(horizon / dt)))
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
     k1, k2 = np.array([gains.k1]), np.array([gains.k2])
-    return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps)[0])
+    return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps, a_max)[0])
 
 
 def optimize_gains(
@@ -101,6 +104,7 @@ def optimize_gains(
     lookahead_dist: float,
     dt: float,
     s_proj: float | None = None,
+    a_max: float | None = None,
 ) -> OptimizedGains:
     """Coarse-to-fine grid search for the gain pair with least local cost.
 
@@ -108,7 +112,8 @@ def optimize_gains(
     baseline pair (1, 0)), then the winning cell is halved and re-gridded for
     each refinement round.  Ties break toward smaller k2, then smaller k1.
     If every candidate is infeasible the baseline pair is returned with the
-    fallback flag set.
+    fallback flag set.  Rollouts saturate commands at ``a_max``, as the
+    mission does.
     """
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = max(1, int(round(horizon / dt)))
@@ -122,7 +127,7 @@ def optimize_gains(
         k2c = np.append(k2c, 0.0)
 
     def evaluate(k1s, k2s):
-        return _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps)
+        return _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps, a_max)
 
     def pick(k1s, k2s, costs):
         i = np.lexsort((k1s, k2s, costs))[0]
@@ -154,7 +159,7 @@ def optimize_gains(
 # ----------------------------------------------------------------------
 
 
-def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_steps) -> np.ndarray:
+def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_steps, a_max=None) -> np.ndarray:
     """RMS cross-track error per candidate gain pair over ``n_steps`` steps.
 
     Rows are independent bit for bit: a subset of the candidates rolls out to the same costs."""
@@ -182,7 +187,11 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
         if fallback is not None:
             pts[:, k + fallback[0]] = fallback[1]
         cmd = blended_many(x, y, np.cos(psi), np.sin(psi), pts[:4, :k], pts[:, k:], speed, k1s, k2s)
-        x, y, psi = step_arrays(x, y, psi, np.where(ended, 0.0, cmd), speed, dt)
+        cmd = np.where(ended, 0.0, cmd)
+        if a_max is not None:  # vehicle.step's clamp, in its order
+            cmd = np.where(-a_max > cmd, -a_max, cmd)
+            cmd = np.where(a_max < cmd, a_max, cmd)
+        x, y, psi = step_arrays(x, y, psi, cmd, speed, dt)
 
     costs = np.sqrt(cte_sq / n_steps)
     return np.where(np.isfinite(costs), costs, np.inf)

@@ -267,7 +267,10 @@ class ReferencePath:
 
     def project_many(self, x: np.ndarray, y: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arc lengths and distances of a windowed exact projection per row, with a 1 m backward
-        guard: the nearest of 32 samples from the guard picks two segments, solved as one (K, 2) array."""
+        guard: the nearest of 32 samples from the guard picks two segments, solved as one (K, 2) array.
+
+        On rollout rows it gives ``project(p, s_hint=s_prev)``'s arc length bit for bit and its distance
+        within 2 ULP (``x * x`` against ``**``); each form is the faster one for its own kind of query."""
         n, t = self._n, self._table
         lo_u = np.fmax(s_prev - 1.0, 0.0) / self._ds
         j_lo = np.minimum(lo_u.astype(np.int64), n - 2)

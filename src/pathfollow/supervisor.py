@@ -194,7 +194,8 @@ class Mission:
 
         state, path, s_min = self.state, self.path, phase.s_min
         if self._optimizer is not None and state.t >= self._next_opt_t:
-            res = opt.optimize_gains(state, path, s_min, self._optimizer, cfg.lookahead, cfg.dt, s_proj=phase.s_proj)
+            res = opt.optimize_gains(state, path, s_min, self._optimizer, cfg.lookahead, cfg.dt,
+                                     s_proj=phase.s_proj, a_max=cfg.a_max)
             self.gains = guidance.GuidanceGains(res.k1, res.k2, cfg.lookahead)
             self._next_opt_t = state.t + res.horizon
 

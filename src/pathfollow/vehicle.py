@@ -43,9 +43,8 @@ def step(
     """Advance one step under a zero-order-hold lateral acceleration.
 
     Classical 4th-order Runge-Kutta on (x, y, psi); the turn rate is
-    constant within the step so heading integrates exactly.  The new state
-    is constructed directly; its ``__post_init__`` wraps the wrapped heading
-    again, which leaves it unchanged.
+    constant within the step so heading integrates exactly.  The new
+    state's ``__post_init__`` wraps the heading.
     """
     if not (isinstance(a_cmd, (int, float)) and isfinite(a_cmd)):
         raise ValueError(f"invalid command: {a_cmd!r}")
@@ -67,7 +66,7 @@ def step(
 
     x = state.x + v * dt / 6.0 * (c1 + 4.0 * c2 + c4)
     y = state.y + v * dt / 6.0 * (s1 + 4.0 * s2 + s4)
-    return VehicleState(x, y, wrap_angle(psi4), v, state.t + dt)
+    return VehicleState(x, y, psi4, v, state.t + dt)
 
 
 def step_arrays(x, y, psi, a_cmd, speed: float, dt: float):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathfollow.config import (
     load_scenario,
     parse_scenario,
 )
+from pathfollow.path import make_sinusoid_path
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -39,6 +42,78 @@ def test_default_scenario_parses():
     assert cfg.sweep_headings_deg[0] == pytest.approx(-20.882)
     assert cfg.sweep_headings_deg[-1] == pytest.approx(129.118)
     assert cfg.optimizer.d_limit == pytest.approx(2 * cfg.mission.lookahead)
+
+
+# The stock scenario written out by hand, independent of config's schema table.
+STOCK_SCENARIO = {
+    "path": {"kind": "sinusoid", "x_start": -15.0, "x_end": 150.0},
+    "vehicle": {"speed": 5.0, "start": [-15.0, 0.0], "heading_deg": 39.118},
+    "guidance": {"lookahead": 10.0, "initiation_radius": None, "k1": 1.0, "k2": 0.0},
+    "sim": {"dt": 0.01, "a_max": None, "max_time": 1800.0},
+    "controller": "both",
+    "optimizer": {"enabled": True, "k_max": 10.0, "grid": 11, "refine_rounds": 2, "d_limit": None},
+    "tolerances": {"arrive_pos": 0.25, "arrive_heading_deg": 2.0, "end_s": 0.1},
+    "sweep": {"headings_deg": [-20.882 + 15.0 * k for k in range(11)]},
+}
+
+
+def test_default_scenario_is_the_stock_dict():
+    got = default_scenario()
+    assert list(got) == list(STOCK_SCENARIO)
+    for key, section in STOCK_SCENARIO.items():
+        assert json.dumps(got[key]) == json.dumps(section), key  # key order and int/float too
+    got["sweep"]["headings_deg"].append(0.0)
+    got["vehicle"]["start"][0] = 1.0
+    assert default_scenario() == STOCK_SCENARIO  # each call returns fresh lists
+
+
+def test_readme_schema_block_is_the_default_scenario():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    documented, stock = parse_scenario(json.loads(block)), parse_scenario(default_scenario())
+    assert documented.sweep_headings_deg == pytest.approx(stock.sweep_headings_deg, abs=1e-12)
+    assert dataclasses.replace(documented, sweep_headings_deg=[]) == dataclasses.replace(stock, sweep_headings_deg=[])
+
+
+def test_path_without_kind_is_a_sinusoid():
+    cfg = parse_scenario({"path": {"x_end": 100.0}})
+    assert cfg.path_spec == {"kind": "sinusoid", "x_start": -15.0, "x_end": 100.0}
+    assert cfg.build_path().total_length == make_sinusoid_path(-15.0, 100.0).total_length
+
+
+def test_integer_values_parse_as_floats():
+    cfg = parse_scenario({"vehicle": {"heading_deg": 90, "speed": 5, "start": [-15, 0]}, "sim": {"dt": 1}})
+    assert [type(v) for v in (cfg.heading_deg, cfg.speed, *cfg.start, cfg.mission.dt)] == [float] * 5
+    assert type(cfg.optimizer.grid) is int
+
+
+@pytest.mark.parametrize(
+    "scenario, problems",
+    [
+        ({"path": {"x_start": 5.0, "x_end": 5}}, ["path: empty domain, x_start must be below x_end"]),
+        ({"path": {"kind": "polyline"}}, ["path: polyline needs 'points' or 'file'"]),
+        ({"path": {"kind": "circle", "center": [0, 0], "sense": "cw"}},
+         ["path.radius: missing value", "path.sense: invalid 'cw'"]),
+        ({"path": {"kind": "line", "start": [0], "direction": [0, 0.0]}},
+         ["path.start: expected [x, y] numbers, got [0]", "path.direction: must be a non-zero vector"]),
+        ({"guidance": {"k1": -1, "k2": True, "initiation_radius": 0}},
+         ["guidance.initiation_radius: must be positive, got 0", "guidance.k1: must be non-negative",
+          "guidance.k2: expected a finite number, got True"]),
+        ({"optimizer": {"enabled": 1, "grid": 11.0, "refine_rounds": -1, "d_limit": float("nan")}},
+         ["optimizer.enabled: expected true/false, got 1", "optimizer.grid: expected integer in [3, 101], got 11.0",
+          "optimizer.refine_rounds: expected integer >= 0, got -1",
+          "optimizer.d_limit: expected a finite number, got nan"]),
+        ({"sweep": {"headings_deg": []}}, ["sweep.headings_deg: expected a non-empty list"]),
+        ({"sweep": {"headings_deg": [1, "a", None]}}, ["sweep.headings_deg: non-numeric entries ['a', None]"]),
+        ({"controller": "bogus", "vehicel": {}},
+         ["unknown top-level keys: ['vehicel']", "controller: expected baseline/proposed/both, got 'bogus'"]),
+    ],
+)
+def test_problem_messages(scenario, problems):
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(scenario)
+    assert exc.value.problems == problems
 
 
 def test_partial_overrides_merge_with_defaults():
@@ -369,11 +444,13 @@ def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
         {"kind": "sinusoid", "x_start": 0.0, "x_end": 1e9},
         {"kind": "circle", "center": [0, 0], "radius": 1e9},
         {"kind": "polyline", "points": [[0, 0], [1e9, 0], [2e9, 5]]},
+        # Points that are not numbers were a TypeError traceback.
+        {"kind": "polyline", "points": {"a": 1}},
     ],
     ids=[
         "zero_direction", "missing_file", "near_coincident_1e-8", "near_coincident_1e-12",
         "length_str", "turns_str", "start_angle_null", "file_int", "turns_bool", "length_negative",
-        "line_1e12", "sinusoid_1e9", "circle_r1e9", "polyline_2e9",
+        "line_1e12", "sinusoid_1e9", "circle_r1e9", "polyline_2e9", "points_object",
     ],
 )
 def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
@@ -384,6 +461,54 @@ def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
     assert main([command, "--config", cfgp, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        # A section that is not an object was a TypeError traceback.
+        ({"vehicle": 5}, "vehicle: expected an object, got 5"),
+        ({"sim": "fast"}, "sim: expected an object, got 'fast'"),
+        ({"path": [1, 2]}, "path: expected an object, got [1, 2]"),
+        # An unknown key in a section ran silently on the defaults.
+        ({"guidance": {"lookahed": 5.0}}, "unknown guidance keys: ['lookahed']"),
+        ({"optimizer": {"grdi": 3}}, "unknown optimizer keys: ['grdi']"),
+        (
+            {"path": {"kind": "circle", "center": [0, 0], "radius": 10.0, "radius_typo": 5.0}},
+            "unknown path keys: ['radius_typo']",
+        ),
+        # An unhashable kind and an int past the float range were tracebacks.
+        ({"path": {"kind": ["circle"]}}, "path.kind: expected one of"),
+        ({"vehicle": {"heading_deg": 10**400}}, "vehicle.heading_deg: "),
+    ],
+    ids=[
+        "vehicle_int", "sim_str", "path_list", "guidance_typo", "optimizer_typo", "circle_typo", "kind_list", "huge_int",
+    ],
+)
+def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
+    cfg = {**sweep_scenario(), **override}
+    out = tmp_path / "bad"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, unreadable):
+    # Both were tracebacks (IsADirectoryError, UnicodeDecodeError) with exit 1.
+    cfgp = tmp_path / "scenario.json"
+    if unreadable == "directory":
+        cfgp.mkdir()
+    else:
+        cfgp.write_bytes(b'{"controller": "baseline\xff"}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot read config {cfgp}: ")
     assert not out.exists()
 
 

@@ -71,9 +71,9 @@ def test_rollout_zero_cost_on_straight_aligned():
         assert rollout_cost(st, line, 0.0, gains, 4.0, 0.01) < 1e-9
 
 
-def scalar_reference_cost(path, st, s_min, gains, n_steps):
+def scalar_reference_cost(path, st, s_min, gains, n_steps, a_max=None):
     # Independent rollout built directly from the scalar guidance operations,
-    # mirroring how the mission loop tracks hints.
+    # mirroring how the mission loop tracks hints and saturates commands.
     s_proj = None
     state = st
     ctes = []
@@ -82,7 +82,7 @@ def scalar_reference_cost(path, st, s_min, gains, n_steps):
         ctes.append(g.proj_dist)
         s_proj = g.proj.s
         s_min = max(s_min, g.p2.s)
-        state = step(state, blended_command(state, g, gains), 0.01)
+        state = step(state, blended_command(state, g, gains), 0.01, a_max)
     return float(np.sqrt(np.mean(np.square(ctes))))
 
 
@@ -126,13 +126,16 @@ def test_rollout_matches_independent_closed_loop(kind, s_frac, offset, heading_d
     assert got == pytest.approx(expected, abs=1e-7)
 
 
-def test_rollout_matches_scalar_for_blended_gains():
-    # A fixed blended-gain case, kept alongside the property test above.
+@pytest.mark.parametrize("a_max", [None, 0.5])
+def test_rollout_matches_scalar_for_blended_gains(a_max):
+    # A fixed blended-gain case, kept alongside the property test above.  At
+    # a_max = 0.5 the saturated vehicle ends far off the path (6.956 m RMS
+    # against 2.587 m unsaturated), so the rollout must clamp as it does.
     path = make_sinusoid_path(0.0, 150.0)
     st = near_path_state(path, 60.0, -2.0, math.radians(-25.0))
     gains = GuidanceGains(2.0, 1.5, 10.0)
-    expected = scalar_reference_cost(path, st, 54.0, gains, 300)
-    got = rollout_cost(st, path, 54.0, gains, 3.0, 0.01)
+    expected = scalar_reference_cost(path, st, 54.0, gains, 300, a_max)
+    got = rollout_cost(st, path, 54.0, gains, 3.0, 0.01, a_max=a_max)
     assert got == pytest.approx(expected, abs=1e-7)
 
 
@@ -247,6 +250,34 @@ def test_rollout_rows_are_bitwise_independent(stock_path, rows):
     full = _rollout_costs(stock_path, st, s_min, s_proj, k1s, k2s, 10.0, 0.01, 400)
     sub = _rollout_costs(stock_path, st, s_min, s_proj, k1s[rows], k2s[rows], 10.0, 0.01, 400)
     assert full[rows].tobytes() == sub.tobytes()
+
+
+def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
+    # The rollout projects all rows with a short window (project_many); the
+    # mission projects one state with project.  Over every row and step of the
+    # first search round of a recorded stock update both give the same arc
+    # length bit for bit, and distances within 2 ULP (numpy's x * x against
+    # Python's x ** 2).  Both stay: each is the faster form for its queries.
+    calls = []
+    batched = ReferencePath.project_many
+
+    def recording(self, x, y, s_prev):
+        s, d = batched(self, x, y, s_prev)
+        calls.append((x, y, s_prev, s, d))
+        return s, d
+
+    monkeypatch.setattr(ReferencePath, "project_many", recording)
+    x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
+    st = VehicleState(x, y, heading, 5.0)
+    optimize_gains(st, stock_path, s_min, OptimizerSettings(refine_rounds=0), 10.0, 0.01, s_proj)
+    rows = 0
+    for xs, ys, s_prev, s, d in calls:
+        for i in range(xs.size):
+            pp, dist = stock_path.project((xs[i], ys[i]), s_hint=s_prev[i])
+            assert pp.s == s[i]
+            assert abs(dist - d[i]) <= 2 * np.spacing(dist)
+            rows += 1
+    assert rows == 121 * 400
 
 
 def corner_table():

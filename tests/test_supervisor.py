@@ -142,3 +142,22 @@ def test_summaries_available_for_both_controllers(bench_path):
         s = summarize(run)
         assert s.a_max >= s.a_rms > 0
         assert s.d_rms > 0
+
+
+def test_gain_updates_roll_out_with_the_mission_a_max(bench_path, monkeypatch):
+    # The tuner must pick gains for the saturated vehicle the mission flies.
+    from pathfollow import optimizer
+
+    seen = []
+    tune = optimizer.optimize_gains
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("a_max"))
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize_gains", recording)
+    cfg = MissionConfig(optimizer=OptimizerSettings(grid=3, refine_rounds=0), a_max=0.5)
+    mission = Mission(bench_path, VehicleState(-15.0, 0.0, 0.0, 5.0), cfg)
+    for _ in range(5):
+        mission.step()
+    assert seen == [0.5]
