@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import path as pathmod
+from .guidance import MIN_TARGET_DIST
 from .optimizer import MAX_GRID, OptimizerSettings
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig
 from .vehicle import VehicleState
@@ -75,6 +76,12 @@ def _headings(v) -> list[float]:
 
 
 _POSITIVE = _check(lambda v: _number(v) > 0, "must be positive, got {!r}", float)
+# The arc law's largest command, 2 V^2 / MIN_TARGET_DIST, must be a finite float.
+_SPEED = _check(
+    lambda v: math.isfinite(2.0 * _POSITIVE(v) * _POSITIVE(v) / MIN_TARGET_DIST),
+    f"must keep the arc command 2 speed^2 / {MIN_TARGET_DIST} finite, got {{!r}}",
+    float,
+)
 _NONNEGATIVE = _check(lambda v: _number(v) >= 0, "must be non-negative", float)
 _PAIR = _check(
     lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_real, v)),
@@ -108,7 +115,7 @@ _PATHS = {
 
 # Sections in README order; ``controller`` is a plain top-level value.
 _SECTIONS = {
-    "vehicle": {"speed": (5.0, _POSITIVE), "start": ([-15.0, 0.0], _PAIR), "heading_deg": (39.118, _number)},
+    "vehicle": {"speed": (5.0, _SPEED), "start": ([-15.0, 0.0], _PAIR), "heading_deg": (39.118, _number)},
     "guidance": {  # initiation_radius None: lookahead / 2
         "lookahead": (10.0, _POSITIVE), "initiation_radius": (None, _optional(_POSITIVE)),
         "k1": (1.0, _NONNEGATIVE), "k2": (0.0, _NONNEGATIVE),
@@ -243,6 +250,10 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
             sec[name] = rows[1](data.get(name, rows[0]))
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
+    # Mission._coast_steps rounds lookahead / speed / dt steps to an int.
+    coast = sec["guidance"].get("lookahead"), sec["vehicle"].get("speed"), sec["sim"].get("dt")
+    if None not in coast and not math.isfinite(coast[0] / coast[1] / coast[2]):
+        problems.append("guidance.lookahead: lookahead / speed / dt must be finite, got {!r} / {!r} / {!r}".format(*coast))
     if problems:
         raise ConfigError(problems)
 

@@ -2,7 +2,8 @@
 
 Vectors are plain ``(x, y)`` tuples of floats.  All angles are in radians,
 anticlockwise positive, and normalized to the branch (-pi, pi].  Everything
-here is a pure function on immutable values, safe to call from any thread.
+here is a pure function: it reads its arguments and returns new tuples and
+floats, so it is safe to call from any thread.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ local path shape into the command.  At k2 = 0 the corrector weight is 0 and
 the law is the constant-L1 baseline for every k1 (:func:`baseline_step`).
 
 :func:`blended_many` is the same law over numpy rows, for the gain tuner's
-batched rollouts.  All operations are pure; geometry and gains are value
-types, so concurrent evaluation with different gains over the same immutable
-path is safe.
+batched rollouts.  All operations are pure: each call builds fresh geometry
+records, the library never mutates a record after building it and the path's
+table is read-only, so concurrent evaluation with different gains over the
+same path is safe.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class GuidanceGains:
             raise ValueError("look-ahead distance must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CorrectorGeometry:
     """Geometry underlying one blended-command evaluation.
 

@@ -11,8 +11,9 @@ same table, beside their scalar forms and under the same rules.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; arbitrary polylines are resampled through a cubic
-fit.  A ReferencePath is immutable after construction and all queries are
-read-only, so instances can be shared freely across threads.
+fit.  A ReferencePath's sample table is read-only after construction, every
+query returns fresh PathPoint / LookaheadResult records and the library never
+mutates a record after building it, so one path can be shared across threads.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathPoint:
     """A point of a reference path, parameterized by arc length ``s``."""
 
@@ -63,7 +64,7 @@ class PathPoint:
     curvature: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LookaheadResult:
     """Outcome of a look-ahead query.
 

@@ -17,9 +17,14 @@ import numpy as np
 from .geom import Vec2, wrap_angle
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VehicleState:
-    """Planar pose plus constant speed; heading anticlockwise from +x."""
+    """Planar pose plus constant speed; heading anticlockwise from +x.
+
+    Construction checks the speed and wraps the heading into (-pi, pi].
+    :func:`step` returns a new state; the library never mutates a state
+    after building it.
+    """
 
     x: float
     y: float
@@ -30,7 +35,7 @@ class VehicleState:
     def __post_init__(self):
         if not self.speed > 0.0:
             raise ValueError("speed must be positive")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
+        self.heading = wrap_angle(self.heading)
 
     @property
     def position(self) -> Vec2:

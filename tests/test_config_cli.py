@@ -497,6 +497,31 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # The arc command overflowed: ValueError: invalid command: inf from vehicle.step, exit 1.
+        (
+            {"vehicle": {"speed": 1e300}, "controller": "baseline", "sim": {"max_time": 5}},
+            "vehicle.speed: must keep the arc command 2 speed^2 / 0.1 finite, got 1e+300",
+        ),
+        # The coast's step count overflowed: OverflowError in Mission._coast_steps, exit 1.
+        (
+            {"vehicle": {"speed": 5e-300}, "guidance": {"lookahead": 1e301}, "controller": "baseline",
+             "sim": {"max_time": 5}},
+            "guidance.lookahead: lookahead / speed / dt must be finite, got 1e+301 / 5e-300 / 0.01",
+        ),
+    ],
+    ids=["arc_command", "coast_steps"],
+)
+def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
 def test_unreadable_config_exits_2(tmp_path, capsys, command, unreadable):
     # Both were tracebacks (IsADirectoryError, UnicodeDecodeError) with exit 1.

@@ -110,6 +110,7 @@ def test_corrector_circle_construction():
     assert g.l43 == pytest.approx(0.0, abs=1e-3)
     assert g.eta14 == pytest.approx(0.0, abs=1e-4)
     assert g.r_l1 == pytest.approx(10.0, abs=1e-6)
+    assert not hasattr(g, "__dict__")  # a slotted record, built every tuned close-range tick
 
 
 def test_corrector_on_path_aligned():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from pathfollow.path import (
     MAX_RADIUS,
     MAX_SAMPLES,
+    LookaheadResult,
+    PathPoint,
     ReferencePath,
     curvature_radius,
     make_circle_path,
@@ -24,6 +28,35 @@ def bench_y(x):
 @pytest.fixture(scope="module")
 def sinusoid():
     return make_sinusoid_path(0.0, 150.0)
+
+
+# ----------------------------------------------------------------------
+# Value records
+# ----------------------------------------------------------------------
+
+
+def test_path_point_and_lookahead_result_are_slotted_value_records(sinusoid):
+    assert list(inspect.signature(PathPoint).parameters) == ["s", "position", "tangent", "curvature"]
+    pp = PathPoint(1.0, (2.0, 3.0), (1.0, 0.0), 0.1)
+    assert pp == PathPoint(s=1.0, position=(2.0, 3.0), tangent=(1.0, 0.0), curvature=0.1)
+    assert pp != PathPoint(1.0, (2.0, 3.0), (1.0, 0.0), 0.2)
+    assert pp != (1.0, (2.0, 3.0), (1.0, 0.0), 0.1)
+    assert dataclasses.replace(pp, s=4.0) == PathPoint(4.0, (2.0, 3.0), (1.0, 0.0), 0.1)
+    la = LookaheadResult(pp)
+    assert (la.fallback, la.end_of_path) == (False, False)
+    assert la == LookaheadResult(point=pp, fallback=False, end_of_path=False)
+    assert dataclasses.replace(la, end_of_path=True) != la
+    # Slots without an instance __dict__: a frozen dataclass took ~3-4x as long to build.
+    assert PathPoint.__slots__ == ("s", "position", "tangent", "curvature")
+    assert LookaheadResult.__slots__ == ("point", "fallback", "end_of_path")
+    assert not hasattr(pp, "__dict__") and not hasattr(la, "__dict__")
+    # Every query builds fresh records, equal for equal inputs.
+    a, b = sinusoid.point_at(12.3), sinusoid.point_at(12.3)
+    assert a == b and a is not b
+    (p1, d1), (p2, d2) = sinusoid.project((10.0, 5.0)), sinusoid.project((10.0, 5.0))
+    assert (p1, d1) == (p2, d2) and p1 is not p2
+    la1, la2 = (sinusoid.lookahead_point((10.0, 5.0), 0.0, 10.0) for _ in range(2))
+    assert la1 == la2 and la1 is not la2 and la1.point is not la2.point
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from pathfollow.geom import wrap_angle
 from pathfollow.vehicle import VehicleState, step, step_arrays
 
 
@@ -10,6 +13,39 @@ def run_steps(state, a_cmd, dt, n, a_max=None):
     for _ in range(n):
         state = step(state, a_cmd, dt, a_max)
     return state
+
+
+def test_state_is_a_slotted_value_record():
+    # Positional (x, y, heading, speed) is how perfbench's spans.py builds a state.
+    assert list(inspect.signature(VehicleState).parameters) == ["x", "y", "heading", "speed", "t"]
+    a = VehicleState(1.0, 2.0, 0.5, 5.0)
+    assert a == VehicleState(x=1.0, y=2.0, heading=0.5, speed=5.0, t=0.0)
+    assert a != VehicleState(1.0, 2.0, 0.5, 5.0, 0.01)
+    assert a != (1.0, 2.0, 0.5, 5.0, 0.0)
+    b = dataclasses.replace(a, heading=1.5 * math.pi, t=1.0)
+    assert (b.x, b.y, b.heading, b.speed, b.t) == (1.0, 2.0, wrap_angle(1.5 * math.pi), 5.0, 1.0)
+    assert a.heading == 0.5
+    # Slots without an instance __dict__: a frozen dataclass took ~3x as long to build.
+    assert VehicleState.__slots__ == ("x", "y", "heading", "speed", "t")
+    assert not hasattr(a, "__dict__")
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+def test_state_rejects_non_positive_speed(speed):
+    with pytest.raises(ValueError, match="speed must be positive"):
+        VehicleState(0.0, 0.0, 0.0, speed)
+    with pytest.raises(ValueError, match="speed must be positive"):
+        dataclasses.replace(VehicleState(0.0, 0.0, 0.0, 5.0), speed=speed)
+
+
+@pytest.mark.parametrize(
+    "heading, wrapped",
+    [(0.5, 0.5), (math.pi, math.pi), (-math.pi, math.pi), (1.5 * math.pi, 1.5 * math.pi - 2.0 * math.pi),
+     (-7.0, -7.0 + 2.0 * math.pi), (20.0, wrap_angle(20.0))],
+)
+def test_state_wraps_heading_into_half_open_branch(heading, wrapped):
+    h = VehicleState(0.0, 0.0, heading, 5.0).heading
+    assert h == wrapped and -math.pi < h <= math.pi
 
 
 def test_straight_flight():
