@@ -1,8 +1,8 @@
-"""Command-line front end: single runs, heading sweeps, run diffs, oracles.
+"""Command-line front end: single runs, heading sweeps, run diffs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 infeasible mid-course
-geometry, 4 oracle failure, 5 a ``run`` mission timed out (its outputs are
-still written).  Outputs are plain CSV/JSON written atomically,
+geometry, 5 a ``run`` mission timed out (its outputs are still written);
+4 is unused and reserved.  Outputs are plain CSV/JSON written atomically,
 so identical configurations produce byte-identical files.
 """
 
@@ -14,23 +14,19 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path as FsPath
 
-import numpy as np
-
-from . import guidance, metrics, midcourse as mc
+from . import metrics
 from .config import CONTROLLER_BOTH, ConfigError, ScenarioConfig, load_scenario
-from .geom import wrap_angle
 from .metrics import CSV_HEADER, RunRecord
 from .midcourse import InfeasibleGeometryError
-from .path import ReferencePath, make_sinusoid_path
+from .path import ReferencePath
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, run_mission
-from .vehicle import VehicleState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_ORACLE = 4
 EXIT_TIMEOUT = 5
 
 
@@ -45,12 +41,9 @@ def _write_atomic(path: FsPath, text: str) -> None:
 
 
 def _trajectory_csv(run: RunRecord) -> str:
-    lines = [",".join(CSV_HEADER)]
-    for t, x, y, psi, a, cte, phase, k1, k2 in run.rows():
-        lines.append(
-            f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(psi)},{_fmt(a)},{_fmt(cte)},{phase},{_fmt(k1)},{_fmt(k2)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(psi)},{_fmt(a)},{_fmt(cte)},{phase},{_fmt(k1)},{_fmt(k2)}\n"
+            for t, x, y, psi, a, cte, phase, k1, k2 in run.rows())
+    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
 
 
 def _path_csv(path) -> str:
@@ -61,16 +54,19 @@ def _path_csv(path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_dict(run: RunRecord) -> dict:
-    close = metrics.summarize(run)
-    full = metrics.summarize(run, close_only=False)
+def _json_numbers(values: dict) -> dict:
+    """JSON has no nan or inf: a non-finite number is written as null."""
+    return {k: v if math.isfinite(v) else None for k, v in values.items()}
+
+
+def _summary_dict(run: RunRecord, close: metrics.RunSummary) -> dict:
     return {
         "controller": run.controller,
         "samples": len(run),
         "duration_s": run.t[-1] if run.t else 0.0,
         "phases": sorted(set(run.phase), key=run.phase.index),
-        "close_range": {"a_rms": close.a_rms, "d_rms": close.d_rms, "a_max": close.a_max},
-        "full_mission": {"a_rms": full.a_rms, "d_rms": full.d_rms, "a_max": full.a_max},
+        "close_range": _json_numbers(asdict(close)),
+        "full_mission": _json_numbers(asdict(metrics.summarize(run, close_only=False))),
         "timed_out": run.timed_out,
     }
 
@@ -112,17 +108,16 @@ def cmd_run(args) -> int:
     summary = {"scenario": {"heading_deg": cfg.heading_deg, "controllers": controllers}}
     for controller, run in runs.items():
         _write_atomic(out / f"trajectory_{controller}.csv", _trajectory_csv(run))
-        summary[controller] = _summary_dict(run)
-        s = summary[controller]["close_range"]
+        close = metrics.summarize(run)
+        summary[controller] = _summary_dict(run, close)
         print(
-            f"{controller}: a_rms={s['a_rms']:.4f} m/s^2  d_rms={s['d_rms']:.4f} m  "
-            f"a_max={s['a_max']:.4f} m/s^2  ({len(run)} steps)"
+            f"{controller}: a_rms={close.a_rms:.4f} m/s^2  d_rms={close.d_rms:.4f} m  "
+            f"a_max={close.a_max:.4f} m/s^2  ({len(run)} steps)"
         )
     if len(runs) == 2:
         cte_pct, ae_pct = metrics.improvements(runs[CONTROLLER_BASELINE], runs[CONTROLLER_PROPOSED])
-        # A percentage over a zero baseline is undefined: null, as JSON has no nan.
-        pcts = {"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct}
-        summary["improvements"] = {k: None if math.isnan(v) else v for k, v in pcts.items()}
+        # A percentage over a zero baseline is undefined (nan), so null.
+        summary["improvements"] = _json_numbers({"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct})
         print(f"improvement: cte_rms={cte_pct:.3f}%  ae_rms={ae_pct:.3f}%")
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for controller, run in runs.items():
@@ -244,85 +239,12 @@ def cmd_compare(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# oracle
-# ----------------------------------------------------------------------
-
-
-def cmd_oracle(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    report: list[str] = []
-    failures = 0
-
-    # Tangency geometry against the exhaustive aim-point sweep.
-    cell = 2.0 * math.pi / 3600
-    max_dev = 0.0
-    for _ in range(args.scenarios):
-        center = rng.uniform(-50.0, 50.0, 2)
-        radius = float(rng.uniform(2.0, 20.0))
-        sense = mc.SENSE_ANTICLOCKWISE if rng.random() < 0.5 else mc.SENSE_CLOCKWISE
-        circle = mc.InitiationCircle((center[0], center[1]), radius, sense)
-        ang = float(rng.uniform(-math.pi, math.pi))
-        d = radius * float(rng.uniform(1.3, 8.0))
-        p = (center[0] + d * math.cos(ang), center[1] + d * math.sin(ang))
-        to_center = math.atan2(center[1] - p[1], center[0] - p[0])
-        psi = wrap_angle(to_center + float(rng.uniform(-1.4, 1.4)))
-        sols = mc.contact_solutions(p, psi, circle, speed=5.0)
-        phi_analytic = circle.angle_of(sols[0].w)
-        phi_sweep = mc.brute_force_extremum(p, psi, circle, 3600)
-        dev = abs(wrap_angle(phi_analytic - phi_sweep))
-        max_dev = max(max_dev, dev)
-        if dev > cell + 1e-12:
-            failures += 1
-    report.append(
-        f"tangency oracle: {args.scenarios} scenarios, max deviation {max_dev:.3e} rad "
-        f"(cell {cell:.3e}) -> {'ok' if max_dev <= cell + 1e-12 else 'FAIL'}"
-    )
-
-    # Corrector-point line membership on random poses near the bench path.
-    path = make_sinusoid_path(0.0, 150.0)
-    total = path.total_length
-    max_res = 0.0
-    for _ in range(args.samples):
-        s = float(rng.uniform(5.0, total - 15.0))
-        off = float(rng.uniform(-3.0, 3.0))
-        pp = path.point_at(s)
-        nx, ny = -pp.tangent[1], pp.tangent[0]
-        state = VehicleState(
-            x=pp.position[0] + off * nx,
-            y=pp.position[1] + off * ny,
-            heading=math.atan2(pp.tangent[1], pp.tangent[0]) + float(rng.uniform(-1.0, 1.0)),
-            speed=5.0,
-        )
-        geom = guidance.corrector_geometry(state, path, max(s - 5.0, 0.0), 10.0)
-        tx, ty = geom.proj.tangent
-        r_tan = abs(tx * (geom.p4[1] - geom.proj.position[1]) - ty * (geom.p4[0] - geom.proj.position[0]))
-        hx, hy = math.cos(state.heading), math.sin(state.heading)
-        r_perp = abs(hx * (geom.p4[0] - geom.p2.position[0]) + hy * (geom.p4[1] - geom.p2.position[1]))
-        max_res = max(max_res, r_tan, r_perp)
-    res_ok = max_res < 1e-6
-    if not res_ok:
-        failures += 1
-    report.append(
-        f"corrector membership: {args.samples} constructions, max residual {max_res:.3e} m "
-        f"-> {'ok' if res_ok else 'FAIL'}"
-    )
-
-    text = "\n".join(report) + "\n"
-    print(text, end="")
-    if args.out:
-        out = FsPath(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out / "oracle.txt", text)
-    return EXIT_ORACLE if failures else EXIT_OK
-
-
-# ----------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathfollow",
-        description="Two-phase look-ahead path-following guidance: simulate, sweep, verify.",
+        description="Two-phase look-ahead path-following guidance: simulate, sweep, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,13 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("dir_a")
     p_cmp.add_argument("dir_b")
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_orc = sub.add_parser("oracle", help="randomized geometry checks against brute-force oracles")
-    p_orc.add_argument("--seed", type=int, default=0)
-    p_orc.add_argument("--scenarios", type=int, default=100, help="tangency scenarios")
-    p_orc.add_argument("--samples", type=int, default=10000, help="corrector constructions")
-    p_orc.add_argument("--out", default=None)
-    p_orc.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import path as pathmod
-from .guidance import MIN_TARGET_DIST
+from .guidance import LOOKAHEAD_SPEED_CAP, MIN_TARGET_DIST
 from .optimizer import MAX_GRID, OptimizerSettings
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig
 from .vehicle import VehicleState
@@ -250,10 +250,18 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
             sec[name] = rows[1](data.get(name, rows[0]))
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
-    # Mission._coast_steps rounds lookahead / speed / dt steps to an int.
-    coast = sec["guidance"].get("lookahead"), sec["vehicle"].get("speed"), sec["sim"].get("dt")
-    if None not in coast and not math.isfinite(coast[0] / coast[1] / coast[2]):
-        problems.append("guidance.lookahead: lookahead / speed / dt must be finite, got {!r} / {!r} / {!r}".format(*coast))
+    # Bounds across sections on floats a run computes: the coast's step count lookahead / speed / dt
+    # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, and the blend's weighted sum,
+    # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2.
+    gd, v, dt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt")
+    if None not in (gd.get("lookahead"), v, dt) and not math.isfinite(gd["lookahead"] / v / dt):
+        problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
+    if None not in (v, dt) and not math.isfinite(dt * 2.0 * v / MIN_TARGET_DIST):
+        problems.append(f"sim.dt: the turn per step dt * 2 speed / {MIN_TARGET_DIST} must be finite, got {dt!r} at speed {v!r}")
+    if None not in (gd.get("k1"), gd.get("k2"), v):
+        w_max = gd["k1"] * pathmod.MAX_RADIUS + gd["k2"] * (1.0 + LOOKAHEAD_SPEED_CAP) * v / (2.0 * pathmod.MIN_RADIUS)
+        if not math.isfinite(w_max * 2.0 * v * v / MIN_TARGET_DIST):
+            problems.append(f"guidance.k1/k2: the blended command must be finite, got {gd['k1']!r} / {gd['k2']!r} at speed {v!r}")
     if problems:
         raise ConfigError(problems)
 

@@ -45,11 +45,7 @@ class RunRecord:
         return len(self.t)
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i], self.x[i], self.y[i], self.psi[i], self.a_cmd[i],
-                self.cte[i], self.phase[i], self.k1[i], self.k2[i],
-            )
+        return zip(self.t, self.x, self.y, self.psi, self.a_cmd, self.cte, self.phase, self.k1, self.k2)
 
 
 @dataclass(frozen=True)

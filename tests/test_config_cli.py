@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,9 @@ from pathfollow.config import (
     load_scenario,
     parse_scenario,
 )
+from pathfollow.optimizer import OptimizerSettings
 from pathfollow.path import make_sinusoid_path
+from pathfollow.supervisor import MissionConfig
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -42,6 +45,9 @@ def test_default_scenario_parses():
     assert cfg.sweep_headings_deg[0] == pytest.approx(-20.882)
     assert cfg.sweep_headings_deg[-1] == pytest.approx(129.118)
     assert cfg.optimizer.d_limit == pytest.approx(2 * cfg.mission.lookahead)
+    assert cfg.mission == MissionConfig(k1=1.0, k2=0.0, optimizer=OptimizerSettings())
+    # The blended-command bound also admits the optimizer's largest default gains.
+    assert parse_scenario({"guidance": {"k1": 10.0, "k2": 10.0}}).mission == dataclasses.replace(cfg.mission, k1=10.0, k2=10.0)
 
 
 # The stock scenario written out by hand, independent of config's schema table.
@@ -246,7 +252,7 @@ def test_cmd_run_byte_identical_reruns(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# CLI: sweep / compare / oracle
+# CLI: sweep / compare
 # ----------------------------------------------------------------------
 
 
@@ -511,14 +517,50 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
              "sim": {"max_time": 5}},
             "guidance.lookahead: lookahead / speed / dt must be finite, got 1e+301 / 5e-300 / 0.01",
         ),
+        # The heading update overflowed: ValueError: math domain error from vehicle.step, exit 1.
+        (
+            {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5, "dt": 1e200}},
+            "sim.dt: the turn per step dt * 2 speed / 0.1 must be finite, got 1e+200 at speed 1e+150",
+        ),
+        # The blended command overflowed: ValueError: invalid command: nan from vehicle.step, exit 1.
+        (
+            {"vehicle": {"speed": 1e100}, "controller": "proposed", "optimizer": {"enabled": False},
+             "guidance": {"k1": 1e300, "k2": 1e300}, "sim": {"max_time": 5}},
+            "guidance.k1/k2: the blended command must be finite, got 1e+300 / 1e+300 at speed 1e+100",
+        ),
     ],
-    ids=["arc_command", "coast_steps"],
+    ids=["arc_command", "coast_steps", "heading_turn", "blended_command"],
 )
 def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not out.exists()
+
+
+def test_summary_json_is_strict_json(tmp_path):
+    # Commands near 1e299 square to inf: a_rms was written as Infinity, which strict parsers reject.
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    cfgp = write_config(tmp_path, {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5}})
+    out = tmp_path / "inf"
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", cfgp, "--out", str(out)]) == 5
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["baseline"]["close_range"]["a_rms"] is None
+    assert summary["baseline"]["close_range"]["a_max"] > 1e298
+
+
+def test_stock_run_outputs_are_unchanged(tmp_path):
+    out = tmp_path / "stock"
+    assert main(["run", "--controller", "baseline", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "path.csv": "0528e1b26ec768cbcf332c75d0b60a5104ff8453ba0aa543b5ef513addef1a08",
+        "summary.json": "f5e932bc0eae8096cc7a74e4ad4dfbffdd0fd264e802c49b3c235c5f40fdd897",
+        "trajectory_baseline.csv": "1a8e16370d89c845dc02236a11313b9f95b79dfedc42fac6f1b5107e16482f64",
+    }
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -573,11 +615,3 @@ def test_cmd_compare(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "identical" in report
     assert "DIFFERS" not in report
-
-
-def test_cmd_oracle_deterministic(tmp_path, capsys):
-    assert main(["oracle", "--seed", "3", "--scenarios", "20", "--samples", "200"]) == 0
-    first = capsys.readouterr().out
-    assert main(["oracle", "--seed", "3", "--scenarios", "20", "--samples", "200"]) == 0
-    assert capsys.readouterr().out == first
-    assert "ok" in first
