@@ -251,13 +251,16 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
     # Bounds across sections on floats a run computes: the coast's step count lookahead / speed / dt
-    # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, and the blend's weighted sum,
-    # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2.
-    gd, v, dt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt")
+    # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, the blend's weighted sum,
+    # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2,
+    # and the square of the farthest flight speed * max_time, which the projections' squared distances meet.
+    gd, v, dt, mt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt"), sec["sim"].get("max_time")
     if None not in (gd.get("lookahead"), v, dt) and not math.isfinite(gd["lookahead"] / v / dt):
         problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
     if None not in (v, dt) and not math.isfinite(dt * 2.0 * v / MIN_TARGET_DIST):
         problems.append(f"sim.dt: the turn per step dt * 2 speed / {MIN_TARGET_DIST} must be finite, got {dt!r} at speed {v!r}")
+    if None not in (v, mt) and not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises
+        problems.append(f"sim.max_time: the farthest flight speed * max_time must square to a finite float, got {mt!r} at speed {v!r}")
     if None not in (gd.get("k1"), gd.get("k2"), v):
         w_max = gd["k1"] * pathmod.MAX_RADIUS + gd["k2"] * (1.0 + LOOKAHEAD_SPEED_CAP) * v / (2.0 * pathmod.MIN_RADIUS)
         if not math.isfinite(w_max * 2.0 * v * v / MIN_TARGET_DIST):

@@ -279,55 +279,55 @@ def blended_command(state: VehicleState, geom: CorrectorGeometry, gains: Guidanc
 
 
 def blended_many(x, y, hx, hy, proj, p2, speed: float, k1s, k2s):
-    """:func:`corrector_geometry` + :func:`blended_command` over rows, one numpy call per operation.
+    """:func:`corrector_geometry` + :func:`blended_command` over rows, for the gain tuner.
 
     ``hx, hy`` are the headings' cosines and sines, ``proj`` holds the
     projections' rows x, y, tx, ty and ``p2`` the look-ahead points' rows x,
     y, tx, ty, kappa.  Same clamps and fallbacks as the scalar law; numpy's
     hypot and arctan2 may differ from the math module's in the last bit.
+    Operations repeated over vectors run as one call on stacked rows (the four
+    hypots, both arctan2 calls and their wrap, both sines), each element with
+    the operations of a call per row, so the result is the same bit for bit.
     """
-    cx, cy, ttx, tty = proj
-    p2x, p2y, t2x, t2y, kap2 = p2
-    rx = p2x - x
-    ry = p2y - y
-    d12 = np.hypot(rx, ry)
-    q = hx * rx + hy * ry
-    eta12 = np.arctan2(hx * ry - hy * rx, q)
-    eta12 = np.where(eta12 <= -np.pi, eta12 + TWO_PI, eta12)
+    pos, h, tt = np.array((x, y)), np.array((hx, hy)), proj[2:4]
+    pts = np.array((p2[:2], p2[:2]))  # p2, then p4, as rows x, y
 
-    den = ttx * hx + tty * hy
+    # Corrector point p4: the tangent line at proj meets the perpendicular through p2.
+    den = tt * h
+    den = den[0] + den[1]
     degen = np.abs(den) < PARALLEL_EPS
-    dens = np.where(degen, 1.0, den)
-    tpar = ((p2x - cx) * hx + (p2y - cy) * hy) / dens
-    p4x = np.where(degen, p2x, cx + tpar * ttx)
-    p4y = np.where(degen, p2y, cy + tpar * tty)
+    any_degen = np.count_nonzero(degen)  # the degenerate selects run only when needed
+    w = p2[:2] - proj[:2]
+    w *= h
+    tpar = (w[0] + w[1]) / (np.where(degen, 1.0, den) if any_degen else den)
+    np.add(proj[:2], tpar * tt, out=pts[1])
+    if any_degen:
+        pts[1] = np.where(degen, p2[:2], pts[1])
 
-    p3x = x + q * hx
-    p3y = y + q * hy
-    l23 = np.hypot(p2x - p3x, p2y - p3y)
-    l43 = np.hypot(p4x - p3x, p4y - p3y)
-    lcx = p4x - x
-    lcy = p4y - y
-    lc = np.hypot(lcx, lcy)
-    eta14 = np.arctan2(hx * lcy - hy * lcx, hx * lcx + hy * lcy)
-    eta14 = np.where(eta14 <= -np.pi, eta14 + TWO_PI, eta14)
-    eta14 = np.where(lc > 0.0, eta14, 0.0)
+    # Vectors as rows x, y: vehicle to p2 and to p4, then p3 to p2 and to p4.
+    v = np.empty((4, 2, x.size))
+    np.subtract(pts, pos, out=v[:2])
+    vx, vy = v[:2, 0], v[:2, 1]
+    dot = hx * vx + hy * vy
+    eta = np.arctan2(hx * vy - hy * vx, dot)  # eta12, eta14
+    np.putmask(eta, eta <= -np.pi, eta + TWO_PI)
+    np.subtract(pts, dot[0] * h + pos, out=v[2:])  # p3 = p1 + q h: the foot of p2's perpendicular
+    lens = np.hypot(v[:, 0], v[:, 1])  # d12, lc, l23, l43
+    np.putmask(eta[1], ~(lens[1] > 0.0), 0.0)
 
-    r_l1 = radii_from_curvatures(kap2)
-
-    cosb = (t2x * rx + t2y * ry) / np.maximum(d12, 1e-12)
+    r_l1 = radii_from_curvatures(p2[4])
+    cb = p2[2:4] * v[0]
+    cosb = (cb[0] + cb[1]) / np.maximum(lens[0], 1e-12)
     cb = np.where(cosb >= 0.0, np.maximum(cosb, COS_BETA_MIN), np.minimum(cosb, -COS_BETA_MIN))
-    v_l = np.minimum(np.maximum(speed * np.cos(eta12) / cb, 0.0), LOOKAHEAD_SPEED_CAP * speed)
+    v_l = np.minimum(np.maximum(speed * np.cos(eta[0]) / cb, 0.0), LOOKAHEAD_SPEED_CAP * speed)
     v_m = 0.5 * (speed + v_l)
 
-    two_v2 = 2.0 * speed * speed
-    a12 = two_v2 * np.sin(eta12) / np.maximum(d12, MIN_TARGET_DIST)
-    a14 = two_v2 * np.sin(eta14) / np.maximum(lc, MIN_TARGET_DIST)
-    w1 = k1s * r_l1 / (1.0 + l23)
-    w2 = k2s * v_m / (r_l1 * (1.0 + l43))
-    wsum = w1 + w2
-    return np.where(
-        (wsum < WEIGHT_EPS) | (w2 == 0.0),
-        a12,
-        np.where(w1 == 0.0, a14, (w1 * a12 + w2 * a14) / np.where(wsum < WEIGHT_EPS, 1.0, wsum)),
-    )
+    arc = 2.0 * speed * speed * np.sin(eta) / np.maximum(lens[:2], MIN_TARGET_DIST)  # a12, a14
+    wt = np.array((k1s * r_l1 / (1.0 + lens[2]), k2s * v_m / (r_l1 * (1.0 + lens[3]))))  # w1, w2
+    wsum = wt[0] + wt[1]
+    mix = wt * arc
+    cmd = (mix[0] + mix[1]) / np.where(wsum < WEIGHT_EPS, 1.0, wsum)
+    zero = wt == 0.0
+    np.putmask(cmd, zero[0], arc[1])
+    np.putmask(cmd, (wsum < WEIGHT_EPS) | zero[1], arc[0])
+    return cmd

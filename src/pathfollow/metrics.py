@@ -56,7 +56,9 @@ class RunSummary:
 
 
 def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(values * values)))
+    """Root mean square; inf, without a warning, when the squares overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(values * values)))
 
 
 def summarize(run: RunRecord, close_only: bool = True) -> RunSummary:

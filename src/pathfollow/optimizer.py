@@ -8,8 +8,12 @@ where the path bends hard, a capped longer one where it is straight.
 All candidates are propagated together as numpy arrays, each row bit for bit
 independent of the others, through the path's batched queries
 (:meth:`ReferencePath.project_many`, :meth:`~ReferencePath.lookahead_many`,
-:meth:`~ReferencePath.point_at_many`) and :func:`guidance.blended_many`, so a
-step costs a fixed number of numpy calls.  The search is bit-deterministic:
+:meth:`~ReferencePath.point_at_many`), :func:`guidance.blended_many` and
+:func:`vehicle.step_arrays`, so a step costs a fixed number of numpy calls.
+One call serves several where it can: the headings' cos and sin feed both the
+law and the step, and each transcendental runs once over stacked rows.  That
+is exact, because numpy's float64 ufuncs give an element the same bits in any
+array (tests/test_rollout_kernel.py).  The search is bit-deterministic:
 the reduction orders by (cost, k2, k1), so results do not depend on
 evaluation order, and a refine round rolls out each distinct clipped gain
 value once.
@@ -27,7 +31,7 @@ from .path import ReferencePath, curvature_radius
 from .vehicle import VehicleState, step_arrays
 
 # Most grid points per axis: a search round rolls out up to grid^2 rows at
-# about 1.2 KB each (12 MB at 101); a larger grid is refused up front.
+# about 1 KB each (9.8 MB at 101); a larger grid is refused up front.
 MAX_GRID = 101
 
 
@@ -171,27 +175,32 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
     psi = np.full(k, state.heading)
     s_lb = np.full(k, min(max(s_min, 0.0), total))
     sp = np.full(k, min(max(s_proj, 0.0), total))
-    ended = np.zeros(k, dtype=bool)
+    ended, any_ended = np.zeros(k, dtype=bool), False
     cte_sq = np.zeros(k)
+    cs = np.empty((2, k))  # the headings' cos and sin, shared by the law and the step
 
     for _ in range(n_steps):
         sp, pdist = path.project_many(x, y, sp)
         cte_sq += pdist * pdist
 
         s2, end_rows, fallback = path.lookahead_many(x, y, s_lb, lookahead_dist)
-        ended[end_rows] = True
+        if end_rows.size:
+            ended[end_rows] = any_ended = True
         s_lb = np.maximum(s_lb, s2)
 
         # One table interpolation for the projections and the look-ahead points.
         pts = path.point_at_many(np.concatenate((sp, s2)))
         if fallback is not None:
             pts[:, k + fallback[0]] = fallback[1]
-        cmd = blended_many(x, y, np.cos(psi), np.sin(psi), pts[:4, :k], pts[:, k:], speed, k1s, k2s)
-        cmd = np.where(ended, 0.0, cmd)
+        np.cos(psi, out=cs[0])
+        np.sin(psi, out=cs[1])
+        cmd = blended_many(x, y, cs[0], cs[1], pts[:4, :k], pts[:, k:], speed, k1s, k2s)
+        if any_ended:
+            cmd = np.where(ended, 0.0, cmd)
         if a_max is not None:  # vehicle.step's clamp, in its order
             cmd = np.where(-a_max > cmd, -a_max, cmd)
             cmd = np.where(a_max < cmd, a_max, cmd)
-        x, y, psi = step_arrays(x, y, psi, cmd, speed, dt)
+        x, y, psi = step_arrays(x, y, psi, cmd, speed, dt, cs)
 
     costs = np.sqrt(cte_sq / n_steps)
     return np.where(np.isfinite(costs), costs, np.inf)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import hypot, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import Vec2
 
@@ -41,12 +42,18 @@ MIN_CHORD_RATIO = 1e-6
 # the default spacing); larger requests are refused before allocation.
 MAX_SAMPLES = 1_000_000
 
-# Rows of a path's sample table: a segment's start x, y, vector dx, dy and
-# squared length, then tx, ty, kappa; row _DIFFS[i] differences row _VALUES[i].
-_VALUES = [0, 1, 5, 6, 7]
-_DIFFS = [2, 3, 8, 9, 10]
+# Rows of a path's sample table: a segment's squared length, then x, y, tx,
+# ty, kappa (_POINT), each followed by its difference to the next sample
+# (_DIFF).  A point interpolates from two slices of one gather, and the
+# segment scans gather the first five rows: seg2, x, dx, y, dy.
+_POINT = slice(1, 11, 2)
+_DIFF = slice(2, 11, 2)
+_XY = slice(1, 4, 2)
 _LOOK_WIDTHS = (4, 16, 64)  # batched look-ahead chunk widths; later chunks reuse the last
 _OFFSETS = np.arange(_LOOK_WIDTHS[-1])
+_FIRST = _OFFSETS[: _LOOK_WIDTHS[0], None] == 0  # the first chunk's segment holding s_lb
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
 _BLOCK_CELLS = 1 << 17  # batched guarded projection: rows per block times samples (~1 MB)
 _COARSE = 16  # batched guarded projection: samples per stretch of its coarse pass
 
@@ -100,10 +107,11 @@ def radii_from_curvatures(kappa: np.ndarray) -> np.ndarray:
 class ReferencePath:
     """Arc-length parameterized planar curve backed by a uniform sample table.
 
-    The samples live in one read-only table of 11 rows: x, y, the segment to
-    the next sample (dx, dy, dx^2 + dy^2), then tx, ty, kappa and their
-    differences to the next sample.  63 zero-length segments pad its end for
-    the batched look-ahead's chunks to run into; it takes 88 bytes per sample
+    The samples live in one read-only table of 11 rows: the squared length
+    of the segment to the next sample, x, y, tx, ty, kappa, then their
+    differences to the next sample.  63 zero-length segments, at the last
+    sample's position, pad its end for the batched look-ahead's chunks and
+    projection windows to run into; it takes 88 bytes per sample
     (1.8 MB per km at the default spacing).  The scalar queries read
     plain-float lists of the first eight rows, built once (0.64 MB per list
     per km).  The path also records its longest chord between neighbouring
@@ -133,11 +141,12 @@ class ReferencePath:
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
         t = np.zeros((11, n - 1 + _LOOK_WIDTHS[-1]))
-        for v, d, col in zip(_VALUES, _DIFFS, (*positions.T, *tangents.T, curvatures)):
+        for v, col in zip(range(1, 11, 2), (*positions.T, *tangents.T, curvatures)):
             t[v, :n] = col
-            np.subtract(col[1:], col[:-1], out=t[d, : n - 1])
-        t[4] = t[2] * t[2] + t[3] * t[3]
-        max_chord = float(np.max(np.hypot(t[2, : n - 1], t[3, : n - 1])))
+            np.subtract(col[1:], col[:-1], out=t[v + 1, : n - 1])
+        t[_XY, n:] = positions[-1:].T
+        t[0] = t[2] * t[2] + t[4] * t[4]
+        max_chord = float(np.max(np.hypot(t[2, : n - 1], t[4, : n - 1])))
         if max_chord == 0.0:
             raise ValueError("degenerate path: all samples coincide")
         t.flags.writeable = False
@@ -146,10 +155,13 @@ class ReferencePath:
         self._ds = float(spacing)
         self._total = float(spacing) * (n - 1)
         self._table = t
+        # Window j of the batched projection: x, then y, of samples j .. j + 31.
+        self._windows = [sliding_window_view(row, 32) for row in t[_XY]]
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # Plain-float rows for the scalar loops; numpy's - * + round like
         # Python's, so the segment rows equal the loops' own arithmetic.
-        self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l, self._txl, self._tyl, self._kl = t[:8, :n].tolist()
+        rows = t[:5, :n].tolist() + t[5:10:2, :n].tolist()
+        self._seg2l, self._pxl, self._dxl, self._pyl, self._dyl, self._txl, self._tyl, self._kl = rows
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -194,7 +206,7 @@ class ReferencePath:
         u = np.minimum(np.maximum(s / self._ds, 0.0), self._n - 1)
         j = np.minimum(u.astype(np.int64), self._n - 2)
         g = np.take(self._table, j, axis=1)
-        pts = g[_VALUES] + g[_DIFFS] * (u - j)
+        pts = g[_POINT] + g[_DIFF] * (u - j)
         pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), 1e-300)
         return pts
 
@@ -225,7 +237,7 @@ class ReferencePath:
         # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
         # min(a, b), NaN and -0.0 included, without the builtin call.
         if s_hint is None:
-            lo_s, ilo, d = 0.0, 0, self._table[:2, :n] - ((px,), (py,))
+            lo_s, ilo, d = 0.0, 0, self._table[_XY, :n] - ((px,), (py,))
         else:
             lo_s = float(s_hint) - 1.0
             lo_s = 0.0 if 0.0 > lo_s else lo_s
@@ -233,7 +245,7 @@ class ReferencePath:
             hi_s = float(s_hint) + window
             ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
             ihi = ilo + 2 if ilo + 2 > ihi else ihi
-            d = self._table[:2, ilo : n if n < ihi else ihi] - ((px,), (py,))
+            d = self._table[_XY, ilo : n if n < ihi else ihi] - ((px,), (py,))
         d *= d
         e = d[0]
         e += d[1]
@@ -268,26 +280,31 @@ class ReferencePath:
 
     def project_many(self, x: np.ndarray, y: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arc lengths and distances of a windowed exact projection per row, with a 1 m backward
-        guard: the nearest of 32 samples from the guard picks two segments, solved as one (K, 2) array.
+        guard: the nearest of 32 samples from the guard picks two segments, solved as one (2, K) array.
 
         On rollout rows it gives ``project(p, s_hint=s_prev)``'s arc length bit for bit and its distance
         within 2 ULP (``x * x`` against ``**``); each form is the faster one for its own kind of query."""
         n, t = self._n, self._table
         lo_u = np.fmax(s_prev - 1.0, 0.0) / self._ds
         j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
-        sx, sy = np.take(t[:2], np.minimum(j_lo[:, None] + _OFFSETS[:32], n - 1), axis=1)
-        xc, yc = x[:, None], y[:, None]
-        i_star = j_lo + np.argmin((sx - xc) ** 2 + (sy - yc) ** 2, axis=1)
+        # Samples j_lo .. j_lo + 31 per row; the table's padding stands in for samples past the end.
+        wx, wy = self._windows
+        d, e = wx[j_lo] - x[:, None], wy[j_lo] - y[:, None]
+        d *= d  # numpy's ** 2
+        e *= e
+        d += e
+        i_star = j_lo + np.argmin(d, axis=1)
         # The segments ending and starting at the nearest sample.
-        jc = np.minimum(np.maximum(i_star[:, None] - np.array([1, 0]), j_lo[:, None]), n - 2)
-        ax, ay, dxs, dys, a = np.take(t[:5], jc, axis=1)
-        u = ((xc - ax) * dxs + (yc - ay) * dys) / np.maximum(a, 1e-300)
-        u_min = np.where(jc == j_lo[:, None], np.minimum(lo_u - j_lo, 1.0)[:, None], 0.0)
+        jc = np.minimum(np.maximum(i_star - np.array([[1], [0]]), j_lo), n - 2)
+        a, ax, dxs, ay, dys = g = np.take(t[:5], jc, axis=1)
+        u = ((x - ax) * dxs + (y - ay) * dys) / np.maximum(a, 1e-300)
+        u_min = np.where(jc == j_lo, np.minimum(lo_u - j_lo, 1.0), 0.0)
         u = np.minimum(np.maximum(u, u_min), 1.0)
-        dd = (xc - (ax + u * dxs)) ** 2 + (yc - (ay + u * dys)) ** 2
+        foot = g[1:4:2] + g[2:5:2] * u
+        dd = (x - foot[0]) ** 2 + (y - foot[1]) ** 2
         s_cand = (jc + u) * self._ds
-        second = dd[:, 1] < dd[:, 0]
-        return np.where(second, s_cand[:, 1], s_cand[:, 0]), np.sqrt(np.where(second, dd[:, 1], dd[:, 0]))
+        second = dd[1] < dd[0]
+        return np.where(second, s_cand[1], s_cand[0]), np.sqrt(np.where(second, dd[1], dd[0]))
 
     # ------------------------------------------------------------------
     # Look-ahead
@@ -361,7 +378,8 @@ class ReferencePath:
         path order and the scalar skip bound passes only segments without a
         root, so chunk widths and skip tests do not change the first
         crossing.  The first chunk, 4 wide for the usual advance of 0-2
-        segments, skips nothing; chunks of 16, then 64 cover the rows left.
+        segments, skips nothing and returns at once when every row crosses
+        in it; chunks of 16, then 64 cover the rows left.
 
         Returns the arc lengths, the rows that end the path (no crossing, end
         inside the circle), and None or the other rows without a crossing
@@ -369,57 +387,60 @@ class ReferencePath:
         """
         n, t = self._n, self._table
         l2 = lookahead_dist * lookahead_dist
-        eps = 1e-9  # the scalar query's vertex-seam tolerance
         u_s = s_lb / self._ds
         j = np.minimum(u_s.astype(np.int64), n - 2)
         # Only the segment holding s_lb starts past -eps.
-        u_lo = np.where(_OFFSETS[: _LOOK_WIDTHS[0]] == 0, (u_s - j)[:, None], -eps)
-        s_out = np.full(x.size, np.nan)
-        rows, xr, yr = np.arange(x.size), x, y
-        for chunk, width in enumerate(itertools.chain(_LOOK_WIDTHS, itertools.repeat(_LOOK_WIDTHS[-1]))):
-            while chunk:
+        hit, s_out = self._crossings(j, x, y, np.where(_FIRST, u_s - j, -_SEAM_EPS), l2)
+        if hit.all():  # the usual case
+            return s_out, _NO_ROWS, None
+        left = ~hit
+        s_out[left] = np.nan
+        rows, xr, yr, j = np.flatnonzero(left), x[left], y[left], j[left] + _LOOK_WIDTHS[0]
+        for width in itertools.chain(_LOOK_WIDTHS[1:], itertools.repeat(_LOOK_WIDTHS[-1])):
+            keep = j <= n - 2
+            if not keep.any():
+                break
+            rows, xr, yr, j = rows[keep], xr[keep], yr[keep], j[keep]
+            while True:
                 # No root lies within gap / max_chord - 1 segments of a vertex whose distance differs
                 # from L1 by gap (a nan state skips nothing); past the end a row waits on padding.
-                gap = np.abs(np.hypot(np.take(t[0], j) - xr, np.take(t[1], j) - yr) - lookahead_dist)
+                gap = np.abs(np.hypot(np.take(t[1], j) - xr, np.take(t[3], j) - yr) - lookahead_dist)
                 skip = gap / self.max_chord - 1.0
                 jump = (skip >= 1.0) & (j < n - 1)
                 if not jump.any():
                     break
                 j = np.minimum(j + np.where(jump, np.minimum(skip, n), 0.0).astype(np.int64), n - 1)
-            if chunk and (j == n - 1).all():
+            if (j == n - 1).all():
                 break  # every row left has skipped past the last segment
-            idx = j[:, None] + _OFFSETS[:width]
-            ax, ay, dxs, dys, a = np.take(t[:5], idx, axis=1)
-            rxs, rys = ax - xr[:, None], ay - yr[:, None]
-            nb = -(rxs * dxs + rys * dys)
-            disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
-            ok = (disc >= 0.0) & (a > 0.0)
-            sq, sa = np.sqrt(np.where(ok, disc, 0.0)), np.where(ok, a, 1.0)
-            u1, u2 = (nb - sq) / sa, (nb + sq) / sa
-            lo = u_lo if chunk == 0 else -eps
-            in1 = (u1 > lo) & (u1 <= 1.0 + eps)
-            has = ok & (in1 | ((u2 > lo) & (u2 <= 1.0 + eps)))
-            hit = has.any(axis=1)
-            hr = np.flatnonzero(hit)
-            if hr.size:
-                kf = has[hr].argmax(axis=1)
-                u = np.where(in1[hr, kf], u1[hr, kf], u2[hr, kf])
-                s_out[rows[hr]] = (idx[hr, kf] + np.minimum(np.maximum(u, 0.0), 1.0)) * self._ds
-            j = j + width
-            keep = ~hit & (j <= n - 2)
-            if not keep.any():
-                break
-            rows, xr, yr, j = rows[keep], xr[keep], yr[keep], j[keep]
+            hit, s_rows = self._crossings(j, xr, yr, -_SEAM_EPS, l2, width)
+            s_out[rows[hit]] = s_rows[hit]
+            rows, xr, yr, j = rows[~hit], xr[~hit], yr[~hit], j[~hit] + width
 
         miss = np.flatnonzero(np.isnan(s_out))
         if miss.size:
             s_out[miss] = self._total
-            inside = (t[0, n - 1] - x[miss]) ** 2 + (t[1, n - 1] - y[miss]) ** 2 < l2
+            inside = (t[1, n - 1] - x[miss]) ** 2 + (t[3, n - 1] - y[miss]) ** 2 < l2
             if not inside.all():
                 far = miss[~inside]
                 s_out[far], points = self._guarded_project_many(x[far], y[far], s_lb[far])
                 return s_out, miss[inside], (far, points)
         return s_out, miss, None
+
+    def _crossings(self, j, x, y, u_lo, l2: float, width: int = _LOOK_WIDTHS[0]):
+        """Whether each row's circle crosses segments j .. j + width - 1 past ``u_lo``, and the arc
+        length of its first crossing there (any value on a row without one)."""
+        idx = _OFFSETS[:width, None] + j  # segments as rows, states as columns
+        a, ax, dxs, ay, dys = np.take(self._table[:5], idx, axis=1)
+        rxs, rys = ax - x, ay - y
+        nb = -(rxs * dxs + rys * dys)
+        disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
+        ok = (disc >= 0.0) & (a > 0.0)
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        u = np.array((nb - sq, nb + sq)) / np.where(ok, a, 1.0)  # the two roots
+        inside = (u > u_lo) & (u <= 1.0 + _SEAM_EPS)
+        has = ok & (inside[0] | inside[1])
+        s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), 0.0), 1.0)) * self._ds
+        return has.any(axis=0), s[has.argmax(axis=0), np.arange(x.size)]
 
     def _guarded_project_many(self, x: np.ndarray, y: np.ndarray, s_hint: np.ndarray):
         """``project(p, s_hint, window=total_length)`` for many rows, bit for bit.
@@ -440,20 +461,20 @@ class ReferencePath:
         for b in range(0, m, block):
             lo, xs, ys = ilo[b : b + block, None], x[b : b + block, None], y[b : b + block, None]
             first = np.arange(lo.min() // _COARSE * _COARSE, n, _COARSE)
-            dc = np.sqrt((t[0, first] - xs) ** 2 + (t[1, first] - ys) ** 2)
+            dc = np.sqrt((t[1, first] - xs) ** 2 + (t[3, first] - ys) ** 2)
             bound = np.min(dc, axis=1, where=first >= lo, initial=np.inf, keepdims=True)
             near = (dc - _COARSE * self.max_chord <= bound) & (first + _COARSE > lo)
             start = np.maximum(first[near.argmax(axis=1)], lo[:, 0])
             stop = np.minimum(first[near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)] + _COARSE, n)
             idx = np.minimum(start[:, None] + np.arange((stop - start).max()), stop[:, None] - 1)
-            sx, sy = np.take(t[0], idx), np.take(t[1], idx)
+            sx, sy = np.take(t[1], idx), np.take(t[3], idx)
             i0[b : b + block] = start + np.argmin((sx - xs) ** 2 + (sy - ys) ** 2, axis=1)
 
         # Segments i0 - 2 .. i0 + 1, in the scalar loop's order.
         jmin = np.minimum(ilo, n - 2)
         guard = lo_s > 0.0
         j = i0 + np.arange(-2, 2)[:, None]
-        ax, ay, dx, dy, seg2 = np.take(t[:5], np.minimum(np.maximum(j, 0), n - 2), axis=1)
+        seg2, ax, dx, ay, dy = np.take(t[:5], np.minimum(np.maximum(j, 0), n - 2), axis=1)
         valid = (j >= jmin) & (j <= n - 2) & (seg2 != 0.0)
         u = ((x - ax) * dx + (y - ay) * dy) / np.where(valid, seg2, 1.0)
         u_lo = np.where((j == jmin) & guard, (lo_s - j * ds) / ds, 0.0)
@@ -477,16 +498,16 @@ class ReferencePath:
         jf = np.where(valid.any(axis=0), best[2], jz).astype(np.int64)
         f = np.where(valid.any(axis=0), best[1], uz)
         g = np.take(t, jf, axis=1)
-        pts = g[_VALUES] + g[_DIFFS] * f
+        pts = g[_POINT] + g[_DIFF] * f
         # math.hypot, as in the scalar query: np.hypot differs in the last bit on ~1% of inputs.
         tn = np.fromiter(map(math.hypot, pts[2].tolist(), pts[3].tolist()), float, m)
-        pts[2:4] = np.where(tn == 0.0, t[5:7, jf], pts[2:4] / np.where(tn == 0.0, 1.0, tn))
+        pts[2:4] = np.where(tn == 0.0, t[5:8:2, jf], pts[2:4] / np.where(tn == 0.0, 1.0, tn))
         return (jf + f) * ds, pts
 
     def sample_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views of the sample rows (px, py, tx, ty, kappa)."""
         t, n = self._table, self._n
-        return t[0, :n], t[1, :n], t[5, :n], t[6, :n], t[7, :n]
+        return tuple(t[_POINT, :n])
 
 
 # ----------------------------------------------------------------------

@@ -74,16 +74,21 @@ def step(
     return VehicleState(x, y, psi4, v, state.t + dt)
 
 
-def step_arrays(x, y, psi, a_cmd, speed: float, dt: float):
-    """Vectorized RK4 step matching :func:`step`; used by batched rollouts."""
-    omega = a_cmd / speed
-    c1, s1 = np.cos(psi), np.sin(psi)
-    psi2 = psi + 0.5 * dt * omega
-    c2, s2 = np.cos(psi2), np.sin(psi2)
-    psi4 = psi + dt * omega
-    c4, s4 = np.cos(psi4), np.sin(psi4)
-    xn = x + speed * dt / 6.0 * (c1 + 4.0 * c2 + c4)
-    yn = y + speed * dt / 6.0 * (s1 + 4.0 * s2 + s4)
-    pw = np.mod(psi4, 2.0 * np.pi)
-    pw = np.where(pw > np.pi, pw - 2.0 * np.pi, pw)
-    return xn, yn, pw
+def step_arrays(x, y, psi, a_cmd, speed: float, dt: float, cs=None):
+    """Vectorized RK4 step matching :func:`step`; used by batched rollouts.
+
+    ``cs`` may hold cos(psi) and sin(psi) as rows, computed once for the law and the step.
+    psi2 and psi4 share one cos and one sin call, and x and y one update, each element with
+    :func:`step`'s operations in its order, so the step is the same bit for bit.
+    """
+    if cs is None:
+        cs = np.array((np.cos(psi), np.sin(psi)))
+    ang = np.multiply.outer((0.5 * dt, dt), a_cmd / speed)  # psi2 - psi, psi4 - psi
+    ang += psi
+    trig = np.empty((2,) + ang.shape)  # cos, then sin, of psi2 and psi4
+    np.cos(ang, out=trig[0])
+    np.sin(ang, out=trig[1])
+    xy = (4.0 * trig[:, 0] + cs + trig[:, 1]) * (speed * dt / 6.0)
+    pw = np.mod(ang[1], 2.0 * np.pi)
+    np.putmask(pw, pw > np.pi, pw - 2.0 * np.pi)
+    return x + xy[0], y + xy[1], pw

@@ -528,8 +528,13 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
              "guidance": {"k1": 1e300, "k2": 1e300}, "sim": {"max_time": 5}},
             "guidance.k1/k2: the blended command must be finite, got 1e+300 / 1e+300 at speed 1e+100",
         ),
+        # A squared distance overflowed: OverflowError from ReferencePath.project, exit 1, output directory made.
+        (
+            {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 1e159, "dt": 1e156}},
+            "sim.max_time: the farthest flight speed * max_time must square to a finite float, got 1e+159 at speed 1e+150",
+        ),
     ],
-    ids=["arc_command", "coast_steps", "heading_turn", "blended_command"],
+    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight"],
 )
 def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
@@ -550,6 +555,17 @@ def test_summary_json_is_strict_json(tmp_path):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
     assert summary["baseline"]["close_range"]["a_rms"] is None
     assert summary["baseline"]["close_range"]["a_max"] > 1e298
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_rms_warns_nothing(tmp_path, capsys):
+    # The RMS of commands near 1e299 squares past the float range: stderr holds only the run's own line.
+    cfgp = write_config(tmp_path, {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5}})
+    out = tmp_path / "inf"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.splitlines() == ["baseline mission timed out at t=5.00 s"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["baseline"]["close_range"]["a_rms"] is None
 
 
 def test_stock_run_outputs_are_unchanged(tmp_path):
