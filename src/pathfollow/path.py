@@ -7,7 +7,9 @@ look-ahead circle intersections are solved exactly segment by segment, which
 keeps every query deterministic and self-consistent with the stored geometry.
 The gain tuner's rollouts ask the same questions for many states at once:
 ``project_many``, ``lookahead_many`` and ``point_at_many`` answer them on the
-same table, beside their scalar forms and under the same rules.
+same table, beside their scalar forms and under the same rules;
+``lookahead_many`` hands the rare row its one 4-segment chunk cannot settle
+to the scalar ``lookahead_point``.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; arbitrary polylines are resampled through a cubic
@@ -18,7 +20,6 @@ mutates a record after building it, so one path can be shared across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import hypot, sqrt
@@ -49,13 +50,9 @@ MAX_SAMPLES = 1_000_000
 _POINT = slice(1, 11, 2)
 _DIFF = slice(2, 11, 2)
 _XY = slice(1, 4, 2)
-_LOOK_WIDTHS = (4, 16, 64)  # batched look-ahead chunk widths; later chunks reuse the last
-_OFFSETS = np.arange(_LOOK_WIDTHS[-1])
-_FIRST = _OFFSETS[: _LOOK_WIDTHS[0], None] == 0  # the first chunk's segment holding s_lb
+_CHUNK = np.arange(4)[:, None]  # the batched look-ahead's segment offsets from s_lb's
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
-_BLOCK_CELLS = 1 << 17  # batched guarded projection: rows per block times samples (~1 MB)
-_COARSE = 16  # batched guarded projection: samples per stretch of its coarse pass
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -109,12 +106,12 @@ class ReferencePath:
 
     The samples live in one read-only table of 11 rows: the squared length
     of the segment to the next sample, x, y, tx, ty, kappa, then their
-    differences to the next sample.  63 zero-length segments, at the last
-    sample's position, pad its end for the batched look-ahead's chunks and
-    projection windows to run into; it takes 88 bytes per sample
-    (1.8 MB per km at the default spacing).  The scalar queries read
-    plain-float lists of the first eight rows, built once (0.64 MB per list
-    per km).  The path also records its longest chord between neighbouring
+    differences to the next sample.  31 zero-length segments, at the last
+    sample's position, pad its end for the batched projection's 32-sample
+    windows and the batched look-ahead's 4-segment chunk to run into; it
+    takes 88 bytes per sample (1.8 MB per km at the default spacing).  The
+    scalar queries read plain-float lists of the first eight rows, built
+    once (0.64 MB per list per km).  The path also records its longest chord between neighbouring
     samples, which bounds how far the look-ahead scans may skip; a table
     whose samples all coincide has no such bound and is rejected.
     """
@@ -140,7 +137,7 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        t = np.zeros((11, n - 1 + _LOOK_WIDTHS[-1]))
+        t = np.zeros((11, n + 31))
         for v, col in zip(range(1, 11, 2), (*positions.T, *tangents.T, curvatures)):
             t[v, :n] = col
             np.subtract(col[1:], col[:-1], out=t[v + 1, : n - 1])
@@ -331,7 +328,7 @@ class ReferencePath:
         s0 = float(s_min)
         s0 = 0.0 if 0.0 > s0 else s0
         s0 = total if total < s0 else s0
-        j = min(int(s0 / ds), last - 1)
+        j0 = j = min(int(s0 / ds), last - 1)
 
         pxl, pyl, dxl, dyl, seg2l = self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l
         max_chord, r2 = self.max_chord, lookahead_dist * lookahead_dist
@@ -352,9 +349,9 @@ class ReferencePath:
             disc = b * b - a * (rx * rx + ry * ry - r2)
             if a > 0.0 and disc >= 0.0:
                 sq = sqrt(disc)
-                u_lo = -eps
-                if j * ds < s0:
-                    u_lo = (s0 - j * ds) / ds
+                # Only the segment holding s0 starts past -eps: strictly after s0,
+                # even when s0 sits on its first vertex.
+                u_lo = s0 / ds - j if j == j0 else -eps
                 u = (-b - sq) / a
                 if not u_lo < u <= 1.0 + eps:
                     u = (-b + sq) / a
@@ -372,137 +369,57 @@ class ReferencePath:
         return LookaheadResult(pp, fallback=True)
 
     def lookahead_many(self, x: np.ndarray, y: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
-        """First circle/path crossing after s_lb per row, scanned in chunks.
+        """First circle/path crossing after s_lb per row: :meth:`lookahead_point`'s answers.
 
-        Same answers as :meth:`lookahead_point`.  Rows scan the segments in
-        path order and the scalar skip bound passes only segments without a
-        root, so chunk widths and skip tests do not change the first
-        crossing.  The first chunk, 4 wide for the usual advance of 0-2
-        segments, skips nothing and returns at once when every row crosses
-        in it; chunks of 16, then 64 cover the rows left.
+        One chunk of the 4 segments from the one holding s_lb, for the usual
+        advance of 0-2 segments, answers most rows at once, under the scalar
+        scan's root rules.  A row it misses ends the path when the scalar skip
+        bound at the chunk's last vertex rules out a root on the rest of the
+        path and the path end lies inside the circle; every other row takes
+        :meth:`lookahead_point`.
 
-        Returns the arc lengths, the rows that end the path (no crossing, end
-        inside the circle), and None or the other rows without a crossing
-        with their :meth:`_guarded_project_many` points.
+        Returns the arc lengths, the rows that end the path, and None or the
+        rows without a crossing with their points as rows x, y, tx, ty, kappa.
         """
         n, t = self._n, self._table
         l2 = lookahead_dist * lookahead_dist
         u_s = s_lb / self._ds
         j = np.minimum(u_s.astype(np.int64), n - 2)
-        # Only the segment holding s_lb starts past -eps.
-        hit, s_out = self._crossings(j, x, y, np.where(_FIRST, u_s - j, -_SEAM_EPS), l2)
-        if hit.all():  # the usual case
-            return s_out, _NO_ROWS, None
-        left = ~hit
-        s_out[left] = np.nan
-        rows, xr, yr, j = np.flatnonzero(left), x[left], y[left], j[left] + _LOOK_WIDTHS[0]
-        for width in itertools.chain(_LOOK_WIDTHS[1:], itertools.repeat(_LOOK_WIDTHS[-1])):
-            keep = j <= n - 2
-            if not keep.any():
-                break
-            rows, xr, yr, j = rows[keep], xr[keep], yr[keep], j[keep]
-            while True:
-                # No root lies within gap / max_chord - 1 segments of a vertex whose distance differs
-                # from L1 by gap (a nan state skips nothing); past the end a row waits on padding.
-                gap = np.abs(np.hypot(np.take(t[1], j) - xr, np.take(t[3], j) - yr) - lookahead_dist)
-                skip = gap / self.max_chord - 1.0
-                jump = (skip >= 1.0) & (j < n - 1)
-                if not jump.any():
-                    break
-                j = np.minimum(j + np.where(jump, np.minimum(skip, n), 0.0).astype(np.int64), n - 1)
-            if (j == n - 1).all():
-                break  # every row left has skipped past the last segment
-            hit, s_rows = self._crossings(j, xr, yr, -_SEAM_EPS, l2, width)
-            s_out[rows[hit]] = s_rows[hit]
-            rows, xr, yr, j = rows[~hit], xr[~hit], yr[~hit], j[~hit] + width
-
-        miss = np.flatnonzero(np.isnan(s_out))
-        if miss.size:
-            s_out[miss] = self._total
-            inside = (t[1, n - 1] - x[miss]) ** 2 + (t[3, n - 1] - y[miss]) ** 2 < l2
-            if not inside.all():
-                far = miss[~inside]
-                s_out[far], points = self._guarded_project_many(x[far], y[far], s_lb[far])
-                return s_out, miss[inside], (far, points)
-        return s_out, miss, None
-
-    def _crossings(self, j, x, y, u_lo, l2: float, width: int = _LOOK_WIDTHS[0]):
-        """Whether each row's circle crosses segments j .. j + width - 1 past ``u_lo``, and the arc
-        length of its first crossing there (any value on a row without one)."""
-        idx = _OFFSETS[:width, None] + j  # segments as rows, states as columns
-        a, ax, dxs, ay, dys = np.take(self._table[:5], idx, axis=1)
+        idx = _CHUNK + j  # segments as rows, states as columns
+        a, ax, dxs, ay, dys = np.take(t[:5], idx, axis=1)
         rxs, rys = ax - x, ay - y
         nb = -(rxs * dxs + rys * dys)
         disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
         ok = (disc >= 0.0) & (a > 0.0)
         sq = np.sqrt(np.where(ok, disc, 0.0))
         u = np.array((nb - sq, nb + sq)) / np.where(ok, a, 1.0)  # the two roots
-        inside = (u > u_lo) & (u <= 1.0 + _SEAM_EPS)
+        # Only the segment holding s_lb starts past -eps.
+        inside = (u > np.where(_CHUNK == 0, u_s - j, -_SEAM_EPS)) & (u <= 1.0 + _SEAM_EPS)
         has = ok & (inside[0] | inside[1])
         s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), 0.0), 1.0)) * self._ds
-        return has.any(axis=0), s[has.argmax(axis=0), np.arange(x.size)]
+        hit, s_out = has.any(axis=0), s[has.argmax(axis=0), np.arange(x.size)]
+        if hit.all():  # the usual case
+            return s_out, _NO_ROWS, None
+        miss = np.flatnonzero(~hit)
 
-    def _guarded_project_many(self, x: np.ndarray, y: np.ndarray, s_hint: np.ndarray):
-        """``project(p, s_hint, window=total_length)`` for many rows, bit for bit.
-
-        Same arithmetic, 1e-18 tie rule and zero-length-segment branch as the
-        scalar query.  Returns the arc lengths and the points as rows x, y,
-        tx, ty, kappa.
-        """
-        n, ds, m, t = self._n, self._ds, x.size, self._table
-        lo_s = np.minimum(np.maximum(s_hint - 1.0, 0.0), self._total)
-        ilo = (lo_s / ds).astype(np.int64)
-        # Nearest sample at or after ilo (first on a tie), in row blocks.  Samples
-        # k apart differ in distance by at most k max chords, so a stretch of
-        # _COARSE samples starting more than _COARSE chords farther than some
-        # sample past ilo holds no minimum (a chord to spare for rounding).
-        i0 = np.empty(m, dtype=np.int64)
-        block = max(1, _BLOCK_CELLS // n)
-        for b in range(0, m, block):
-            lo, xs, ys = ilo[b : b + block, None], x[b : b + block, None], y[b : b + block, None]
-            first = np.arange(lo.min() // _COARSE * _COARSE, n, _COARSE)
-            dc = np.sqrt((t[1, first] - xs) ** 2 + (t[3, first] - ys) ** 2)
-            bound = np.min(dc, axis=1, where=first >= lo, initial=np.inf, keepdims=True)
-            near = (dc - _COARSE * self.max_chord <= bound) & (first + _COARSE > lo)
-            start = np.maximum(first[near.argmax(axis=1)], lo[:, 0])
-            stop = np.minimum(first[near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)] + _COARSE, n)
-            idx = np.minimum(start[:, None] + np.arange((stop - start).max()), stop[:, None] - 1)
-            sx, sy = np.take(t[1], idx), np.take(t[3], idx)
-            i0[b : b + block] = start + np.argmin((sx - xs) ** 2 + (sy - ys) ** 2, axis=1)
-
-        # Segments i0 - 2 .. i0 + 1, in the scalar loop's order.
-        jmin = np.minimum(ilo, n - 2)
-        guard = lo_s > 0.0
-        j = i0 + np.arange(-2, 2)[:, None]
-        seg2, ax, dx, ay, dy = np.take(t[:5], np.minimum(np.maximum(j, 0), n - 2), axis=1)
-        valid = (j >= jmin) & (j <= n - 2) & (seg2 != 0.0)
-        u = ((x - ax) * dx + (y - ay) * dy) / np.where(valid, seg2, 1.0)
-        u_lo = np.where((j == jmin) & guard, (lo_s - j * ds) / ds, 0.0)
-        u = np.where(u_lo > u, u_lo, u)  # Python's max(u, u_lo), then min(u, 1.0)
-        u = np.where(u > 1.0, 1.0, u)
-        # Python's x ** 2, as in the scalar query: x * x differs in the last bit
-        # on ~0.1% of inputs, which can flip a near tie between candidates.
-        e = np.concatenate((x - (ax + u * dx), y - (ay + u * dy))).ravel().tolist()
-        sq = np.fromiter(map(pow, e, itertools.repeat(2)), float, len(e)).reshape(8, m)
-        dd = sq[:4] + sq[4:]
-        # The first valid segment is taken.  A later one has a key j + u no smaller
-        # than the best's, so of the scalar's tie rule only dd < best - 1e-18 applies.
-        best = np.zeros((3, m))  # dd, u and j of the segment taken so far
-        for c in range(4):
-            take = valid[c] & (~valid[:c].any(axis=0) | (dd[c] < best[0] - 1e-18))
-            best = np.where(take, (dd[c], u[c], j[c]), best)
-        # A row with no segment of nonzero length in reach takes vertex i0.
-        jz = np.minimum(i0, n - 2)
-        uz, uz_lo = (i0 - jz).astype(float), (lo_s - jz * ds) / ds
-        uz = np.minimum(np.where((jz == jmin) & guard & (uz_lo > uz), uz_lo, uz), 1.0)
-        jf = np.where(valid.any(axis=0), best[2], jz).astype(np.int64)
-        f = np.where(valid.any(axis=0), best[1], uz)
-        g = np.take(t, jf, axis=1)
-        pts = g[_POINT] + g[_DIFF] * f
-        # math.hypot, as in the scalar query: np.hypot differs in the last bit on ~1% of inputs.
-        tn = np.fromiter(map(math.hypot, pts[2].tolist(), pts[3].tolist()), float, m)
-        pts[2:4] = np.where(tn == 0.0, t[5:8:2, jf], pts[2:4] / np.where(tn == 0.0, 1.0, tn))
-        return (jf + f) * ds, pts
+        # The rest of the path holds no root when the chunk reached its end, or when its last
+        # vertex's distance differs from L1 by more than a chord per segment left (a nan skips nothing).
+        xm, ym, k = x[miss], y[miss], j[miss] + _CHUNK.size
+        skip = np.abs(np.hypot(np.take(t[1], k) - xm, np.take(t[3], k) - ym) - lookahead_dist) / self.max_chord - 1.0
+        ends = ((k >= n - 1) | (skip >= n - 1 - k)) & ((t[1, n - 1] - xm) ** 2 + (t[3, n - 1] - ym) ** 2 < l2)
+        s_out[miss[ends]] = self._total
+        end, fell, points = miss[ends].tolist(), [], []
+        for i in miss[~ends].tolist():
+            la = self.lookahead_point((x[i], y[i]), s_lb[i], lookahead_dist)
+            pp = la.point
+            s_out[i] = pp.s
+            if la.end_of_path:
+                end.append(i)
+            elif la.fallback:
+                fell.append(i)
+                points.append((*pp.position, *pp.tangent, pp.curvature))
+        fallback = (np.array(fell), np.array(points).T) if fell else None
+        return s_out, np.array(sorted(end), dtype=np.int64), fallback
 
     def sample_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views of the sample rows (px, py, tx, ty, kappa)."""

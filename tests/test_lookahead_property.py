@@ -43,7 +43,7 @@ def reference_lookahead(path, p, s_min, radius):
     sq = np.sqrt(np.where(ok, disc, 0.0))
     sa = np.where(ok, a, 1.0)
     u1, u2 = (-b - sq) / sa, (-b + sq) / sa
-    u_lo = np.where(j * ds < s0, (s0 - j * ds) / ds, -EPS)
+    u_lo = np.where(j == j0, s0 / ds - j0, -EPS)
     hit1 = ok & (u1 > u_lo) & (u1 <= 1.0 + EPS)
     hit2 = ok & (u2 > u_lo) & (u2 <= 1.0 + EPS)
     if (hit1 | hit2).any():
@@ -139,11 +139,21 @@ def test_coincident_samples_rejected():
         sample_table_path([(3.0, 4.0)] * 5, 0.05)
 
 
+def corner_table():
+    # A right-angle corner at (2, 0), reached through four coincident
+    # vertices: zero-length segments and exact ties between the segments
+    # on either side of the corner.
+    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+    n = len(pts)
+    return ReferencePath(pts, np.tile([1.0, 0.0], (n, 1)), np.linspace(-0.5, 0.5, n), 1.0)
+
+
 BATCH_PATHS = {
     "sinusoid": make_sinusoid_path(0.0, 150.0),
     "circle": make_circle_path((0.0, 0.0), 20.0, turns=1.5),
     "polyline": make_polyline_path([(0, 0), (10, 0), (10, 10), (0, 10), (0, 20)], 0.5),
     "line": make_line_path((0.0, 0.0), (1.0, 0.0), 100.0),
+    "corner": corner_table(),
 }
 
 
@@ -152,8 +162,9 @@ BATCH_PATHS = {
 def test_lookahead_many_matches_scalar_bitwise(kind, radius):
     # Seeded states: half within 1.5 look-ahead distances of the path
     # (crossings and ends), 200 whose circle passes within 1e-7 samples of a
-    # table vertex just past s_lb (seam roots), the rest in a box 60 m
-    # around the path (mostly fallbacks).
+    # table vertex just past s_lb (seam roots), 100 with s_lb exactly on a
+    # vertex and the circle through it, 100 hard states of the fallback
+    # projection, the rest in a box 60 m around the path (mostly fallbacks).
     path = BATCH_PATHS[kind]
     px, py, *_ = path.sample_table()
     rng = np.random.default_rng(7)
@@ -170,6 +181,22 @@ def test_lookahead_many_matches_scalar_bitwise(kind, radius):
         theta, r = rng.uniform(-math.pi, math.pi), radius + path.spacing * rng.uniform(-1e-7, 1e-7)
         x[i], y[i] = px[v] - r * math.cos(theta), py[v] - r * math.sin(theta)
         s_lb[i] = (v - rng.uniform(0.0, 0.5)) * path.spacing
+    h = m // 2 + 200
+    v = rng.integers(0, px.size - 1, 100)
+    theta = rng.uniform(-math.pi, math.pi, 100)
+    x[h : h + 100], y[h : h + 100] = px[v] - radius * np.cos(theta), py[v] - radius * np.sin(theta)
+    s_lb[h : h + 100] = v * path.spacing
+    # Exact ties: the circle path's centre, and points far inside the corner table's corner.
+    h += 100
+    x[h : h + 20], y[h : h + 20] = 0.0, 0.0
+    r = radius * rng.uniform(0.8, 2.0, (2, 40))
+    x[h + 20 : h + 60], y[h + 20 : h + 60] = 2.0 + r[0], -r[1]
+    s_lb[h + 40 : h + 60] = 3.0  # guard at the coincident vertices of the table
+    # Near ties within 1e-18 for the projection: points 1e-10 m from a sample, guard behind it.
+    # The circle around a point on the path meets it, so these rows cross or end.
+    k = rng.integers(1, px.size - 1, 40)
+    x[h + 60 : h + 100], y[h + 60 : h + 100] = px[k] + rng.normal(0.0, 1e-10, 40), py[k] + rng.normal(0.0, 1e-10, 40)
+    s_lb[h + 60 : h + 100] = k * path.spacing * rng.uniform(0.0, 1.0, 40)
     s, end_rows, fallback = path.lookahead_many(x, y, s_lb, radius)
     ended, fell = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     ended[end_rows] = True
@@ -188,13 +215,28 @@ def test_lookahead_many_matches_scalar_bitwise(kind, radius):
     assert ended.any() and fell.any() and not (ended | fell).all()
 
 
-def test_lookahead_many_skips_guarded_projection_when_every_miss_ends(monkeypatch):
-    # Rows without a crossing whose path end lies inside the circle need no
-    # fallback point, so the batched guarded projection must not run.
-    def refuse(*args):
-        raise AssertionError("guarded projection called")
+def test_lookahead_many_vertex_start_matches_scalar():
+    # s_min on a table vertex with the circle through that vertex: the root
+    # at s_min lies behind the progress, and both forms take the one ahead.
+    path = make_line_path((0.0, 0.0), (1.0, 0.0), 200.0)
+    la = path.lookahead_point((10.0, 0.0), 0.0, 10.0)
+    s, end_rows, fallback = path.lookahead_many(np.array([10.0]), np.array([0.0]), np.array([0.0]), 10.0)
+    assert la.point.s == s[0] == 20.0
+    assert not (la.fallback or la.end_of_path) and end_rows.size == 0 and fallback is None
 
-    monkeypatch.setattr(ReferencePath, "_guarded_project_many", refuse)
+
+def test_lookahead_many_ends_rows_without_the_scalar_query(monkeypatch):
+    # Rows without a crossing whose path end lies inside the circle end in
+    # the batched code; only the row whose crossing lies past the first
+    # chunk takes the scalar query.
+    lookahead_point = ReferencePath.lookahead_point
+
+    def scalar(self, p, s_min, lookahead_dist):
+        if p != (50.0, 0.0):
+            raise AssertionError(f"scalar look-ahead called for {p}")
+        return lookahead_point(self, p, s_min, lookahead_dist)
+
+    monkeypatch.setattr(ReferencePath, "lookahead_point", scalar)
     path = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
     x, y = np.array([50.0, 95.0, 97.0, 99.5]), np.array([0.0, 0.0, 1.0, -2.0])
     s, end_rows, fallback = path.lookahead_many(x, y, x.copy(), 10.0)

@@ -18,7 +18,6 @@ from pathfollow.path import (
     ReferencePath,
     make_circle_path,
     make_line_path,
-    make_polyline_path,
     make_sinusoid_path,
 )
 from pathfollow.vehicle import VehicleState, step
@@ -278,47 +277,3 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
             assert abs(dist - d[i]) <= 2 * np.spacing(dist)
             rows += 1
     assert rows == 121 * 400
-
-
-def corner_table():
-    # A right-angle corner at (2, 0), reached through four coincident
-    # vertices: zero-length segments and exact ties between the segments
-    # on either side of the corner.
-    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
-    n = len(pts)
-    return ReferencePath(pts, np.tile([1.0, 0.0], (n, 1)), np.linspace(-0.5, 0.5, n), 1.0)
-
-
-GUARD_PATHS = {
-    "sinusoid": make_sinusoid_path(0.0, 150.0),
-    "circle": make_circle_path((0.0, 0.0), 20.0, turns=1.5),
-    "polyline": make_polyline_path([(0, 0), (10, 0), (10, 10), (0, 10), (0, 20)], 0.5),
-    "corner": corner_table(),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(GUARD_PATHS))
-def test_guarded_projection_matches_scalar_project_bitwise(kind):
-    # The look-ahead's no-crossing rows take the scalar guarded projection,
-    # resolved for all rows at once; compare it field for field with the
-    # scalar query on random states, most of them far off the path.
-    path = GUARD_PATHS[kind]
-    px, py, *_ = path.sample_table()
-    rng = np.random.default_rng(11)
-    m = 3000
-    x = rng.uniform(px.min() - 60.0, px.max() + 60.0, m)
-    y = rng.uniform(py.min() - 60.0, py.max() + 60.0, m)
-    s_hint = rng.uniform(0.0, path.total_length, m)
-    # Exact ties: the circle's centre, and points inside the table's corner.
-    x[:20], y[:20] = 0.0, 0.0
-    x[20:40], y[20:40] = rng.uniform(2.0, 5.0, 20), rng.uniform(-5.0, 0.0, 20)
-    s_hint[40:60] = 3.0  # guard at the coincident vertices of the table
-    # Near ties within 1e-18: points 1e-10 m from a sample, guard behind it.
-    k = rng.integers(1, px.size - 1, 40)
-    x[60:100], y[60:100] = px[k] + rng.normal(0.0, 1e-10, 40), py[k] + rng.normal(0.0, 1e-10, 40)
-    s_hint[60:100] = k * path.spacing * rng.uniform(0.0, 1.0, 40)
-    s, pts = path._guarded_project_many(x, y, s_hint)
-    for i in range(m):
-        pp, _ = path.project((x[i], y[i]), s_hint=s_hint[i], window=path.total_length)
-        got = (s[i], (pts[0, i], pts[1, i]), (pts[2, i], pts[3, i]), pts[4, i])
-        assert got == (pp.s, pp.position, pp.tangent, pp.curvature), (kind, i)
