@@ -59,13 +59,13 @@ def _json_numbers(values: dict) -> dict:
     return {k: v if math.isfinite(v) else None for k, v in values.items()}
 
 
-def _summary_dict(run: RunRecord, close: metrics.RunSummary) -> dict:
+def _summary_dict(run: RunRecord, close: metrics.RunSummary | None) -> dict:
     return {
         "controller": run.controller,
         "samples": len(run),
         "duration_s": run.t[-1] if run.t else 0.0,
         "phases": sorted(set(run.phase), key=run.phase.index),
-        "close_range": _json_numbers(asdict(close)),
+        "close_range": None if close is None else _json_numbers(asdict(close)),
         "full_mission": _json_numbers(asdict(metrics.summarize(run, close_only=False))),
         "timed_out": run.timed_out,
     }
@@ -108,17 +108,20 @@ def cmd_run(args) -> int:
     summary = {"scenario": {"heading_deg": cfg.heading_deg, "controllers": controllers}}
     for controller, run in runs.items():
         _write_atomic(out / f"trajectory_{controller}.csv", _trajectory_csv(run))
-        close = metrics.summarize(run)
+        # Only a mission that timed out can end without close-range samples.
+        close = metrics.summarize(run) if metrics.PHASE_CLOSE in run.phase else None
         summary[controller] = _summary_dict(run, close)
-        print(
+        print(f"{controller}: no close-range samples ({len(run)} steps)" if close is None else (
             f"{controller}: a_rms={close.a_rms:.4f} m/s^2  d_rms={close.d_rms:.4f} m  "
             f"a_max={close.a_max:.4f} m/s^2  ({len(run)} steps)"
-        )
+        ))
     if len(runs) == 2:
-        cte_pct, ae_pct = metrics.improvements(runs[CONTROLLER_BASELINE], runs[CONTROLLER_PROPOSED])
-        # A percentage over a zero baseline is undefined (nan), so null.
-        summary["improvements"] = _json_numbers({"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct})
-        print(f"improvement: cte_rms={cte_pct:.3f}%  ae_rms={ae_pct:.3f}%")
+        summary["improvements"] = None
+        if all(metrics.PHASE_CLOSE in run.phase for run in runs.values()):
+            cte_pct, ae_pct = metrics.improvements(runs[CONTROLLER_BASELINE], runs[CONTROLLER_PROPOSED])
+            # A percentage over a zero baseline is undefined (nan), so null.
+            summary["improvements"] = _json_numbers({"cte_rms_pct": cte_pct, "ae_rms_pct": ae_pct})
+            print(f"improvement: cte_rms={cte_pct:.3f}%  ae_rms={ae_pct:.3f}%")
     _write_atomic(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for controller, run in runs.items():
         if run.timed_out:

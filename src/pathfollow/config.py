@@ -19,7 +19,7 @@ import numpy as np
 
 from . import path as pathmod
 from .guidance import LOOKAHEAD_SPEED_CAP, MIN_TARGET_DIST
-from .optimizer import MAX_GRID, OptimizerSettings
+from .optimizer import MAX_GRID, MAX_ROLLOUT_STEPS, OptimizerSettings
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig
 from .vehicle import VehicleState
 
@@ -254,9 +254,17 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
     # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, the blend's weighted sum,
     # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2,
     # and the square of the farthest flight speed * max_time, which the projections' squared distances meet.
+    # Past a finite coast, the tuner's rollout runs min(d_limit, MAX_RADIUS) / speed / dt steps at most.
     gd, v, dt, mt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt"), sec["sim"].get("max_time")
-    if None not in (gd.get("lookahead"), v, dt) and not math.isfinite(gd["lookahead"] / v / dt):
-        problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
+    opt = sec["optimizer"]
+    if None not in (gd.get("lookahead"), v, dt):
+        if not math.isfinite(gd["lookahead"] / v / dt):
+            problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
+        elif opt.get("enabled") and "d_limit" in opt:
+            d_limit = 2.0 * gd["lookahead"] if opt["d_limit"] is None else opt["d_limit"]
+            if (n := min(d_limit, pathmod.MAX_RADIUS) / v / dt) > MAX_ROLLOUT_STEPS:
+                problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {pathmod.MAX_RADIUS:g}) / speed / dt steps must be"
+                                f" at most {MAX_ROLLOUT_STEPS}, got {n:.6g} at d_limit {d_limit!r}, speed {v!r}, dt {dt!r}")
     if None not in (v, dt) and not math.isfinite(dt * 2.0 * v / MIN_TARGET_DIST):
         problems.append(f"sim.dt: the turn per step dt * 2 speed / {MIN_TARGET_DIST} must be finite, got {dt!r} at speed {v!r}")
     if None not in (v, mt) and not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises

@@ -15,8 +15,8 @@ law and the step, and each transcendental runs once over stacked rows.  That
 is exact, because numpy's float64 ufuncs give an element the same bits in any
 array (tests/test_rollout_kernel.py).  The search is bit-deterministic:
 the reduction orders by (cost, k2, k1), so results do not depend on
-evaluation order, and a refine round rolls out each distinct clipped gain
-value once.
+evaluation order, and a round rolls out each distinct clipped gain value
+once, plus the incumbent.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ from .guidance import GuidanceGains, blended_many, track_projection
 from .path import ReferencePath, curvature_radius
 from .vehicle import VehicleState, step_arrays
 
-# Most grid points per axis: a search round rolls out up to grid^2 rows at
+# Most grid points per axis: a search round rolls out up to grid^2 + 1 rows at
 # about 1 KB each (9.8 MB at 101); a larger grid is refused up front.
 MAX_GRID = 101
+# Most steps in one rollout, min(d_limit, MAX_RADIUS) / speed / dt (400 in the
+# stock scenario); a scenario whose tuner could ask for more is refused up front.
+MAX_ROLLOUT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -112,46 +115,36 @@ def optimize_gains(
 ) -> OptimizedGains:
     """Coarse-to-fine grid search for the gain pair with least local cost.
 
-    A uniform grid over [0, k_max]^2 is evaluated first (always including the
-    baseline pair (1, 0)), then the winning cell is halved and re-gridded for
-    each refinement round.  Ties break toward smaller k2, then smaller k1.
-    If every candidate is infeasible the baseline pair is returned with the
-    fallback flag set.  Rollouts saturate commands at ``a_max``, as the
-    mission does.
+    Each round grids the box of side ``delta`` centred on the incumbent, clipped
+    to [0, k_max]^2, and shrinks ``delta`` by ``grid - 1``.  Round 0 is centred
+    at (k_max/2, k_max/2) with ``delta = k_max``, so it grids the whole box; the
+    incumbent starts as the baseline pair (1, 0), so that pair always competes.
+    A round rolls out each distinct clipped gain value once, plus the incumbent
+    when the grid lacks it, so cost never regresses.  Ties break toward smaller
+    k2, then smaller k1.  If every candidate is infeasible the baseline pair is
+    returned with the fallback flag set.  Rollouts saturate commands at
+    ``a_max``, as the mission does.
     """
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = max(1, int(round(horizon / dt)))
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
-    g = settings.grid
-    axis = np.linspace(0.0, settings.k_max, g)
-    k1c, k2c = [a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")]
-    if not np.any((k1c == 1.0) & (k2c == 0.0)):
-        k1c = np.append(k1c, 1.0)
-        k2c = np.append(k2c, 0.0)
-
-    def evaluate(k1s, k2s):
-        return _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps, a_max)
-
-    def pick(k1s, k2s, costs):
-        i = np.lexsort((k1s, k2s, costs))[0]
-        return float(k1s[i]), float(k2s[i]), float(costs[i])
-
-    best_k1, best_k2, best_cost = pick(k1c, k2c, evaluate(k1c, k2c))
-
-    delta = settings.k_max / (g - 1)
-    for _ in range(settings.refine_rounds):
+    g, k_max = settings.grid, settings.k_max
+    best_k1, best_k2 = 1.0, 0.0  # the incumbent
+    centre, delta = (k_max / 2.0, k_max / 2.0), k_max
+    for _ in range(settings.refine_rounds + 1):
         half = delta / 2.0
-        # Distinct clipped values only (a winner on the box edge clips half an
-        # axis onto it): rows roll out independently and pick sorts on the
-        # full key, so duplicates cannot change the pick.
-        axes = [np.linspace(b - half, b + half, g) for b in (best_k1, best_k2)]
-        a1, a2 = (np.unique(np.minimum(np.maximum(a, 0.0), settings.k_max)) for a in axes)
-        m1, m2 = [a.ravel() for a in np.meshgrid(a1, a2, indexing="ij")]
-        # The incumbent competes with the refined grid so cost never regresses.
-        costs = np.append(evaluate(m1, m2), best_cost)
-        best_k1, best_k2, best_cost = pick(np.append(m1, best_k1), np.append(m2, best_k2), costs)
-        delta = delta / (g - 1)
+        # Rows roll out independently and the pick sorts on the full key, so
+        # neither a duplicate value (a centre on the box edge clips half an
+        # axis onto it) nor a re-rolled incumbent can change the pick.
+        a1, a2 = (np.unique(np.minimum(np.maximum(np.linspace(b - half, b + half, g), 0.0), k_max)) for b in centre)
+        k1s, k2s = [a.ravel() for a in np.meshgrid(a1, a2, indexing="ij")]
+        if not np.any((k1s == best_k1) & (k2s == best_k2)):
+            k1s, k2s = np.append(k1s, best_k1), np.append(k2s, best_k2)
+        costs = _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps, a_max)
+        i = np.lexsort((k1s, k2s, costs))[0]
+        best_k1, best_k2, best_cost = float(k1s[i]), float(k2s[i]), float(costs[i])
+        centre, delta = (best_k1, best_k2), delta / (g - 1)
 
     if not math.isfinite(best_cost):
         return OptimizedGains(1.0, 0.0, math.inf, horizon, fallback=True)

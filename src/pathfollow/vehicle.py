@@ -74,15 +74,13 @@ def step(
     return VehicleState(x, y, psi4, v, state.t + dt)
 
 
-def step_arrays(x, y, psi, a_cmd, speed: float, dt: float, cs=None):
+def step_arrays(x, y, psi, a_cmd, speed: float, dt: float, cs):
     """Vectorized RK4 step matching :func:`step`; used by batched rollouts.
 
-    ``cs`` may hold cos(psi) and sin(psi) as rows, computed once for the law and the step.
+    ``cs`` holds cos(psi) and sin(psi) as rows, computed once for the law and the step.
     psi2 and psi4 share one cos and one sin call, and x and y one update, each element with
     :func:`step`'s operations in its order, so the step is the same bit for bit.
     """
-    if cs is None:
-        cs = np.array((np.cos(psi), np.sin(psi)))
     ang = np.multiply.outer((0.5 * dt, dt), a_cmd / speed)  # psi2 - psi, psi4 - psi
     ang += psi
     trig = np.empty((2,) + ang.shape)  # cos, then sin, of psi2 and psi4

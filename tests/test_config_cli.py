@@ -110,6 +110,9 @@ def test_integer_values_parse_as_floats():
          ["optimizer.enabled: expected true/false, got 1", "optimizer.grid: expected integer in [3, 101], got 11.0",
           "optimizer.refine_rounds: expected integer >= 0, got -1",
           "optimizer.d_limit: expected a finite number, got nan"]),
+        ({"guidance": {"lookahead": 1e4}, "optimizer": {"d_limit": None}},
+         ["optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
+          " got 400000 at d_limit 20000.0, speed 5.0, dt 0.01"]),
         ({"sweep": {"headings_deg": []}}, ["sweep.headings_deg: expected a non-empty list"]),
         ({"sweep": {"headings_deg": [1, "a", None]}}, ["sweep.headings_deg: non-numeric entries ['a', None]"]),
         ({"controller": "bogus", "vehicel": {}},
@@ -120,6 +123,10 @@ def test_problem_messages(scenario, problems):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(scenario)
     assert exc.value.problems == problems
+
+
+def test_rollout_step_bound_applies_only_with_the_tuner():
+    assert parse_scenario({"guidance": {"lookahead": 1e4}, "optimizer": {"enabled": False}}).optimizer is None
 
 
 def test_partial_overrides_merge_with_defaults():
@@ -413,6 +420,35 @@ def test_cmd_run_timed_out_mission_exits_5(tmp_path, capsys):
     ]
 
 
+def test_cmd_run_timeout_before_close_range_exits_5(tmp_path, capsys):
+    # Neither mission reaches close range in 2 s: summarize raised "run has no close-range samples", exit 1,
+    # after path.csv and one trajectory were written.
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    cfg = {"path": {"kind": "sinusoid", "x_start": 0, "x_end": 150}, "vehicle": {"start": [0, 80], "heading_deg": -90},
+           "controller": "both", "sim": {"max_time": 2}}
+    out = tmp_path / "far"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 5
+    names = ["path.csv", "summary.json", "trajectory_baseline.csv", "trajectory_proposed.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    for controller in ("baseline", "proposed"):
+        assert summary[controller]["close_range"] is None
+        assert summary[controller]["timed_out"] and summary[controller]["phases"] == ["midcourse"]
+        assert summary[controller]["full_mission"]["d_rms"] > 0.0
+    assert summary["improvements"] is None
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "baseline: no close-range samples (200 steps)",
+        "proposed: no close-range samples (200 steps)",
+    ]
+    assert captured.err.splitlines() == [
+        "baseline mission timed out at t=1.99 s",
+        "proposed mission timed out at t=1.99 s",
+    ]
+
+
 def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
     pts = np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 15, 40)])
     np.savetxt(tmp_path / "pts.csv", pts, delimiter=",")
@@ -533,8 +569,14 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
             {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 1e159, "dt": 1e156}},
             "sim.max_time: the farthest flight speed * max_time must square to a finite float, got 1e+159 at speed 1e+150",
         ),
+        # The rollout horizon reached the 1e6 m radius clamp: 2e7 steps per candidate row, a practical hang.
+        (
+            {"optimizer": {"d_limit": 1e300}, "controller": "proposed", "sim": {"max_time": 0.5}},
+            "optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
+            " got 2e+07 at d_limit 1e+300, speed 5.0, dt 0.01",
+        ),
     ],
-    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight"],
+    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight", "rollout_steps"],
 )
 def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"

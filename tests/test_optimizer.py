@@ -238,10 +238,57 @@ def test_optimize_gains_reproduces_recorded_stock_updates(stock_path, update, ex
     assert not res.fallback
 
 
+# optimize_gains away from the default settings: an even grid, a grid whose
+# axis misses (1, 0), deeper refinement and saturated rollouts, at two stock
+# updates and the circle state of test_optimize_never_loses_to_baseline_pair.
+# (k1, k2, cost, horizon, fallback), recorded before round 0 joined the
+# refinement loop.
+PINNED_SETTINGS = [
+    (OptimizerSettings(grid=4), None),
+    (OptimizerSettings(k_max=7.0, grid=5, refine_rounds=1), None),
+    (OptimizerSettings(k_max=3.0, grid=12, refine_rounds=3), None),
+    (OptimizerSettings(k_max=7.0, grid=5, refine_rounds=1), 2.0),
+]
+PINNED_RESULTS = {
+    "stock0": [
+        (9.444444444444445, 6.111111111111112, 0.27511769597919605, 4.0, False),
+        (6.125, 3.9375, 0.2751249564846639, 4.0, False),
+        (2.9046171709582675, 1.8882931493750426, 0.27511607290801054, 4.0, False),
+        (0.0, 0.0, 0.7044892138319792, 4.0, False),
+    ],
+    "stock1": [
+        (1.1111111111111112, 10.0, 0.18552100126784418, 4.0, False),
+        (0.875, 7.0, 0.1868527155723762, 4.0, False),
+        (0.12283996994740795, 3.0, 0.17484855427467852, 4.0, False),
+        (0.875, 7.0, 0.1868527155723762, 4.0, False),
+    ],
+    "circle": [
+        (0.0, 0.0, 0.23469162147297146, 2.0, False),
+        (0.0, 0.0, 0.23469162147297146, 2.0, False),
+        (0.0, 0.0, 0.23469162147297146, 2.0, False),
+        (0.0, 0.0, 0.3427751944116086, 2.0, False),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_optimize_gains_reproduces_recorded_results_at_other_settings(stock_path, name):
+    if name == "circle":
+        path = make_circle_path((0.0, 0.0), 10.0, turns=2.0)
+        st, s_min, s_proj = VehicleState(10.5, 0.0, math.radians(95.0), 5.0), 0.0, None
+    else:
+        x, y, heading, s_min, s_proj = STOCK_UPDATES[int(name[-1])][0]
+        path, st = stock_path, VehicleState(x, y, heading, 5.0)
+    for (settings, a_max), expected in zip(PINNED_SETTINGS, PINNED_RESULTS[name]):
+        res = optimize_gains(st, path, s_min, settings, 10.0, 0.01, s_proj, a_max)
+        assert (res.k1, res.k2, res.cost, res.horizon, res.fallback) == expected
+
+
 @pytest.mark.parametrize("rows", [[0], [60], [7, 120, 3], list(range(0, 121, 7)), list(range(40, 58))])
 def test_rollout_rows_are_bitwise_independent(stock_path, rows):
-    # The refine rounds roll out only distinct gain values, which is exact
-    # only if a row's cost does not depend on the other rows in the batch.
+    # A search round rolls out only distinct gain values and re-rolls the
+    # incumbent, which is exact only if a row's cost does not depend on the
+    # other rows in the batch.
     x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
     st = VehicleState(x, y, heading, 5.0)
     axis = np.linspace(0.0, 10.0, 11)

@@ -125,7 +125,7 @@ def test_step_arrays_matches_scalar():
     y = rng.uniform(-10, 10, 50)
     psi = rng.uniform(-3, 3, 50)
     a = rng.uniform(-5, 5, 50)
-    xn, yn, pn = step_arrays(x, y, psi, a, 5.0, 0.01)
+    xn, yn, pn = step_arrays(x, y, psi, a, 5.0, 0.01, np.array((np.cos(psi), np.sin(psi))))
     for i in range(50):
         s = step(VehicleState(x[i], y[i], psi[i], 5.0), float(a[i]), 0.01)
         assert xn[i] == pytest.approx(s.x, abs=1e-12)
