@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from itertools import repeat
 from pathlib import Path as FsPath
 
 from . import metrics
@@ -184,6 +186,29 @@ def _render_sweep_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_sweep_csv(rows: list[dict]) -> str:
+    lines = [",".join(_SWEEP_COLUMNS)]
+    for r in rows:
+        if "error" in r:
+            lines.append(f"{_fmt(r['heading_deg'])}," + ",".join(["nan"] * 9))
+        else:
+            lines.append(",".join(_fmt(r[c]) for c in _SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def run_sweep(cfg: ScenarioConfig, path: ReferencePath) -> list[dict]:
+    """The sweep's rows, one per heading in order, each flown in a worker process.
+
+    The pool holds one worker per CPU and at most one per heading.  Workers are
+    spawned, not forked: numpy's BLAS threads are already running here.  So a
+    script that calls this must guard its own top level with
+    ``if __name__ == "__main__"``, as spawned workers import it."""
+    headings = cfg.sweep_headings_deg
+    workers = min(len(headings), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_sweep_row, repeat(cfg), repeat(path), headings))
+
+
 def cmd_sweep(args) -> int:
     try:
         cfg = load_scenario(args.config)
@@ -193,24 +218,8 @@ def cmd_sweep(args) -> int:
 
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    headings = cfg.sweep_headings_deg
-
-    # A fork pool starts every worker at once: never more than rows or cores.
-    workers = min(args.threads, len(headings), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, [cfg] * len(headings), [path] * len(headings), headings))
-    else:
-        rows = [_sweep_row(cfg, path, h) for h in headings]
-
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for r in rows:
-        if "error" in r:
-            lines.append(f"{_fmt(r['heading_deg'])}," + ",".join(["nan"] * 9))
-        else:
-            lines.append(",".join(_fmt(r[c]) for c in _SWEEP_COLUMNS))
-    _write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
-
+    rows = run_sweep(cfg, path)
+    _write_atomic(out / "sweep.csv", _render_sweep_csv(rows))
     text = _render_sweep_text(rows)
     _write_atomic(out / "sweep.txt", text)
     errors = {str(r["heading_deg"]): r["error"] for r in rows if "error" in r}
@@ -260,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the initial-heading sweep comparison table")
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--out", default="runs/sweep")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes, at most one per row and per CPU")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="diff two run directories")

@@ -20,7 +20,7 @@ import numpy as np
 from . import path as pathmod
 from .guidance import LOOKAHEAD_SPEED_CAP, MIN_TARGET_DIST
 from .optimizer import MAX_GRID, MAX_ROLLOUT_STEPS, OptimizerSettings
-from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig
+from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MAX_MISSION_STEPS, MissionConfig
 from .vehicle import VehicleState
 
 CONTROLLER_BOTH = "both"
@@ -254,13 +254,18 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
     # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, the blend's weighted sum,
     # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2,
     # and the square of the farthest flight speed * max_time, which the projections' squared distances meet.
-    # Past a finite coast, the tuner's rollout runs min(d_limit, MAX_RADIUS) / speed / dt steps at most.
+    # A mission runs max_time / dt steps at most.  Within that and past a finite coast, the tuner's rollout runs
+    # min(d_limit, MAX_RADIUS) / speed / dt steps at most; a too-long mission is refused on its own line alone.
     gd, v, dt, mt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt"), sec["sim"].get("max_time")
     opt = sec["optimizer"]
+    too_long = None not in (mt, dt) and not mt / dt <= MAX_MISSION_STEPS  # a quotient past the float range is inf
+    if too_long:
+        problems.append(f"sim.max_time: a mission's max_time / dt steps must be at most {MAX_MISSION_STEPS},"
+                        f" got {mt / dt:.6g} at max_time {mt!r}, dt {dt!r}")
     if None not in (gd.get("lookahead"), v, dt):
         if not math.isfinite(gd["lookahead"] / v / dt):
             problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
-        elif opt.get("enabled") and "d_limit" in opt:
+        elif opt.get("enabled") and "d_limit" in opt and not too_long:
             d_limit = 2.0 * gd["lookahead"] if opt["d_limit"] is None else opt["d_limit"]
             if (n := min(d_limit, pathmod.MAX_RADIUS) / v / dt) > MAX_ROLLOUT_STEPS:
                 problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {pathmod.MAX_RADIUS:g}) / speed / dt steps must be"

@@ -335,7 +335,7 @@ class ReferencePath:
         # Roots landing exactly on a table vertex jitter a hair outside [0, 1];
         # widen the acceptance band and clamp so seam roots are never dropped.
         # A skip leaves a full chord of margin, far wider than this band.
-        eps = 1e-9
+        eps = _SEAM_EPS
         while j < last:
             rx, ry = pxl[j] - px, pyl[j] - py
             skip = abs(hypot(rx, ry) - lookahead_dist) / max_chord - 1.0

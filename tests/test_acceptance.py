@@ -5,6 +5,7 @@ lines.  The heading sweep backing criterion 4 runs once as a session
 fixture; everything else is self-contained.
 """
 
+import hashlib
 import math
 import time
 
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import pathfollow as pf
-from pathfollow.cli import _sweep_row
-from pathfollow.config import DEFAULT_SWEEP_HEADINGS, default_scenario, parse_scenario
+from pathfollow.cli import _render_sweep_csv, _render_sweep_text, run_sweep
+from pathfollow.config import default_scenario, parse_scenario
 from pathfollow.guidance import GuidanceGains, blend_weights, blended_command, corrector_geometry
 from pathfollow.metrics import PHASE_CIRCLE, PHASE_CLOSE, PHASE_MIDCOURSE
 from pathfollow.midcourse import InitiationCircle, brute_force_extremum, contact_solutions
@@ -155,7 +156,7 @@ def test_criterion_3_tangency_oracle():
 def sweep_rows():
     cfg = parse_scenario(default_scenario())
     t0 = time.perf_counter()
-    rows = [_sweep_row(cfg, cfg.build_path(), h) for h in DEFAULT_SWEEP_HEADINGS]
+    rows = run_sweep(cfg, cfg.build_path())
     elapsed = time.perf_counter() - t0
     assert all("error" not in r for r in rows), rows
     return rows, elapsed
@@ -213,6 +214,15 @@ def test_criterion_4d_sweep_runtime(sweep_rows):
     ok = elapsed < 300.0
     report("4d sweep runtime", ok, f"11-heading sweep took {elapsed:.1f} s (< 300 s)")
     assert ok
+
+
+def test_stock_sweep_bytes_are_unchanged(sweep_rows):
+    # The reproduction's numbers: sweep.csv and sweep.txt of `pathfollow sweep` on the stock scenario.
+    rows, _ = sweep_rows
+    assert hashlib.sha256(_render_sweep_csv(rows).encode()).hexdigest() == (
+        "91e48b7e3ea0b49dd887a8bdd28d0c0c88401f9866a6e54678850c8a4bc19881")
+    assert hashlib.sha256(_render_sweep_text(rows).encode()).hexdigest() == (
+        "911f985f03cf1a6bfb9de610b8fe8ceacb3c7404ccc49b5494585a6345023306")
 
 
 # ----------------------------------------------------------------------

@@ -295,25 +295,22 @@ def test_cmd_sweep_single_row_matches_run(tmp_path):
     assert float(row[5]) == pytest.approx(summary["proposed"]["close_range"]["d_rms"], rel=1e-12)
 
 
-def test_cmd_sweep_parallel_matches_serial(tmp_path):
-    cfgp = write_config(tmp_path, sweep_scenario())
-    out1, out2 = tmp_path / "ser", tmp_path / "par"
-    assert main(["sweep", "--config", cfgp, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfgp, "--out", str(out2), "--threads", "2"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+def test_cmd_sweep_parallel_matches_serial():
+    # The pooled sweep renders the bytes of the rows flown in this process.
+    cfg = parse_scenario(sweep_scenario())
+    path = cfg.build_path()
+    rows = [cli._sweep_row(cfg, path, h) for h in cfg.sweep_headings_deg]
+    assert cli._render_sweep_csv(cli.run_sweep(cfg, path)) == cli._render_sweep_csv(rows)
 
 
-@pytest.mark.parametrize(
-    "threads, cpus, workers",
-    [(1000, 2, 2), (1000, 64, 3), (2, 64, 2), (1000, None, None), (1, 64, None), (0, 64, None)],
-)
-def test_cmd_sweep_caps_worker_processes(tmp_path, monkeypatch, threads, cpus, workers):
-    # A fork pool starts all its workers at once, so --threads is capped by
-    # the row count and the CPU count.  The fake pool starts no process.
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3), (None, 1), (1, 1)])
+def test_cmd_sweep_caps_worker_processes(tmp_path, monkeypatch, cpus, workers):
+    # A pool of more workers than rows or CPUs would only start idle
+    # processes, so the sweep sizes it from both.  The fake pool starts no process.
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -331,9 +328,17 @@ def test_cmd_sweep_caps_worker_processes(tmp_path, monkeypatch, threads, cpus, w
     cfg = sweep_scenario()
     cfg["sweep"] = {"headings_deg": [-10.0, 15.0, 40.0]}
     out = tmp_path / "sw"
-    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out), "--threads", str(threads)]) == 0
-    assert sizes == ([] if workers is None else [workers])
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert sizes == [workers]
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_has_no_threads_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--out", str(tmp_path / "sw"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cmd_sweep_records_failed_rows(tmp_path):
@@ -575,8 +580,14 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
             "optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
             " got 2e+07 at d_limit 1e+300, speed 5.0, dt 0.01",
         ),
+        # A mission of 1.8e9 steps: about 221 B of telemetry per step, hundreds of GB before it could end.
+        (
+            {"sim": {"dt": 1e-6}},
+            "sim.max_time: a mission's max_time / dt steps must be at most 2000000, got 1.8e+09 at max_time 1800.0, dt 1e-06",
+        ),
     ],
-    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight", "rollout_steps"],
+    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight", "rollout_steps",
+         "mission_steps"],
 )
 def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
