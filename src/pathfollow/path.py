@@ -12,8 +12,8 @@ same table, beside their scalar forms and under the same rules;
 to the scalar ``lookahead_point``.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
-closed-form derivatives; arbitrary polylines are resampled through a cubic
-fit.  A ReferencePath's sample table is read-only after construction, every
+closed-form derivatives; polylines are resampled along their not-a-knot cubic
+spline.  A ReferencePath's sample table is read-only after construction, every
 query returns fresh PathPoint / LookaheadResult records and the library never
 mutates a record after building it, so one path can be shared across threads.
 """
@@ -437,21 +437,14 @@ def _check_samples(count: float) -> None:
         raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES:,} per table or grid")
 
 
-def _from_parametric(
-    t_fine: np.ndarray,
-    pos_of: callable,
-    tan_of: callable,
-    kappa_of: callable,
-    speed_of: np.ndarray,
-    spacing: float,
-) -> ReferencePath:
-    """Build a uniform arc-length table from a parametric description.
+def _from_parametric(t_fine: np.ndarray, curve: callable, spacing: float) -> ReferencePath:
+    """Uniform arc-length table of ``curve(t)``: the position and its first two derivatives in t.
 
-    ``speed_of`` holds |d pos / d t| on the fine grid; the cumulative
-    trapezoid of it maps parameter to arc length, which is then inverted
-    onto a uniform arc-length grid.
+    Each comes as an (x, y) pair, which may hold scalars.  The cumulative trapezoid of the speed
+    on the fine grid maps parameter to arc length, which is then inverted onto a uniform grid.
     """
-    seg = 0.5 * (speed_of[1:] + speed_of[:-1]) * np.diff(t_fine)
+    speed = np.hypot(*curve(t_fine)[1])
+    seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t_fine)
     s_fine = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(s_fine[-1])
     if not total > 0.0:
@@ -459,12 +452,10 @@ def _from_parametric(
     _check_samples(total / spacing + 1.0)
     n = max(int(math.ceil(total / spacing)) + 1, 2)
     ds = total / (n - 1)
-    s_grid = ds * np.arange(n)
-    t_grid = np.interp(s_grid, s_fine, t_fine)
-    positions = pos_of(t_grid)
-    tangents = tan_of(t_grid)
-    curvatures = kappa_of(t_grid)
-    return ReferencePath(positions, tangents, curvatures, ds)
+    (x, y), (dx, dy), (ddx, ddy) = curve(np.interp(ds * np.arange(n), s_fine, t_fine))
+    h = np.hypot(dx, dy)
+    kappa = (dx * ddy - dy * ddx) / np.power(dx * dx + dy * dy, 1.5)
+    return ReferencePath(np.column_stack([x, y]), np.column_stack([dx / h, dy / h]), kappa, ds)
 
 
 def make_sinusoid_path(
@@ -474,32 +465,13 @@ def make_sinusoid_path(
     if not x_lo < x_hi:
         raise ValueError("empty domain: x_lo must be below x_hi")
 
-    def y(x):
-        return 10.0 * np.sin(0.078 * x) + 20.0 * np.cos(0.082 * x)
-
-    def yp(x):
-        return 0.78 * np.cos(0.078 * x) - 1.64 * np.sin(0.082 * x)
-
-    def ypp(x):
-        return -0.06084 * np.sin(0.078 * x) - 0.13448 * np.cos(0.082 * x)
+    def curve(x):
+        s1, c1, s2, c2 = np.sin(0.078 * x), np.cos(0.078 * x), np.sin(0.082 * x), np.cos(0.082 * x)
+        return (x, 10.0 * s1 + 20.0 * c2), (1.0, 0.78 * c1 - 1.64 * s2), (0.0, -0.06084 * s1 - 0.13448 * c2)
 
     _check_samples((x_hi - x_lo) / 0.001 + 1.0)
     fine = np.linspace(x_lo, x_hi, max(int((x_hi - x_lo) / 0.001) + 1, 16))
-    speeds = np.hypot(1.0, yp(fine))
-
-    def pos_of(x):
-        return np.column_stack([x, y(x)])
-
-    def tan_of(x):
-        g = yp(x)
-        h = np.hypot(1.0, g)
-        return np.column_stack([1.0 / h, g / h])
-
-    def kappa_of(x):
-        g = yp(x)
-        return ypp(x) / np.power(1.0 + g * g, 1.5)
-
-    return _from_parametric(fine, pos_of, tan_of, kappa_of, speeds, spacing)
+    return _from_parametric(fine, curve, spacing)
 
 
 def make_circle_path(
@@ -551,43 +523,69 @@ def make_line_path(
     return ReferencePath(positions, tangents, curvatures, ds)
 
 
-def make_polyline_path(points, spacing: float = DEFAULT_SPACING) -> ReferencePath:
-    """Path through (x, y) samples, with cubic-fit tangents and curvatures.
+def _knot_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Slopes dy/dt at the knots ``t`` of the not-a-knot cubic spline through the rows of ``y``.
 
-    A chord shorter than ``MIN_CHORD_RATIO`` (1e-6) times the longest one is
-    rejected with ValueError before any table is built: the cubic fit through
-    such a nearly repeated point overshoots by orders of magnitude.
+    scipy ``CubicSpline``'s equations: the parabola for 3 knots, else a tridiagonal system swept
+    forward and back in plain floats.  They are homogeneous in the knot spacings, scaled to at
+    most 1 so no product under- or overflows, and real, so one complex x + iy sweep solves both.
     """
-    from scipy.interpolate import CubicSpline
+    h = np.diff(t)
+    m, h = np.diff(y[:, 0] + 1j * y[:, 1]) / h, h / h.max()
+    if h.size == 2:
+        c = (m[1] - m[0]) / (h[0] + h[1])
+        s = np.array([m[0] - c * h[0], m[0] + c * h[0], m[1] + c * h[1]])
+    else:
+        w0, w1 = h[0] + h[1], h[-2] + h[-1]
+        # Row i: lo[i] s[i - 1] + diag[i] s[i] + up[i] s[i + 1] = r[i]; r[n] = 0 ends the back sweep.
+        lo = np.concatenate(([0.0], h[1:], [w1])).tolist()
+        diag = np.concatenate(([h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]])).tolist()
+        up = np.concatenate(([w0], h[:-1], [0.0])).tolist()
+        r0 = ((h[0] + 2.0 * w0) * h[1] * m[0] + h[0] * h[0] * m[1]) / w0
+        rn = (h[-1] * h[-1] * m[-2] + (2.0 * w1 + h[-1]) * h[-2] * m[-1]) / w1
+        r = [r0, *(3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])).tolist(), rn, 0.0]
+        for i in range(1, len(diag)):
+            f = lo[i] / diag[i - 1]
+            diag[i] -= f * up[i - 1]
+            r[i] -= f * r[i - 1]
+        for i in range(len(diag) - 1, -1, -1):
+            r[i] = (r[i] - up[i] * r[i + 1]) / diag[i]
+        s = np.array(r[:-1])
+    return np.column_stack([s.real, s.imag])
 
+
+def make_polyline_path(points, spacing: float = DEFAULT_SPACING) -> ReferencePath:
+    """Path through (x, y) samples along their not-a-knot cubic spline in cumulative chord length.
+
+    Non-finite points or chords are ValueErrors before any table is built, and so is a nearly
+    repeated point: a chord under ``MIN_CHORD_RATIO`` (1e-6) of the longest makes the spline
+    overshoot by orders of magnitude, and one under about 1e-162 m squares to 0 in the path queries.
+    A spline past the float range fails ReferencePath's finite-sample check, without a numpy warning.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("polyline needs at least three (x, y) samples")
-    chord = np.hypot(*np.diff(pts, axis=0).T)
-    if np.min(chord) <= MIN_CHORD_RATIO * np.max(chord):
-        raise ValueError(f"polyline has repeated consecutive points (chord {np.min(chord):.3g} m)")
-    t_knots = np.concatenate(([0.0], np.cumsum(chord)))
-    _check_samples(t_knots[-1] / (spacing / 4.0) + 1.0)
-    spline = CubicSpline(t_knots, pts, axis=0)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    if not np.isfinite(pts).all():
+        raise ValueError("polyline has non-finite points")
+    with np.errstate(all="ignore"):
+        chord = np.hypot(*np.diff(pts, axis=0).T)
+        if not np.isfinite(chord).all():
+            raise ValueError("polyline has a chord past the float range")
+        if np.min(chord) <= MIN_CHORD_RATIO * np.max(chord) or not np.min(chord) ** 2 > 0.0:
+            raise ValueError(f"polyline has repeated consecutive points (chord {np.min(chord):.3g} m)")
+        t_knots = np.concatenate(([0.0], np.cumsum(chord)))
+        _check_samples(t_knots[-1] / (spacing / 4.0) + 1.0)
+        h, s = np.diff(t_knots), _knot_slopes(t_knots, pts)
+        m = np.diff(pts, axis=0) / h[:, None]
+        # Per chord, as (4, 2, chords): p0, v, a, b of p = p0 + tau (v + u (a + u b)), with u = tau / h.
+        coef = np.array([pts[:-1], s[:-1], 3.0 * m - 2.0 * s[:-1] - s[1:], s[:-1] + s[1:] - 2.0 * m]).transpose(0, 2, 1)
 
-    fine = np.linspace(0.0, t_knots[-1], max(int(t_knots[-1] / (spacing / 4.0)) + 1, 32))
-    v = d1(fine)
-    speeds = np.hypot(v[:, 0], v[:, 1])
+        def curve(t):
+            i = np.searchsorted(t_knots[1:-1], t, side="right")  # the chord holding t, ends included
+            tau = t - t_knots[i]
+            u = tau / h[i]
+            p, v, a, b = np.take(coef, i, axis=2)
+            return p + tau * (v + u * (a + u * b)), v + u * (2.0 * a + 3.0 * u * b), (2.0 * a + 6.0 * u * b) / h[i]
 
-    def pos_of(t):
-        return spline(t)
-
-    def tan_of(t):
-        g = d1(t)
-        h = np.hypot(g[:, 0], g[:, 1])
-        return g / h[:, None]
-
-    def kappa_of(t):
-        g = d1(t)
-        h = d2(t)
-        sp = np.hypot(g[:, 0], g[:, 1])
-        return (g[:, 0] * h[:, 1] - g[:, 1] * h[:, 0]) / np.power(sp, 3.0)
-
-    return _from_parametric(fine, pos_of, tan_of, kappa_of, speeds, spacing)
+        fine = np.linspace(0.0, t_knots[-1], max(int(t_knots[-1] / (spacing / 4.0)) + 1, 32))
+        return _from_parametric(fine, curve, spacing)

@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathfollow
 from pathfollow import cli
@@ -493,11 +498,19 @@ def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
         {"kind": "polyline", "points": [[0, 0], [1e9, 0], [2e9, 5]]},
         # Points that are not numbers were a TypeError traceback.
         {"kind": "polyline", "points": {"a": 1}},
+        # A NaN point read as too many samples, an infinite one as a repeated point; an overflowing
+        # chord warned first; squared chords that underflow warned, then flew (exit 5 or 3).
+        {"kind": "polyline", "points": [[0, 0], [math.nan, 1], [2, 0]]},
+        {"kind": "polyline", "points": [[0, 0], [math.inf, 1], [2, 0]]},
+        {"kind": "polyline", "points": [[1e308, 0], [-1e308, 0], [1e308, 5]]},
+        {"kind": "polyline", "points": [[0, 0], [1e-300, 0], [2e-300, 1e-300]]},
+        {"kind": "polyline", "points": [[1e200, 0], [1e200, 1e-190], [1e200, 2e-190]]},
     ],
     ids=[
         "zero_direction", "missing_file", "near_coincident_1e-8", "near_coincident_1e-12",
         "length_str", "turns_str", "start_angle_null", "file_int", "turns_bool", "length_negative",
         "line_1e12", "sinusoid_1e9", "circle_r1e9", "polyline_2e9", "points_object",
+        "polyline_nan", "polyline_inf", "polyline_chord_overflow", "polyline_1e-300", "polyline_1e200",
     ],
 )
 def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
@@ -673,6 +686,52 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "summary.json: identical\n"
+
+
+def test_polyline_runs_without_scipy(tmp_path):
+    cfg = {
+        "path": {"kind": "polyline", "points": [[0, 0], [8, 3], [15, -2], [25, 4], [33, 0]]},
+        "vehicle": {"start": [0.0, 0.0], "heading_deg": 20.0},
+        "controller": "baseline",
+        "optimizer": {"enabled": False},
+    }
+    src = str(Path(pathfollow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys; sys.modules['scipy'] = None; from pathfollow.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "trajectory_baseline.csv").exists()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    exponent=st.floats(-300.0, 300.0),
+    points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=12),
+    holes=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 1), st.sampled_from([math.nan, math.inf, -math.inf])), max_size=2
+    ),
+)
+def test_hostile_polylines_run_or_exit_with_one_line(exponent, points, holes):
+    # Warnings are errors in this suite, so a numpy warning or a traceback fails the example.
+    pts = [[x * 10.0**exponent, y * 10.0**exponent] for x, y in points]
+    for i, j, v in holes:
+        pts[i % len(pts)][j] = v
+    cfg = {
+        "path": {"kind": "polyline", "points": pts},
+        "controller": "baseline",
+        "optimizer": {"enabled": False},
+        "sim": {"max_time": 2.0},
+    }
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", write_config(Path(d), cfg), "--out", str(Path(d) / "out")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 5)
+    assert sum(line.startswith("config error: ") for line in lines) == (code == 2)
+    assert code != 2 or len(lines) == 1
 
 
 def test_cmd_compare(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfollow import path as path_module
 from pathfollow.path import (
     MAX_RADIUS,
     MAX_SAMPLES,
@@ -349,3 +350,79 @@ def test_polyline_rejects_nearly_repeated_points(gap):
 def test_polyline_accepts_short_chord_above_ratio():
     path = make_polyline_path([[0, 0], [10, 0], [10.0001, 0], [20, 5]])
     assert path.total_length == pytest.approx(21.78, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        ([[0, 0], [math.nan, 1], [2, 0]], "non-finite points"),
+        ([[0, 0], [math.inf, 1], [2, 0]], "non-finite points"),
+        ([[1e308, 0], [-1e308, 0], [1e308, 5]], "chord past the float range"),
+        # Chords whose squares underflow to 0.
+        ([[0, 0], [1e-300, 0], [2e-300, 1e-300]], "repeated consecutive points"),
+        ([[1e200, 0], [1e200, 1e-190], [1e200, 2e-190]], "repeated consecutive points"),
+    ],
+)
+def test_polyline_refuses_points_out_of_the_float_range_by_name(pts, message):
+    with pytest.raises(ValueError, match=message):
+        make_polyline_path(pts)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-5])
+@pytest.mark.parametrize("n", [4, 5, 9, 30])
+def test_not_a_knot_slopes_reproduce_any_cubic(n, ratio):
+    # A cubic has no knot at all, so the not-a-knot spline through its samples is the cubic itself.
+    # Each chord slope carries a rounding, which the middle chord of a 4-knot spline amplifies by
+    # about 1 / ratio^2: scipy's CubicSpline errs there by as much (7e-7 at 1e-5). Elsewhere both
+    # stay within 2e-10.
+    rng = np.random.default_rng(n)
+    for short in range(n - 1):
+        h = rng.uniform(0.1, 1.0, n - 1)
+        h[short] = ratio
+        t = np.concatenate(([0.0], np.cumsum(h))) * 7.0 - 3.0
+        c = rng.normal(size=(4, 2))
+        y = c[0] + t[:, None] * (c[1] + t[:, None] * (c[2] + t[:, None] * c[3]))
+        dy = c[1] + t[:, None] * (2.0 * c[2] + 3.0 * t[:, None] * c[3])
+        rel = 1e-6 if (n, short) == (4, 1) else 1e-9
+        np.testing.assert_allclose(path_module._knot_slopes(t, y), dy, rtol=0.0, atol=rel * np.abs(dy).max())
+
+
+def test_three_knots_give_the_parabola():
+    t = np.array([0.0, 0.3, 2.0])
+    y = np.column_stack([1.0 + 2.0 * t - 0.5 * t * t, -3.0 * t + 4.0 * t * t])
+    dy = np.column_stack([2.0 - t, -3.0 + 8.0 * t])
+    np.testing.assert_allclose(path_module._knot_slopes(t, y), dy, rtol=0.0, atol=1e-14)
+
+
+def _spline_test_polylines():
+    # The test suite's polylines, but not [[0, 0], [10, 0], [10.0001, 0], [20, 5]]: its middle chord makes
+    # both solves lose digits, 7.9e-7 (scipy) and 8.5e-8 (here) of the slopes off the exact rational solution.
+    theta = np.linspace(0, math.pi, 200)
+    yield np.column_stack([10 * np.cos(theta), 10 * np.sin(theta)])
+    yield np.array([(0, 0), (8, 3), (15, -2), (25, 4), (33, 0)], dtype=float)
+    yield np.array([(0, 0), (10, 0), (10, 10), (0, 10), (0, 20)], dtype=float)
+    yield np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 15, 40)])
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        yield np.cumsum(rng.normal(scale=3.0, size=(rng.integers(3, 30), 2)), axis=0)
+
+
+def test_spline_matches_scipy_cubic_spline(monkeypatch):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    grids = []
+    build = path_module._from_parametric
+    monkeypatch.setattr(
+        path_module, "_from_parametric", lambda t, curve, ds: grids.append((t, curve)) or build(t, curve, ds)
+    )
+    for pts in _spline_test_polylines():
+        make_polyline_path(pts)
+        t_knots = np.concatenate(([0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))))
+        spline = interpolate.CubicSpline(t_knots, pts, axis=0)
+        t, curve = grids.pop()
+        # Within 1e-12 of the larger of 1 and the largest value: a straight polyline's second derivative is noise.
+        for want, got in zip((spline(t, k) for k in range(3)), curve(t)):
+            scale = max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(np.column_stack(got), want, rtol=0.0, atol=1e-12 * scale)
+        want = spline(t_knots, 1)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(path_module._knot_slopes(t_knots, pts), want, rtol=0.0, atol=1e-12 * scale)
