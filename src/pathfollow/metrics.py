@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,19 +15,29 @@ PHASE_CLOSE = "close"
 CSV_HEADER = ("t", "x", "y", "psi", "a_cmd", "cte", "phase", "k1", "k2")
 
 
+def _column() -> array:
+    return array("d")
+
+
 @dataclass
 class RunRecord:
-    """Per-step mission telemetry, one record per integration step."""
+    """Per-step mission telemetry, one record per integration step.
 
-    t: list[float] = field(default_factory=list)
-    x: list[float] = field(default_factory=list)
-    y: list[float] = field(default_factory=list)
-    psi: list[float] = field(default_factory=list)
-    a_cmd: list[float] = field(default_factory=list)
-    cte: list[float] = field(default_factory=list)
+    The numeric columns are ``array('d')``, 8 B a value against a list's 32 for a
+    float and its pointer; ``phase`` is a list of the shared label strings.
+    ``np.asarray`` of a column is a view, and an append fails while one is alive:
+    a caller that keeps the values while the mission runs takes ``np.array``.
+    """
+
+    t: array = field(default_factory=_column)
+    x: array = field(default_factory=_column)
+    y: array = field(default_factory=_column)
+    psi: array = field(default_factory=_column)
+    a_cmd: array = field(default_factory=_column)
+    cte: array = field(default_factory=_column)
     phase: list[str] = field(default_factory=list)
-    k1: list[float] = field(default_factory=list)
-    k2: list[float] = field(default_factory=list)
+    k1: array = field(default_factory=_column)
+    k2: array = field(default_factory=_column)
     controller: str = ""
     timed_out: bool = False
 
@@ -72,7 +83,7 @@ def summarize(run: RunRecord, close_only: bool = True) -> RunSummary:
     a = np.asarray(run.a_cmd)
     d = np.asarray(run.cte)
     if close_only:
-        mask = np.asarray(run.phase) == PHASE_CLOSE
+        mask = np.fromiter(map(PHASE_CLOSE.__eq__, run.phase), dtype=bool, count=len(run.phase))
         if not mask.any():
             raise ValueError("run has no close-range samples")
         a = a[mask]

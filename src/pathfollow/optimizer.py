@@ -190,9 +190,9 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
         cmd = blended_many(x, y, cs[0], cs[1], pts[:4, :k], pts[:, k:], speed, k1s, k2s)
         if any_ended:
             cmd = np.where(ended, 0.0, cmd)
-        if a_max is not None:  # vehicle.step's clamp, in its order
-            cmd = np.where(-a_max > cmd, -a_max, cmd)
-            cmd = np.where(a_max < cmd, a_max, cmd)
+        if a_max is not None:  # vehicle.step's clamp: for a_max > 0, NaN and -0.0 pass as there
+            np.maximum(cmd, -a_max, out=cmd)
+            np.minimum(cmd, a_max, out=cmd)
         x, y, psi = step_arrays(x, y, psi, cmd, speed, dt, cs)
 
     costs = np.sqrt(cte_sq / n_steps)

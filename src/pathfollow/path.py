@@ -51,8 +51,11 @@ _POINT = slice(1, 11, 2)
 _DIFF = slice(2, 11, 2)
 _XY = slice(1, 4, 2)
 _CHUNK = np.arange(4)[:, None]  # the batched look-ahead's segment offsets from s_lb's
+_CHUNK_FIRST = _CHUNK == 0  # its segment holding s_lb
+_BEFORE_AT = np.array([[1], [0]])  # the batched projection's segments: ending, starting at a sample
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
+_SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length trapezoid
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -202,7 +205,7 @@ class ReferencePath:
         """Position, unit tangent and curvature at many arc lengths, as rows x, y, tx, ty, kappa."""
         u = np.minimum(np.maximum(s / self._ds, 0.0), self._n - 1)
         j = np.minimum(u.astype(np.int64), self._n - 2)
-        g = np.take(self._table, j, axis=1)
+        g = self._table.take(j, axis=1)
         pts = g[_POINT] + g[_DIFF] * (u - j)
         pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), 1e-300)
         return pts
@@ -290,10 +293,10 @@ class ReferencePath:
         d *= d  # numpy's ** 2
         e *= e
         d += e
-        i_star = j_lo + np.argmin(d, axis=1)
+        i_star = j_lo + d.argmin(axis=1)
         # The segments ending and starting at the nearest sample.
-        jc = np.minimum(np.maximum(i_star - np.array([[1], [0]]), j_lo), n - 2)
-        a, ax, dxs, ay, dys = g = np.take(t[:5], jc, axis=1)
+        jc = np.minimum(np.maximum(i_star - _BEFORE_AT, j_lo), n - 2)
+        a, ax, dxs, ay, dys = g = t[:5].take(jc, axis=1)
         u = ((x - ax) * dxs + (y - ay) * dys) / np.maximum(a, 1e-300)
         u_min = np.where(jc == j_lo, np.minimum(lo_u - j_lo, 1.0), 0.0)
         u = np.minimum(np.maximum(u, u_min), 1.0)
@@ -386,7 +389,7 @@ class ReferencePath:
         u_s = s_lb / self._ds
         j = np.minimum(u_s.astype(np.int64), n - 2)
         idx = _CHUNK + j  # segments as rows, states as columns
-        a, ax, dxs, ay, dys = np.take(t[:5], idx, axis=1)
+        a, ax, dxs, ay, dys = t[:5].take(idx, axis=1)
         rxs, rys = ax - x, ay - y
         nb = -(rxs * dxs + rys * dys)
         disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
@@ -394,7 +397,7 @@ class ReferencePath:
         sq = np.sqrt(np.where(ok, disc, 0.0))
         u = np.array((nb - sq, nb + sq)) / np.where(ok, a, 1.0)  # the two roots
         # Only the segment holding s_lb starts past -eps.
-        inside = (u > np.where(_CHUNK == 0, u_s - j, -_SEAM_EPS)) & (u <= 1.0 + _SEAM_EPS)
+        inside = (u > np.where(_CHUNK_FIRST, u_s - j, -_SEAM_EPS)) & (u <= 1.0 + _SEAM_EPS)
         has = ok & (inside[0] | inside[1])
         s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), 0.0), 1.0)) * self._ds
         hit, s_out = has.any(axis=0), s[has.argmax(axis=0), np.arange(x.size)]
@@ -405,7 +408,7 @@ class ReferencePath:
         # The rest of the path holds no root when the chunk reached its end, or when its last
         # vertex's distance differs from L1 by more than a chord per segment left (a nan skips nothing).
         xm, ym, k = x[miss], y[miss], j[miss] + _CHUNK.size
-        skip = np.abs(np.hypot(np.take(t[1], k) - xm, np.take(t[3], k) - ym) - lookahead_dist) / self.max_chord - 1.0
+        skip = np.abs(np.hypot(t[1].take(k) - xm, t[3].take(k) - ym) - lookahead_dist) / self.max_chord - 1.0
         ends = ((k >= n - 1) | (skip >= n - 1 - k)) & ((t[1, n - 1] - xm) ** 2 + (t[3, n - 1] - ym) ** 2 < l2)
         s_out[miss[ends]] = self._total
         end, fell, points = miss[ends].tolist(), [], []
@@ -442,10 +445,18 @@ def _from_parametric(t_fine: np.ndarray, curve: callable, spacing: float) -> Ref
 
     Each comes as an (x, y) pair, which may hold scalars.  The cumulative trapezoid of the speed
     on the fine grid maps parameter to arc length, which is then inverted onto a uniform grid.
+    The trapezoid runs over slices of ``_SLICE`` intervals, overlapping by one point, so
+    ``curve``'s temporaries do not grow with the path.  Each slice's first segment takes the arc
+    length carried in before its cumsum, so the sums add in the order of one whole-grid cumsum.
     """
-    speed = np.hypot(*curve(t_fine)[1])
-    seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t_fine)
-    s_fine = np.concatenate(([0.0], np.cumsum(seg)))
+    s_fine = np.empty(t_fine.size)
+    s_fine[0] = 0.0
+    for lo in range(0, t_fine.size - 1, _SLICE):
+        t = t_fine[lo : lo + _SLICE + 1]
+        speed = np.hypot(*curve(t)[1])
+        seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t)
+        seg[0] += s_fine[lo]
+        np.cumsum(seg, out=s_fine[lo + 1 : lo + t.size])
     total = float(s_fine[-1])
     if not total > 0.0:
         raise ValueError("degenerate path: zero length")

@@ -30,7 +30,7 @@ from .vehicle import VehicleState
 CONTROLLER_BASELINE = "baseline"
 CONTROLLER_PROPOSED = "proposed"
 # Most steps in one mission, max_time / dt (180,000 in the stock scenario).  Each
-# step keeps about 221 B of telemetry, so this allows about 440 MB; a scenario
+# step keeps about 76 B of telemetry, so this allows about 150 MB; a scenario
 # that could ask for more is refused up front.
 MAX_MISSION_STEPS = 2_000_000
 

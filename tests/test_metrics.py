@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,21 @@ def test_summarize_close_samples_only():
     assert (s.a_rms, s.d_rms, s.a_max) == pytest.approx((2.0, 1.0, 2.0))
     full = summarize(run, close_only=False)
     assert full.a_max == pytest.approx(9.0)
+
+
+def test_run_record_keeps_at_most_80_bytes_a_step():
+    # Lists of floats kept 217-265 B a step.
+    tracemalloc.start()
+    try:
+        run = RunRecord()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200_000):
+            v = i * 0.01
+            run.append(v, v + 1.0, v + 2.0, v + 3.0, v + 4.0, v + 5.0, PHASE_CLOSE, v + 6.0, v + 7.0)
+        per_step = (tracemalloc.get_traced_memory()[0] - before) / len(run)
+    finally:
+        tracemalloc.stop()
+    assert per_step <= 80.0
 
 
 def test_summarize_empty_run_raises():

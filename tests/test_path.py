@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +105,89 @@ def test_path_table_invariants(sinusoid):
     # On-curve samples.
     yy = 10.0 * np.sin(0.078 * px) + 20.0 * np.cos(0.082 * px)
     assert np.max(np.abs(py - yy)) < 1e-6
+
+
+def _table_sha256(path):
+    return hashlib.sha256(np.ascontiguousarray(path._table).tobytes()).hexdigest()
+
+
+def _seeded_polylines():
+    # Random walks of 3-39 points; the 30 m steps give fine grids of up to 98,000 points, 12 slices.
+    rng = np.random.default_rng(18)
+    for _ in range(8):
+        yield np.cumsum(rng.normal(scale=rng.choice([3.0, 30.0]), size=(rng.integers(3, 40), 2)), axis=0)
+
+
+# sha256 of the sample tables, recorded before the arc-length trapezoid was sliced.
+SINUSOID_TABLES = [
+    ((0.0, 150.0), "5f0577fa632afc62127561773c1e205758f454b69b0b2d68138e53a42d686bc0"),
+    ((-15.0, 150.0), "cf8e17435387cc3ea65cb54d684ac12c70500f65948649afa6d46b7e48ddf024"),
+    ((-3.7, 42.1, 0.07), "d7730a4b57114496d8f49b76d2b16b3ab25a810a6faf6da93a5cd1e8a2dba660"),
+    ((0.0, 400.0), "410850d1e7a43fc513612d59cc6f8fba5095d3e9b64dae1a963ace70f0a8d59c"),
+]
+POLYLINE_TABLES = [
+    "352fbf77f7cc948e1eefa11eb3eadeebbf0b861c5ea77171a4e51f9b3ae3e394",
+    "8e9a6a5e541b79c4bf22fd44f8f52859fd4240676c85ad532233c92f6ffef211",
+    "1462166692519f48bb8641ca8313cb8a06837d4b859c65af2166702c1a6f6f42",
+    "ec47c0da5bcfbd82d0365ae9ef693bcf963d2854f44940b5cb3ec9b7dcbb6e27",
+    "fa49d26c3a2a9d5d98ebf8d41684b10577bd14ce33ef1530141b4fd90766e628",
+    "33a5b080d07d1b2996aafc771d97a7de509249d3f52436cf65b406129bc17ce7",
+    "cdc636bf1d4a19d5530d91fb77a4e1511e038a70a4096c37db459929b337991b",
+    "782163467a2e847eb259a940a6db0b2e7a433c25842b54931b9a20a12c63f2c1",
+]
+
+
+@pytest.mark.parametrize("args, digest", SINUSOID_TABLES, ids=[str(a) for a, _ in SINUSOID_TABLES])
+def test_sinusoid_tables_are_unchanged(args, digest):
+    assert _table_sha256(make_sinusoid_path(*args)) == digest
+
+
+def test_polyline_tables_are_unchanged():
+    assert [_table_sha256(make_polyline_path(pts)) for pts in _seeded_polylines()] == POLYLINE_TABLES
+
+
+def _whole_grid_path(t_fine, curve, spacing):
+    """The arc-length table built with one trapezoid and one cumsum over the whole fine grid."""
+    speed = np.hypot(*curve(t_fine)[1])
+    seg = 0.5 * (speed[1:] + speed[:-1]) * np.diff(t_fine)
+    s_fine = np.concatenate(([0.0], np.cumsum(seg)))
+    total = float(s_fine[-1])
+    n = max(int(math.ceil(total / spacing)) + 1, 2)
+    ds = total / (n - 1)
+    (x, y), (dx, dy), (ddx, ddy) = curve(np.interp(ds * np.arange(n), s_fine, t_fine))
+    h = np.hypot(dx, dy)
+    kappa = (dx * ddy - dy * ddx) / np.power(dx * dx + dy * dy, 1.5)
+    return ReferencePath(np.column_stack([x, y]), np.column_stack([dx / h, dy / h]), kappa, ds)
+
+
+def test_sliced_arc_length_matches_the_whole_grid_at_slice_boundaries(monkeypatch):
+    # Fine grids of the 16-point minimum, one slice, one slice and one or two points, and two
+    # slices and a point; the table spacing is near the fine step, so nearly every arc length counts.
+    grids = []
+    build = path_module._from_parametric
+    monkeypatch.setattr(
+        path_module, "_from_parametric", lambda t, curve, ds: grids.append((t, curve, ds)) or build(t, curve, ds)
+    )
+    make_sinusoid_path(-15.0, 150.0)
+    make_polyline_path(next(_seeded_polylines()))
+    assert path_module._SLICE == 8192
+    for (t_fine, curve, ds), spacing in zip(grids, (0.002, 0.02)):
+        assert t_fine.size > 16385
+        for m in (16, 8192, 8193, 8194, 16385):
+            got = build(t_fine[:m], curve, spacing)
+            want = _whole_grid_path(t_fine[:m], curve, spacing)
+            assert got._table.tobytes() == want._table.tobytes(), m
+
+
+def test_long_sinusoid_builds_in_bounded_memory():
+    # The fine grid and its arc lengths are 8 MB each; the whole-grid trapezoid peaked at 68.6 MB.
+    tracemalloc.start()
+    try:
+        make_sinusoid_path(0.0, 999.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 # ----------------------------------------------------------------------
