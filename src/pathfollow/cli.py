@@ -1,9 +1,9 @@
 """Command-line front end: single runs, heading sweeps, run diffs.
 
-Exit codes: 0 success, 2 invalid configuration, 3 infeasible mid-course
-geometry, 5 a ``run`` mission timed out (its outputs are still written);
-4 is unused and reserved.  Outputs are plain CSV/JSON written atomically,
-so identical configurations produce byte-identical files.
+Exit codes: 0 success, 2 invalid configuration or an unusable ``--out``,
+3 infeasible mid-course geometry, 5 a ``run`` mission timed out (its outputs
+are still written); 4 is unused and reserved.  Outputs are plain CSV/JSON
+written atomically, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -84,6 +84,17 @@ def _config_error(exc: ConfigError) -> int:
     return EXIT_CONFIG
 
 
+def _out_dir(name: str) -> FsPath | None:
+    """The output directory, made if missing; None, after one stderr line, if it cannot be."""
+    out = FsPath(name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: --out {name}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+    return out
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_scenario(args.config)
@@ -92,8 +103,9 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         return _config_error(exc)
 
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    if out is None:
+        return EXIT_CONFIG
 
     runs: dict[str, RunRecord] = {}
     try:
@@ -216,8 +228,9 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         return _config_error(exc)
 
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
+    if out is None:
+        return EXIT_CONFIG
     rows = run_sweep(cfg, path)
     _write_atomic(out / "sweep.csv", _render_sweep_csv(rows))
     text = _render_sweep_text(rows)

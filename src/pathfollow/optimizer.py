@@ -15,8 +15,9 @@ law and the step, and each transcendental runs once over stacked rows.  That
 is exact, because numpy's float64 ufuncs give an element the same bits in any
 array (tests/test_rollout_kernel.py).  The search is bit-deterministic:
 the reduction orders by (cost, k2, k1), so results do not depend on
-evaluation order, and a round rolls out each distinct clipped gain value
-once, plus the incumbent.
+evaluation order.  One gain update keeps a table of costs by gain pair and
+rolls each pair out at most once; every k2 = 0 pair is one entry, because
+such a row flies the look-ahead term alone whatever its k1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .guidance import GuidanceGains, blended_many, track_projection
 from .path import ReferencePath, curvature_radius
 from .vehicle import VehicleState, step_arrays
 
-# Most grid points per axis: a search round rolls out up to grid^2 + 1 rows at
+# Most grid points per axis: a rollout call holds up to grid^2 + 1 rows at
 # about 1 KB each (9.8 MB at 101); a larger grid is refused up front.
 MAX_GRID = 101
 # Most steps in one rollout, min(d_limit, MAX_RADIUS) / speed / dt (400 in the
@@ -119,29 +120,49 @@ def optimize_gains(
     to [0, k_max]^2, and shrinks ``delta`` by ``grid - 1``.  Round 0 is centred
     at (k_max/2, k_max/2) with ``delta = k_max``, so it grids the whole box; the
     incumbent starts as the baseline pair (1, 0), so that pair always competes.
-    A round rolls out each distinct clipped gain value once, plus the incumbent
-    when the grid lacks it, so cost never regresses.  Ties break toward smaller
+    A round's candidates are each distinct clipped gain value once, plus the
+    incumbent when the grid lacks it, so cost never regresses.  Ties break toward smaller
     k2, then smaller k1.  If every candidate is infeasible the baseline pair is
     returned with the fallback flag set.  Rollouts saturate commands at
     ``a_max``, as the mission does.
+
+    Costs come from a table kept for the update: a round rolls out only the
+    pairs it has not seen, all k2 = 0 pairs as one.  Those rows tie, so when
+    the incumbent is the look-ahead-only pair (0, 0) a round keeps it unless
+    some k2 > 0 pair beats it; such a round's call also rolls out the later
+    rounds' boxes around (0, 0), as many whole boxes as keep the call within
+    ``grid^2 + 1`` rows.  The picks are those of rolling out every round
+    whole, bit for bit, since a row's cost does not depend on the other rows.
     """
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = max(1, int(round(horizon / dt)))
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
-    g, k_max = settings.grid, settings.k_max
+    g, k_max, rounds = settings.grid, settings.k_max, settings.refine_rounds
+    table = {}  # cost by _keys entry
     best_k1, best_k2 = 1.0, 0.0  # the incumbent
     centre, delta = (k_max / 2.0, k_max / 2.0), k_max
-    for _ in range(settings.refine_rounds + 1):
-        half = delta / 2.0
-        # Rows roll out independently and the pick sorts on the full key, so
-        # neither a duplicate value (a centre on the box edge clips half an
-        # axis onto it) nor a re-rolled incumbent can change the pick.
-        a1, a2 = (np.unique(np.minimum(np.maximum(np.linspace(b - half, b + half, g), 0.0), k_max)) for b in centre)
-        k1s, k2s = [a.ravel() for a in np.meshgrid(a1, a2, indexing="ij")]
+    for r in range(rounds + 1):
+        k1s, k2s = _box(centre, delta, g, k_max)
         if not np.any((k1s == best_k1) & (k2s == best_k2)):
             k1s, k2s = np.append(k1s, best_k1), np.append(k2s, best_k2)
-        costs = _rollout_costs(path, state, s_min, sp0, k1s, k2s, lookahead_dist, dt, n_steps, a_max)
+        keys = _keys(k1s, k2s)
+        todo = dict.fromkeys(k for k in keys if k not in table)
+        if todo and best_k1 == best_k2 == 0.0:
+            # The later rounds' boxes, should (0, 0) stay the pick, while the call holds one round's rows.
+            ahead = delta
+            for _ in range(r, rounds):
+                ahead /= g - 1
+                box = _keys(*_box((0.0, 0.0), ahead, g, k_max))
+                box = dict.fromkeys(k for k in box if k not in table and k not in todo)
+                if len(todo) + len(box) > g * g + 1:
+                    break
+                todo.update(box)
+        if todo:
+            k1n, k2n = np.array(list(todo)).T
+            costs = _rollout_costs(path, state, s_min, sp0, k1n, k2n, lookahead_dist, dt, n_steps, a_max)
+            table.update(zip(todo, costs.tolist()))
+        costs = np.array([table[k] for k in keys])
         i = np.lexsort((k1s, k2s, costs))[0]
         best_k1, best_k2, best_cost = float(k1s[i]), float(k2s[i]), float(costs[i])
         centre, delta = (best_k1, best_k2), delta / (g - 1)
@@ -149,6 +170,20 @@ def optimize_gains(
     if not math.isfinite(best_cost):
         return OptimizedGains(1.0, 0.0, math.inf, horizon, fallback=True)
     return OptimizedGains(best_k1, best_k2, best_cost, horizon)
+
+
+def _box(centre, delta, grid, k_max):
+    """A round's candidates: the grid of side ``delta`` around ``centre``, clipped to [0, k_max]^2,
+    as pair rows over each axis's distinct values (a centre on the box edge clips half an axis)."""
+    a1, a2 = (np.unique(np.minimum(np.maximum(np.linspace(b - delta / 2.0, b + delta / 2.0, grid), 0.0), k_max))
+              for b in centre)
+    return [a.ravel() for a in np.meshgrid(a1, a2, indexing="ij")]
+
+
+def _keys(k1s, k2s):
+    """The pairs' entries in the cost table: ±0 are one value, and a k2 = 0 row flies the look-ahead
+    term alone whatever its k1 (``blended_many``'s last ``putmask``), so every such pair is (0, 0)."""
+    return [(k1, k2) if k2 else (0.0, 0.0) for k1, k2 in zip(k1s.tolist(), k2s.tolist())]
 
 
 # ----------------------------------------------------------------------

@@ -155,8 +155,8 @@ class ReferencePath:
         self._ds = float(spacing)
         self._total = float(spacing) * (n - 1)
         self._table = t
-        # Window j of the batched projection: x, then y, of samples j .. j + 31.
-        self._windows = [sliding_window_view(row, 32) for row in t[_XY]]
+        # Window j of the batched projection: x, then y, of samples j .. j + 31, as [:, j].
+        self._windows = sliding_window_view(t[_XY], 32, axis=1)
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # Plain-float rows for the scalar loops; numpy's - * + round like
         # Python's, so the segment rows equal the loops' own arithmetic.
@@ -288,12 +288,10 @@ class ReferencePath:
         lo_u = np.fmax(s_prev - 1.0, 0.0) / self._ds
         j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
         # Samples j_lo .. j_lo + 31 per row; the table's padding stands in for samples past the end.
-        wx, wy = self._windows
-        d, e = wx[j_lo] - x[:, None], wy[j_lo] - y[:, None]
+        d = self._windows[:, j_lo]
+        d -= np.array((x, y))[..., None]
         d *= d  # numpy's ** 2
-        e *= e
-        d += e
-        i_star = j_lo + d.argmin(axis=1)
+        i_star = j_lo + (d[0] + d[1]).argmin(axis=1)
         # The segments ending and starting at the nearest sample.
         jc = np.minimum(np.maximum(i_star - _BEFORE_AT, j_lo), n - 2)
         a, ax, dxs, ay, dys = g = t[:5].take(jc, axis=1)
@@ -400,7 +398,8 @@ class ReferencePath:
         inside = (u > np.where(_CHUNK_FIRST, u_s - j, -_SEAM_EPS)) & (u <= 1.0 + _SEAM_EPS)
         has = ok & (inside[0] | inside[1])
         s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), 0.0), 1.0)) * self._ds
-        hit, s_out = has.any(axis=0), s[has.argmax(axis=0), np.arange(x.size)]
+        # The first crossing is the least: s never decreases along the chunk.
+        hit, s_out = has.any(axis=0), np.where(has, s, np.inf).min(axis=0)
         if hit.all():  # the usual case
             return s_out, _NO_ROWS, None
         miss = np.flatnonzero(~hit)

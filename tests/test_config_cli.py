@@ -525,6 +525,25 @@ def test_path_construction_errors_exit_2(tmp_path, capsys, command, path_spec):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+def test_unusable_out_exits_2_before_flying(tmp_path, capsys, monkeypatch, command, under):
+    # An --out that names a file, or a path under one, was a FileExistsError or
+    # NotADirectoryError traceback.
+    def fly(*args):
+        raise AssertionError("flew a mission")
+
+    monkeypatch.setattr(cli, "run_mission", fly)
+    monkeypatch.setattr(cli, "run_sweep", fly)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / under if under else blocker
+    assert main([command, "--config", write_config(tmp_path, sweep_scenario()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"output error: --out {out}: ")
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "override, message",
     [

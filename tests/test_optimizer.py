@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import hypothesis
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as hs
 
+import pathfollow.optimizer as optimizer
 from pathfollow.guidance import GuidanceGains, blended_command, corrector_geometry
 from pathfollow.optimizer import (
     MAX_GRID,
@@ -284,10 +287,101 @@ def test_optimize_gains_reproduces_recorded_results_at_other_settings(stock_path
         assert (res.k1, res.k2, res.cost, res.horizon, res.fallback) == expected
 
 
+# optimize_gains over a matrix of settings at short horizons (d_limit 1 m,
+# 20 steps): even and odd grids, refine_rounds 0-4, k_max from the least
+# subnormal to 1e300 and a_max None, 2.0 and 0.5, at the three stock
+# updates, the circle and line states above and two states 3-4 m off the
+# stock path.  sha256 of the results' reprs, one a line, recorded before
+# the search kept a cost table and rolled the (0, 0) refinement ahead.
+MATRIX_STATES = [
+    *((STOCK_UPDATES[i][0][:3], STOCK_UPDATES[i][0][3:], "stock") for i in range(3)),
+    ((10.5, 0.0, math.radians(95.0)), (0.0, None), "circle"),
+    ((10.0, 0.5, 0.1), (0.0, None), "line"),
+    ((20.436, 13.509, -0.382), (55.0, 50.0), "stock"),
+    ((65.75, -4.199, 0.32), (125.0, 120.0), "stock"),
+]
+MATRIX_DIGEST = "ab264501a6fa46724bc19e2917f4276bae5824c1c5078b895ec2ca666c123d41"
+
+
+def test_optimize_gains_matrix_is_unchanged(stock_path):
+    paths = {
+        "stock": stock_path,
+        "circle": make_circle_path((0.0, 0.0), 10.0, turns=2.0),
+        "line": make_line_path((0.0, 0.0), (1.0, 0.0), 200.0),
+    }
+    lines = []
+    combos = itertools.product(MATRIX_STATES, (3, 4, 11, 12), (5e-324, 1e-300, 0.5, 10.0, 1e300))
+    for i, (((x, y, heading), (s_min, s_proj), kind), grid, k_max) in enumerate(combos):
+        settings = OptimizerSettings(k_max, grid, i % 5, 1.0)
+        st = VehicleState(x, y, heading, 5.0)
+        res = optimize_gains(st, paths[kind], s_min, settings, 10.0, 0.01, s_proj, (None, 2.0, 0.5)[i % 3])
+        lines.append(repr(res))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MATRIX_DIGEST
+
+
+def counted_rollouts(monkeypatch):
+    """Record the (k1s, k2s) of every _rollout_costs call optimize_gains makes."""
+    calls = []
+    rollout = optimizer._rollout_costs
+
+    def counting(path, state, s_min, s_proj, k1s, k2s, *rest):
+        calls.append((k1s.tolist(), k2s.tolist()))
+        return rollout(path, state, s_min, s_proj, k1s, k2s, *rest)
+
+    monkeypatch.setattr(optimizer, "_rollout_costs", counting)
+    return calls
+
+
+def assert_each_pair_rolled_out_once(calls):
+    # Every k2 = 0 pair has one cost, so one such row stands for all of them.
+    keys = [(k1, k2) if k2 else (0.0, 0.0) for k1s, k2s in calls for k1, k2 in zip(k1s, k2s)]
+    assert len(set(keys)) == len(keys)
+
+
+# The circle state of test_optimize_never_loses_to_baseline_pair: (path, state, s_min, s_proj).
+CIRCLE_STATE = (
+    make_circle_path((0.0, 0.0), 10.0, turns=2.0), VehicleState(10.5, 0.0, math.radians(95.0), 5.0), 0.0, None
+)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("stock0", [111, 120, 120]),
+    ("stock1", [111, 65, 65]),
+    # Round 0 picks (0, 0) and both refine rounds keep it: round 1's call
+    # also rolls out round 2's box, and round 2 rolls out nothing.
+    ("stock2", [111, 60]),
+    ("circle", [111, 60]),
+])
+def test_optimize_gains_rolls_each_pair_out_once(stock_path, monkeypatch, name, rows):
+    calls = counted_rollouts(monkeypatch)
+    if name == "circle":
+        path, st, s_min, s_proj = CIRCLE_STATE
+    else:
+        x, y, heading, s_min, s_proj = STOCK_UPDATES[int(name[-1])][0]
+        path, st = stock_path, VehicleState(x, y, heading, 5.0)
+    optimize_gains(st, path, s_min, OptimizerSettings(), 10.0, 0.01, s_proj)
+    assert [len(k1s) for k1s, _ in calls] == rows
+    assert_each_pair_rolled_out_once(calls)
+
+
+def test_rolled_ahead_calls_stay_within_one_round_of_rows(monkeypatch):
+    # 40 refine rounds that all keep (0, 0): the rolled-ahead boxes fill each
+    # call up to grid^2 + 1 rows, and the pick is the one recorded when every
+    # round rolled out its whole box in a call of its own.
+    calls = counted_rollouts(monkeypatch)
+    path, st, s_min, s_proj = CIRCLE_STATE
+    settings = OptimizerSettings(refine_rounds=40)
+    res = optimize_gains(st, path, s_min, settings, 10.0, 0.01, s_proj)
+    assert (res.k1, res.k2, res.cost, res.horizon, res.fallback) == (0.0, 0.0, 0.23469162147297146, 2.0, False)
+    assert max(len(k1s) for k1s, _ in calls) <= settings.grid**2 + 1
+    assert len(calls) == 12  # one call per round would be 41
+    assert_each_pair_rolled_out_once(calls)
+
+
 @pytest.mark.parametrize("rows", [[0], [60], [7, 120, 3], list(range(0, 121, 7)), list(range(40, 58))])
 def test_rollout_rows_are_bitwise_independent(stock_path, rows):
-    # A search round rolls out only distinct gain values and re-rolls the
-    # incumbent, which is exact only if a row's cost does not depend on the
+    # A gain update rolls out each pair once and reuses its cost in later
+    # rounds, which is exact only if a row's cost does not depend on the
     # other rows in the batch.
     x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
     st = VehicleState(x, y, heading, 5.0)
@@ -301,9 +395,10 @@ def test_rollout_rows_are_bitwise_independent(stock_path, rows):
 def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
     # The rollout projects all rows with a short window (project_many); the
     # mission projects one state with project.  Over every row and step of the
-    # first search round of a recorded stock update both give the same arc
-    # length bit for bit, and distances within 2 ULP (numpy's x * x against
-    # Python's x ** 2).  Both stay: each is the faster form for its queries.
+    # first search round of a recorded stock update (111 rows: the 11 k2 = 0
+    # pairs roll out as one) both give the same arc length bit for bit, and
+    # distances within 2 ULP (numpy's x * x against Python's x ** 2).  Both
+    # stay: each is the faster form for its queries.
     calls = []
     batched = ReferencePath.project_many
 
@@ -323,4 +418,4 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
             assert pp.s == s[i]
             assert abs(dist - d[i]) <= 2 * np.spacing(dist)
             rows += 1
-    assert rows == 121 * 400
+    assert rows == 111 * 400

@@ -114,6 +114,19 @@ def test_rollout_costs_digest(name, monkeypatch):
     assert hashlib.sha256(costs.tobytes()).hexdigest() == DIGESTS[name]
 
 
+@pytest.mark.parametrize("a_max", [None, 0.5])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_k2_zero_rows_cost_the_same_whatever_k1(name, a_max):
+    # optimize_gains rolls out one row for every k2 = 0 pair: such a row flies
+    # the look-ahead term alone (blended_many's last putmask), whatever its k1.
+    path, (x, y, heading), s_min, s_proj, *_ = CASES[name]
+    k1s = np.tile([0.0, -0.0, 5e-324, 1.0, 10.0], 2)
+    k2s = np.repeat([0.0, -0.0], 5)
+    st = VehicleState(x, y, heading, 5.0)
+    costs = optimizer._rollout_costs(path, st, s_min, s_proj, k1s, k2s, 10.0, 0.01, 200, a_max)
+    assert costs.tobytes() == np.full(k1s.size, costs[0]).tobytes()
+
+
 def edge_inputs(rng, n):
     """Random float64s over many magnitudes, with ±0, ±pi, ±pi/2 and subnormals mixed in."""
     v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
