@@ -98,7 +98,7 @@ def _out_dir(name: str) -> FsPath | None:
 def cmd_run(args) -> int:
     try:
         cfg = load_scenario(args.config)
-        controllers = cfg.controllers(args.controller)
+        missions = {controller: cfg.mission_config(controller) for controller in cfg.controllers(args.controller)}
         path = cfg.build_path()
     except ConfigError as exc:
         return _config_error(exc)
@@ -109,9 +109,8 @@ def cmd_run(args) -> int:
 
     runs: dict[str, RunRecord] = {}
     try:
-        for controller in controllers:
-            state = cfg.build_state()
-            runs[controller] = run_mission(path, state, cfg.mission_config(controller))
+        for controller, mission in missions.items():
+            runs[controller] = run_mission(path, cfg.build_state(), mission)
     except InfeasibleGeometryError as exc:
         diag = {"error": "infeasible geometry", "detail": str(exc)}
         _write_atomic(out / "diagnostics.json", json.dumps(diag, indent=2) + "\n")
@@ -119,7 +118,7 @@ def cmd_run(args) -> int:
         return EXIT_INFEASIBLE
 
     _write_atomic(out / "path.csv", _path_csv(path))
-    summary = {"scenario": {"heading_deg": cfg.heading_deg, "controllers": controllers}}
+    summary = {"scenario": {"heading_deg": cfg.heading_deg, "controllers": list(missions)}}
     for controller, run in runs.items():
         _write_atomic(out / f"trajectory_{controller}.csv", _trajectory_csv(run))
         # Only a mission that timed out can end without close-range samples.
@@ -224,6 +223,7 @@ def run_sweep(cfg: ScenarioConfig, path: ReferencePath) -> list[dict]:
 def cmd_sweep(args) -> int:
     try:
         cfg = load_scenario(args.config)
+        cfg.mission_config(CONTROLLER_PROPOSED)  # the sweep flies both controllers, whatever the scenario names
         path = cfg.build_path()
     except ConfigError as exc:
         return _config_error(exc)

@@ -18,9 +18,8 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import path as pathmod
-from .guidance import LOOKAHEAD_SPEED_CAP, MIN_TARGET_DIST
-from .optimizer import MAX_GRID, MAX_ROLLOUT_STEPS, OptimizerSettings
-from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MAX_MISSION_STEPS, MissionConfig
+from .optimizer import MAX_GRID, OptimizerSettings
+from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, MissionConfig, mission_problems
 from .vehicle import VehicleState
 
 CONTROLLER_BOTH = "both"
@@ -76,12 +75,6 @@ def _headings(v) -> list[float]:
 
 
 _POSITIVE = _check(lambda v: _number(v) > 0, "must be positive, got {!r}", float)
-# The arc law's largest command, 2 V^2 / MIN_TARGET_DIST, must be a finite float.
-_SPEED = _check(
-    lambda v: math.isfinite(2.0 * _POSITIVE(v) * _POSITIVE(v) / MIN_TARGET_DIST),
-    f"must keep the arc command 2 speed^2 / {MIN_TARGET_DIST} finite, got {{!r}}",
-    float,
-)
 _NONNEGATIVE = _check(lambda v: _number(v) >= 0, "must be non-negative", float)
 _PAIR = _check(
     lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_real, v)),
@@ -115,7 +108,7 @@ _PATHS = {
 
 # Sections in README order; ``controller`` is a plain top-level value.
 _SECTIONS = {
-    "vehicle": {"speed": (5.0, _SPEED), "start": ([-15.0, 0.0], _PAIR), "heading_deg": (39.118, _number)},
+    "vehicle": {"speed": (5.0, _POSITIVE), "start": ([-15.0, 0.0], _PAIR), "heading_deg": (39.118, _number)},
     "guidance": {  # initiation_radius None: lookahead / 2
         "lookahead": (10.0, _POSITIVE), "initiation_radius": (None, _optional(_POSITIVE)),
         "k1": (1.0, _NONNEGATIVE), "k2": (0.0, _NONNEGATIVE),
@@ -147,8 +140,8 @@ def default_scenario() -> dict:
 class ScenarioConfig:
     """Validated scenario ready to build paths, states and mission configs.
 
-    ``mission`` holds every per-mission setting; :meth:`mission_config` sets
-    the controller each run flies (``controller`` here may be ``both``).
+    ``mission`` holds every per-mission setting; :meth:`mission_config` gives the mission one controller
+    flies (``controller`` here may be ``both``) or raises ConfigError outside the flight envelope.
     ``path_spec`` is the checked ``path`` object with every key of its kind.
     """
 
@@ -194,13 +187,13 @@ class ScenarioConfig:
         return self.mission.optimizer
 
     def mission_config(self, controller: str) -> MissionConfig:
-        return replace(self.mission, controller=controller)
+        if problems := mission_problems(mission := replace(self.mission, controller=controller), self.speed):
+            raise ConfigError(problems)
+        return mission
 
     def controllers(self, override: str | None = None) -> list[str]:
-        sel = override if override is not None else self.controller
-        if sel == CONTROLLER_BOTH:
-            return [CONTROLLER_BASELINE, CONTROLLER_PROPOSED]
-        return [sel]
+        sel = override or self.controller
+        return [CONTROLLER_BASELINE, CONTROLLER_PROPOSED] if sel == CONTROLLER_BOTH else [sel]
 
 
 # ----------------------------------------------------------------------
@@ -250,37 +243,8 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
             sec[name] = rows[1](data.get(name, rows[0]))
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
-    # Bounds across sections on floats a run computes: the coast's step count lookahead / speed / dt
-    # (Mission._coast_steps), a step's largest turn dt * 2 speed / MIN_TARGET_DIST, the blend's weighted sum,
-    # at most (k1 MAX_RADIUS + k2 v_m / MIN_RADIUS) 2 speed^2 / MIN_TARGET_DIST with v_m <= (1 + cap) speed / 2,
-    # and the square of the farthest flight speed * max_time, which the projections' squared distances meet.
-    # A mission runs max_time / dt steps at most.  Within that and past a finite coast, the tuner's rollout runs
-    # min(d_limit, MAX_RADIUS) / speed / dt steps at most; a too-long mission is refused on its own line alone.
-    gd, v, dt, mt = sec["guidance"], sec["vehicle"].get("speed"), sec["sim"].get("dt"), sec["sim"].get("max_time")
-    opt = sec["optimizer"]
-    too_long = None not in (mt, dt) and not mt / dt <= MAX_MISSION_STEPS  # a quotient past the float range is inf
-    if too_long:
-        problems.append(f"sim.max_time: a mission's max_time / dt steps must be at most {MAX_MISSION_STEPS},"
-                        f" got {mt / dt:.6g} at max_time {mt!r}, dt {dt!r}")
-    if None not in (gd.get("lookahead"), v, dt):
-        if not math.isfinite(gd["lookahead"] / v / dt):
-            problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {gd['lookahead']!r} / {v!r} / {dt!r}")
-        elif opt.get("enabled") and "d_limit" in opt and not too_long:
-            d_limit = 2.0 * gd["lookahead"] if opt["d_limit"] is None else opt["d_limit"]
-            if (n := min(d_limit, pathmod.MAX_RADIUS) / v / dt) > MAX_ROLLOUT_STEPS:
-                problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {pathmod.MAX_RADIUS:g}) / speed / dt steps must be"
-                                f" at most {MAX_ROLLOUT_STEPS}, got {n:.6g} at d_limit {d_limit!r}, speed {v!r}, dt {dt!r}")
-    if None not in (v, dt) and not math.isfinite(dt * 2.0 * v / MIN_TARGET_DIST):
-        problems.append(f"sim.dt: the turn per step dt * 2 speed / {MIN_TARGET_DIST} must be finite, got {dt!r} at speed {v!r}")
-    if None not in (v, mt) and not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises
-        problems.append(f"sim.max_time: the farthest flight speed * max_time must square to a finite float, got {mt!r} at speed {v!r}")
-    if None not in (gd.get("k1"), gd.get("k2"), v):
-        w_max = gd["k1"] * pathmod.MAX_RADIUS + gd["k2"] * (1.0 + LOOKAHEAD_SPEED_CAP) * v / (2.0 * pathmod.MIN_RADIUS)
-        if not math.isfinite(w_max * 2.0 * v * v / MIN_TARGET_DIST):
-            problems.append(f"guidance.k1/k2: the blended command must be finite, got {gd['k1']!r} / {gd['k2']!r} at speed {v!r}")
     if problems:
         raise ConfigError(problems)
-
     veh, gd, sim, opt, tol = (sec[k] for k in ("vehicle", "guidance", "sim", "optimizer", "tolerances"))
     d_limit = 2.0 * gd["lookahead"] if opt["d_limit"] is None else opt["d_limit"]
     tuner = OptimizerSettings(opt["k_max"], opt["grid"], opt["refine_rounds"], d_limit) if opt["enabled"] else None
@@ -289,10 +253,12 @@ def parse_scenario(data: dict, base_dir: FsPath | None = None) -> ScenarioConfig
         optimizer=tuner, arrive_pos_tol=tol["arrive_pos"], arrive_heading_tol=math.radians(tol["arrive_heading_deg"]),
         end_s_tol=tol["end_s"], a_max=sim["a_max"], max_time=sim["max_time"],
     )
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         path_spec=pspec, speed=veh["speed"], start=veh["start"], heading_deg=veh["heading_deg"], base_dir=base_dir,
         controller=sec["controller"], mission=mission, sweep_headings_deg=sec["sweep"]["headings_deg"],
     )
+    cfg.mission_config(cfg.controllers()[-1])  # the flight envelope of the widest controller the scenario flies
+    return cfg
 
 
 def load_scenario(path: str | FsPath | None) -> ScenarioConfig:

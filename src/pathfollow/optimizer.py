@@ -50,8 +50,8 @@ class OptimizerSettings:
     d_limit: float = 20.0
 
     def __post_init__(self):
-        if not self.k_max > 0.0:
-            raise ValueError("k_max must be positive")
+        if not 0.0 < self.k_max < math.inf:
+            raise ValueError("k_max must be positive and finite")
         if not 3 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must be between 3 and {MAX_GRID}")
         if self.refine_rounds < 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import guidance, midcourse as mc, optimizer as opt, vehicle
 from .geom import heading_vector, signed_angle
 from .metrics import PHASE_CIRCLE, PHASE_CLOSE, PHASE_MIDCOURSE, RunRecord
-from .path import ReferencePath, curvature_radius
+from .path import MAX_RADIUS, MIN_RADIUS, ReferencePath, curvature_radius
 from .vehicle import VehicleState
 
 CONTROLLER_BASELINE = "baseline"
@@ -65,6 +65,40 @@ class MissionConfig:
         return self.initiation_radius if self.initiation_radius is not None else self.lookahead / 2.0
 
 
+def mission_problems(config: MissionConfig, speed: float) -> list[str]:
+    """The flight envelope: one line, named by its scenario key, per bound that ``config`` breaks at ``speed``.
+    Finite: the arc command 2 speed^2 / MIN_TARGET_DIST, the coast's lookahead / speed / dt steps, a step's turn dt * 2
+    speed / MIN_TARGET_DIST, (speed * max_time)^2 and the blend, (k1 MAX_RADIUS + k2 (1 + cap) speed / 2 MIN_RADIUS)
+    times the arc command at the largest gains flown.  At most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout."""
+    v, dt, mt, d_min = speed, config.dt, config.max_time, guidance.MIN_TARGET_DIST
+    tuner = config.optimizer if config.controller == CONTROLLER_PROPOSED else None  # the baseline is never tuned
+    too_fast = not math.isfinite(2.0 * v * v / d_min)
+    problems = [f"vehicle.speed: must keep the arc command 2 speed^2 / {d_min} finite, got {v!r}"] if too_fast else []
+    if too_long := not mt / dt <= MAX_MISSION_STEPS:  # a quotient past the float range is inf
+        problems.append(f"sim.max_time: a mission's max_time / dt steps must be at most {MAX_MISSION_STEPS},"
+                        f" got {mt / dt:.6g} at max_time {mt!r}, dt {dt!r}")
+    if too_fast:  # the other bounds all take a finite arc command
+        return problems
+    if not math.isfinite((la := config.lookahead) / v / dt):
+        problems.append(f"guidance.lookahead: lookahead / speed / dt must be finite, got {la!r} / {v!r} / {dt!r}")
+    elif tuner and not too_long and (n := min(tuner.d_limit, MAX_RADIUS) / v / dt) > opt.MAX_ROLLOUT_STEPS:
+        problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {MAX_RADIUS:g}) / speed / dt steps must be at most"
+                        f" {opt.MAX_ROLLOUT_STEPS}, got {n:.6g} at d_limit {tuner.d_limit!r}, speed {v!r}, dt {dt!r}")
+    if not math.isfinite(dt * 2.0 * v / d_min):
+        problems.append(f"sim.dt: the turn per step dt * 2 speed / {d_min} must be finite, got {dt!r} at speed {v!r}")
+    if not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises
+        problems.append(f"sim.max_time: the farthest flight speed * max_time must square to a finite float,"
+                        f" got {mt!r} at speed {v!r}")
+    k_max = tuner.k_max if tuner else 0.0  # the tuner's largest gains
+    k1, k2 = max(config.k1, k_max), max(config.k2, k_max)
+    w_max = k1 * MAX_RADIUS + k2 * (1.0 + guidance.LOOKAHEAD_SPEED_CAP) * v / (2.0 * MIN_RADIUS)
+    if not math.isfinite(w_max * 2.0 * v * v / d_min):
+        tuned = f" (tuned up to optimizer.k_max {k_max!r})" if k_max > min(config.k1, config.k2) else ""
+        problems.append(f"guidance.k1/k2: the blended command must be finite, got {config.k1!r} / {config.k2!r}{tuned}"
+                        f" at speed {v!r}")
+    return problems
+
+
 @dataclass
 class Midcourse:
     solution: mc.ContactSolution
@@ -102,6 +136,8 @@ class Mission:
     """Owns one vehicle's run along one path; not shared across threads."""
 
     def __init__(self, path: ReferencePath, state: VehicleState, config: MissionConfig):
+        if problems := mission_problems(config, state.speed):
+            raise ValueError("; ".join(problems))
         self.path = path
         self.state = state
         self.config = config
@@ -116,9 +152,7 @@ class Mission:
         r0 = curvature_radius(path.point_at(0.0))
         if classify_phase(state, path, r0) == PHASE_MIDCOURSE:
             candidates = mc.candidate_circles(path, config.radius)
-            circle, solution = mc.select_circle(
-                state.position, state.heading, candidates, state.speed
-            )
+            circle, solution = mc.select_circle(state.position, state.heading, candidates, state.speed)
             self.phase: Phase = Midcourse(solution, circle)
         else:
             self.phase = CloseRange(s_min=0.0)

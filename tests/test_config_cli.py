@@ -27,7 +27,8 @@ from pathfollow.config import (
 )
 from pathfollow.optimizer import OptimizerSettings
 from pathfollow.path import make_sinusoid_path
-from pathfollow.supervisor import MissionConfig
+from pathfollow.supervisor import Mission, MissionConfig
+from pathfollow.vehicle import VehicleState
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -122,6 +123,8 @@ def test_integer_values_parse_as_floats():
         ({"sweep": {"headings_deg": [1, "a", None]}}, ["sweep.headings_deg: non-numeric entries ['a', None]"]),
         ({"controller": "bogus", "vehicel": {}},
          ["unknown top-level keys: ['vehicel']", "controller: expected baseline/proposed/both, got 'bogus'"]),
+        # The flight envelope is checked only once every key has parsed: dt 1e-6 alone is a too-long mission.
+        ({"vehicle": {"heading_deg": "x"}, "sim": {"dt": 1e-6}}, ["vehicle.heading_deg: expected a finite number, got 'x'"]),
     ],
 )
 def test_problem_messages(scenario, problems):
@@ -575,56 +578,93 @@ def test_schema_rejections_exit_2(tmp_path, capsys, command, override, message):
     assert not out.exists()
 
 
+# Scenarios whose floats or step counts overflowed a run, each with the one problem it is now refused with.
+OVERFLOWING_SCENARIOS = [
+    # The arc command overflowed: ValueError: invalid command: inf from vehicle.step, exit 1.
+    (
+        {"vehicle": {"speed": 1e300}, "controller": "baseline", "sim": {"max_time": 5}},
+        "vehicle.speed: must keep the arc command 2 speed^2 / 0.1 finite, got 1e+300",
+    ),
+    # The coast's step count overflowed: OverflowError in Mission._coast_steps, exit 1.
+    (
+        {"vehicle": {"speed": 5e-300}, "guidance": {"lookahead": 1e301}, "controller": "baseline",
+         "sim": {"max_time": 5}},
+        "guidance.lookahead: lookahead / speed / dt must be finite, got 1e+301 / 5e-300 / 0.01",
+    ),
+    # The heading update overflowed: ValueError: math domain error from vehicle.step, exit 1.
+    (
+        {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5, "dt": 1e200}},
+        "sim.dt: the turn per step dt * 2 speed / 0.1 must be finite, got 1e+200 at speed 1e+150",
+    ),
+    # The blended command overflowed: ValueError: invalid command: nan from vehicle.step, exit 1.
+    (
+        {"vehicle": {"speed": 1e100}, "controller": "proposed", "optimizer": {"enabled": False},
+         "guidance": {"k1": 1e300, "k2": 1e300}, "sim": {"max_time": 5}},
+        "guidance.k1/k2: the blended command must be finite, got 1e+300 / 1e+300 at speed 1e+100",
+    ),
+    # A squared distance overflowed: OverflowError from ReferencePath.project, exit 1, output directory made.
+    (
+        {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 1e159, "dt": 1e156}},
+        "sim.max_time: the farthest flight speed * max_time must square to a finite float, got 1e+159 at speed 1e+150",
+    ),
+    # The rollout horizon reached the 1e6 m radius clamp: 2e7 steps per candidate row, a practical hang.
+    (
+        {"optimizer": {"d_limit": 1e300}, "controller": "proposed", "sim": {"max_time": 0.5}},
+        "optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
+        " got 2e+07 at d_limit 1e+300, speed 5.0, dt 0.01",
+    ),
+    # A mission of 1.8e9 steps: about 221 B of telemetry per step, hundreds of GB before it could end.
+    (
+        {"sim": {"dt": 1e-6}},
+        "sim.max_time: a mission's max_time / dt steps must be at most 2000000, got 1.8e+09 at max_time 1800.0, dt 1e-06",
+    ),
+    # The tuner's own gains reach k_max: IndexError from ReferencePath.point_at_many, exit 1.
+    (
+        {"optimizer": {"k_max": 1e308}, "controller": "proposed"},
+        "guidance.k1/k2: the blended command must be finite, got 1.0 / 0.0 (tuned up to optimizer.k_max 1e+308)"
+        " at speed 5.0",
+    ),
+]
+OVERFLOWING_IDS = ["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight", "rollout_steps",
+                   "mission_steps", "tuned_blended_command"]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize(
-    "cfg, message",
-    [
-        # The arc command overflowed: ValueError: invalid command: inf from vehicle.step, exit 1.
-        (
-            {"vehicle": {"speed": 1e300}, "controller": "baseline", "sim": {"max_time": 5}},
-            "vehicle.speed: must keep the arc command 2 speed^2 / 0.1 finite, got 1e+300",
-        ),
-        # The coast's step count overflowed: OverflowError in Mission._coast_steps, exit 1.
-        (
-            {"vehicle": {"speed": 5e-300}, "guidance": {"lookahead": 1e301}, "controller": "baseline",
-             "sim": {"max_time": 5}},
-            "guidance.lookahead: lookahead / speed / dt must be finite, got 1e+301 / 5e-300 / 0.01",
-        ),
-        # The heading update overflowed: ValueError: math domain error from vehicle.step, exit 1.
-        (
-            {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5, "dt": 1e200}},
-            "sim.dt: the turn per step dt * 2 speed / 0.1 must be finite, got 1e+200 at speed 1e+150",
-        ),
-        # The blended command overflowed: ValueError: invalid command: nan from vehicle.step, exit 1.
-        (
-            {"vehicle": {"speed": 1e100}, "controller": "proposed", "optimizer": {"enabled": False},
-             "guidance": {"k1": 1e300, "k2": 1e300}, "sim": {"max_time": 5}},
-            "guidance.k1/k2: the blended command must be finite, got 1e+300 / 1e+300 at speed 1e+100",
-        ),
-        # A squared distance overflowed: OverflowError from ReferencePath.project, exit 1, output directory made.
-        (
-            {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 1e159, "dt": 1e156}},
-            "sim.max_time: the farthest flight speed * max_time must square to a finite float, got 1e+159 at speed 1e+150",
-        ),
-        # The rollout horizon reached the 1e6 m radius clamp: 2e7 steps per candidate row, a practical hang.
-        (
-            {"optimizer": {"d_limit": 1e300}, "controller": "proposed", "sim": {"max_time": 0.5}},
-            "optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
-            " got 2e+07 at d_limit 1e+300, speed 5.0, dt 0.01",
-        ),
-        # A mission of 1.8e9 steps: about 221 B of telemetry per step, hundreds of GB before it could end.
-        (
-            {"sim": {"dt": 1e-6}},
-            "sim.max_time: a mission's max_time / dt steps must be at most 2000000, got 1.8e+09 at max_time 1800.0, dt 1e-06",
-        ),
-    ],
-    ids=["arc_command", "coast_steps", "heading_turn", "blended_command", "farthest_flight", "rollout_steps",
-         "mission_steps"],
-)
+@pytest.mark.parametrize("cfg, message", OVERFLOWING_SCENARIOS, ids=OVERFLOWING_IDS)
 def test_overflowing_speeds_exit_2(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", OVERFLOWING_SCENARIOS, ids=OVERFLOWING_IDS)
+def test_mission_refuses_what_the_schema_refuses(cfg, message):
+    # The same scenario built without parse_scenario: Mission raises up front, with the config error's text.
+    veh, gd, sim, tuner = (cfg.get(key, {}) for key in ("vehicle", "guidance", "sim", "optimizer"))
+    lookahead = gd.get("lookahead", 10.0)
+    settings = None if tuner.get("enabled") is False else OptimizerSettings(
+        k_max=tuner.get("k_max", 10.0), d_limit=tuner.get("d_limit", 2.0 * lookahead))
+    config = MissionConfig(
+        lookahead=lookahead, dt=sim.get("dt", 0.01), max_time=sim.get("max_time", 1800.0), k1=gd.get("k1", 1.0),
+        k2=gd.get("k2", 0.0), optimizer=settings, controller=cfg.get("controller", "proposed"),
+    )
+    state = VehicleState(-15.0, 0.0, math.radians(39.118), veh.get("speed", 5.0))
+    with pytest.raises(ValueError) as exc:
+        Mission(make_sinusoid_path(-15.0, 150.0), state, config)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv", [["run", "--controller", "proposed"], ["sweep"]], ids=["run_proposed", "sweep"])
+def test_tuned_missions_a_baseline_scenario_adds_are_checked_up_front(tmp_path, capsys, argv):
+    # The scenario flies the baseline alone, inside the envelope; the tuned mission these commands add is outside it.
+    cfgp = write_config(tmp_path, {"vehicle": {"speed": 1e150}, "controller": "baseline", "sim": {"max_time": 5}})
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: guidance.k1/k2: the blended command must be finite, got 1.0 / 0.0"
+        " (tuned up to optimizer.k_max 10.0) at speed 1e+150"
+    ]
     assert not out.exists()
 
 

@@ -27,8 +27,9 @@ from pathfollow.vehicle import VehicleState, step
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        OptimizerSettings(k_max=0.0)
+    for k_max in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OptimizerSettings(k_max=k_max)
     with pytest.raises(ValueError):
         OptimizerSettings(grid=2)
     with pytest.raises(ValueError):
