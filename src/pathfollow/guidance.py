@@ -42,6 +42,14 @@ LOOKAHEAD_SPEED_CAP = 5.0
 # term alone.
 WEIGHT_EPS = 1e-12
 
+# blended_many's heading rows for the dot and cross products: (hx, hy), then (-hy, hx).
+_SWAP = np.array([[0, 1], [1, 0]])
+_TURN = np.array([[[1.0], [1.0]], [[-1.0], [1.0]]])
+# Its constant operands as 0-d arrays, which numpy takes without converting a Python float each call.
+_ZERO, _HALF, _ONE, _MINUS_PI, _TWO_PI = np.array(0.0), np.array(0.5), np.array(1.0), np.array(-math.pi), np.array(TWO_PI)
+_PARALLEL_EPS, _WEIGHT_EPS, _MIN_TARGET_DIST = np.array(PARALLEL_EPS), np.array(WEIGHT_EPS), np.array(MIN_TARGET_DIST)
+_MIN_D12, _COS_BETA_LO, _COS_BETA_HI = np.array(1e-12), np.array(-COS_BETA_MIN), np.array(COS_BETA_MIN)
+
 
 @dataclass(frozen=True)
 class GuidanceGains:
@@ -278,56 +286,66 @@ def blended_command(state: VehicleState, geom: CorrectorGeometry, gains: Guidanc
     return weighted_blend(w1, w2, a12, a14)
 
 
-def blended_many(x, y, hx, hy, proj, p2, speed: float, k1s, k2s):
+def blended_many(pos, cs, proj, p2, speed: float, k1s, k2s):
     """:func:`corrector_geometry` + :func:`blended_command` over rows, for the gain tuner.
 
-    ``hx, hy`` are the headings' cosines and sines, ``proj`` holds the
-    projections' rows x, y, tx, ty and ``p2`` the look-ahead points' rows x,
-    y, tx, ty, kappa.  Same clamps and fallbacks as the scalar law; numpy's
-    hypot and arctan2 may differ from the math module's in the last bit.
-    Operations repeated over vectors run as one call on stacked rows (the four
-    hypots, both arctan2 calls and their wrap, both sines), each element with
-    the operations of a call per row, so the result is the same bit for bit.
+    ``pos`` holds the vehicles' positions and ``cs`` their headings' cosines and sines, each as
+    (2, K) rows x, y; ``proj`` holds the projections' rows x, y, tx, ty and ``p2`` the look-ahead
+    points' rows x, y, tx, ty, kappa.  Same clamps and fallbacks as the scalar law; numpy's
+    hypot and arctan2 may differ from the math module's in the last bit.  Operations repeated
+    over vectors run as one call on stacked rows (x with y, p2 with p4, the dot products with
+    the cross products, the two weights), each element with the operations of a call per row,
+    so the result is the same bit for bit.
     """
-    pos, h, tt = np.array((x, y)), np.array((hx, hy)), proj[2:4]
-    pts = np.array((p2[:2], p2[:2]))  # p2, then p4, as rows x, y
+    tt = proj[2:4]
+    pts = np.empty((2, 2, pos.shape[1]))  # rows x, y of p2, then of p4
+    pts[:, 0] = p2[:2]
 
     # Corrector point p4: the tangent line at proj meets the perpendicular through p2.
-    den = tt * h
+    den = tt * cs
     den = den[0] + den[1]
-    degen = np.abs(den) < PARALLEL_EPS
+    degen = np.abs(den) < _PARALLEL_EPS
     any_degen = np.count_nonzero(degen)  # the degenerate selects run only when needed
     w = p2[:2] - proj[:2]
-    w *= h
-    tpar = (w[0] + w[1]) / (np.where(degen, 1.0, den) if any_degen else den)
-    np.add(proj[:2], tpar * tt, out=pts[1])
+    w *= cs
+    tpar = (w[0] + w[1]) / (np.where(degen, _ONE, den) if any_degen else den)
+    np.add(proj[:2], tpar * tt, out=pts[:, 1])
     if any_degen:
-        pts[1] = np.where(degen, p2[:2], pts[1])
+        pts[:, 1] = np.where(degen, p2[:2], pts[:, 1])
 
     # Vectors as rows x, y: vehicle to p2 and to p4, then p3 to p2 and to p4.
-    v = np.empty((4, 2, x.size))
-    np.subtract(pts, pos, out=v[:2])
-    vx, vy = v[:2, 0], v[:2, 1]
-    dot = hx * vx + hy * vy
-    eta = np.arctan2(hx * vy - hy * vx, dot)  # eta12, eta14
-    np.putmask(eta, eta <= -np.pi, eta + TWO_PI)
-    np.subtract(pts, dot[0] * h + pos, out=v[2:])  # p3 = p1 + q h: the foot of p2's perpendicular
-    lens = np.hypot(v[:, 0], v[:, 1])  # d12, lc, l23, l43
-    np.putmask(eta[1], ~(lens[1] > 0.0), 0.0)
+    v = np.empty((2, 4, pos.shape[1]))
+    np.subtract(pts, pos[:, None], out=v[:, :2])
+    # hx vx + hy vy, then -hy vx + hx vy (= hx vy - hy vx): the dot, then the cross, products.
+    dc = (cs.take(_SWAP, axis=0) * _TURN)[:, :, None] * v[:, :2]
+    dc = dc[:, 0] + dc[:, 1]
+    eta = np.arctan2(dc[1], dc[0])  # eta12, eta14
+    wrap = eta <= _MINUS_PI
+    if np.count_nonzero(wrap):
+        np.putmask(eta, wrap, eta + _TWO_PI)
+    np.subtract(pts, (dc[0, 0] * cs + pos)[:, None], out=v[:, 2:])  # p3 = p1 + q h: the foot of p2's perpendicular
+    lens = np.hypot(v[0], v[1])  # d12, lc, l23, l43
+    lc = lens[1] > _ZERO
+    if np.count_nonzero(lc) < lc.size:
+        np.putmask(eta[1], ~lc, _ZERO)
 
     r_l1 = radii_from_curvatures(p2[4])
-    cb = p2[2:4] * v[0]
-    cosb = (cb[0] + cb[1]) / np.maximum(lens[0], 1e-12)
-    cb = np.where(cosb >= 0.0, np.maximum(cosb, COS_BETA_MIN), np.minimum(cosb, -COS_BETA_MIN))
-    v_l = np.minimum(np.maximum(speed * np.cos(eta[0]) / cb, 0.0), LOOKAHEAD_SPEED_CAP * speed)
-    v_m = 0.5 * (speed + v_l)
+    cb = p2[2:4] * v[:, 0]
+    cosb = (cb[0] + cb[1]) / np.maximum(lens[0], _MIN_D12)
+    cb = np.where(cosb >= _ZERO, np.maximum(cosb, _COS_BETA_HI), np.minimum(cosb, _COS_BETA_LO))
+    v_l = np.minimum(np.maximum(speed * np.cos(eta[0]) / cb, _ZERO), LOOKAHEAD_SPEED_CAP * speed)
+    v_m = _HALF * (speed + v_l)
 
-    arc = 2.0 * speed * speed * np.sin(eta) / np.maximum(lens[:2], MIN_TARGET_DIST)  # a12, a14
-    wt = np.array((k1s * r_l1 / (1.0 + lens[2]), k2s * v_m / (r_l1 * (1.0 + lens[3]))))  # w1, w2
+    arc = 2.0 * speed * speed * np.sin(eta) / np.maximum(lens[:2], _MIN_TARGET_DIST)  # a12, a14
+    wt = _ONE + lens[2:]
+    wt[1] *= r_l1
+    np.divide((k1s * r_l1, k2s * v_m), wt, out=wt)  # w1, w2
     wsum = wt[0] + wt[1]
     mix = wt * arc
-    cmd = (mix[0] + mix[1]) / np.where(wsum < WEIGHT_EPS, 1.0, wsum)
-    zero = wt == 0.0
+    small = wsum < _WEIGHT_EPS
+    np.putmask(wsum, small, _ONE)
+    cmd = (mix[0] + mix[1]) / wsum
+    zero = wt == _ZERO
     np.putmask(cmd, zero[0], arc[1])
-    np.putmask(cmd, (wsum < WEIGHT_EPS) | zero[1], arc[0])
+    np.putmask(cmd, small | zero[1], arc[0])
     return cmd

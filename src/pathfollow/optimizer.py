@@ -10,12 +10,17 @@ independent of the others, through the path's batched queries
 (:meth:`ReferencePath.project_many`, :meth:`~ReferencePath.lookahead_many`,
 :meth:`~ReferencePath.point_at_many`), :func:`guidance.blended_many` and
 :func:`vehicle.step_arrays`, so a step costs a fixed number of numpy calls.
-One call serves several where it can: the headings' cos and sin feed both the
-law and the step, and each transcendental runs once over stacked rows.  That
-is exact, because numpy's float64 ufuncs give an element the same bits in any
-array (tests/test_rollout_kernel.py).  The search is bit-deterministic:
-the reduction orders by (cost, k2, k1), so results do not depend on
-evaluation order.  One gain update keeps a table of costs by gain pair and
+One call serves several where it can: the rows' positions travel as one (2, K)
+array, x then y, through every stage, paired x/y arithmetic runs as one call on
+stacked rows, the headings' cos and sin feed both the law and the step, and
+each transcendental runs once over stacked rows.  That is exact, because
+numpy's float64 ufuncs give an element the same bits in any array
+(tests/test_rollout_kernel.py).  A step of a stock gain update in which every
+row crosses in the look-ahead's first chunk makes 159 numpy calls and array
+operators, 23 of them on a Python number, plus 94 indexing operations, at any
+row count (183, 71 and 88 when x and y travelled as separate arrays).  The
+search is bit-deterministic: the reduction orders by (cost, k2, k1), so
+results do not depend on evaluation order.  One gain update keeps a table of costs by gain pair and
 rolls each pair out at most once; every k2 = 0 pair is one entry, because
 such a row flies the look-ahead term alone whatever its k1.
 """
@@ -52,10 +57,10 @@ class OptimizerSettings:
     def __post_init__(self):
         if not 0.0 < self.k_max < math.inf:
             raise ValueError("k_max must be positive and finite")
-        if not 3 <= self.grid <= MAX_GRID:
-            raise ValueError(f"grid must be between 3 and {MAX_GRID}")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be non-negative")
+        if not (type(self.grid) is int and 3 <= self.grid <= MAX_GRID):
+            raise ValueError(f"grid must be an integer between 3 and {MAX_GRID}")
+        if not (type(self.refine_rounds) is int and self.refine_rounds >= 0):
+            raise ValueError("refine_rounds must be a non-negative integer")
         if not self.d_limit > 0.0:
             raise ValueError("d_limit must be positive")
 
@@ -98,7 +103,9 @@ def rollout_cost(
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    n_steps = max(1, int(round(horizon / dt)))
+    if not gains.lookahead < math.inf:
+        raise ValueError("look-ahead distance must be finite")
+    n_steps = _steps(horizon, dt)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
     k1, k2 = np.array([gains.k1]), np.array([gains.k2])
     return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps, a_max)[0])
@@ -134,8 +141,10 @@ def optimize_gains(
     ``grid^2 + 1`` rows.  The picks are those of rolling out every round
     whole, bit for bit, since a row's cost does not depend on the other rows.
     """
+    if not 0.0 < lookahead_dist < math.inf:
+        raise ValueError("look-ahead distance must be positive and finite")
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
-    n_steps = max(1, int(round(horizon / dt)))
+    n_steps = _steps(horizon, dt)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
     g, k_max, rounds = settings.grid, settings.k_max, settings.refine_rounds
@@ -172,6 +181,17 @@ def optimize_gains(
     return OptimizedGains(best_k1, best_k2, best_cost, horizon)
 
 
+def _steps(horizon, dt):
+    """Steps of a rollout over ``horizon``, at least one; a ValueError for a ``dt`` outside (0, inf) or
+    more than MAX_ROLLOUT_STEPS steps, which no mission that ``supervisor.mission_problems`` admits asks for."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    steps = horizon / dt
+    if not (steps < math.inf and round(steps) <= MAX_ROLLOUT_STEPS):
+        raise ValueError(f"a rollout of horizon {horizon!r} s at dt {dt!r} s exceeds {MAX_ROLLOUT_STEPS} steps")
+    return max(1, round(steps))
+
+
 def _box(centre, delta, grid, k_max):
     """A round's candidates: the grid of side ``delta`` around ``centre``, clipped to [0, k_max]^2,
     as pair rows over each axis's distinct values (a centre on the box edge clips half an axis)."""
@@ -198,8 +218,8 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
     speed, total = state.speed, path.total_length
 
     k = k1s.size
-    x = np.full(k, state.x)
-    y = np.full(k, state.y)
+    pos = np.empty((2, k))  # rows x, y
+    pos[0], pos[1] = state.x, state.y
     psi = np.full(k, state.heading)
     s_lb = np.full(k, min(max(s_min, 0.0), total))
     sp = np.full(k, min(max(s_proj, 0.0), total))
@@ -208,10 +228,10 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
     cs = np.empty((2, k))  # the headings' cos and sin, shared by the law and the step
 
     for _ in range(n_steps):
-        sp, pdist = path.project_many(x, y, sp)
+        sp, pdist = path.project_many(pos, sp)
         cte_sq += pdist * pdist
 
-        s2, end_rows, fallback = path.lookahead_many(x, y, s_lb, lookahead_dist)
+        s2, end_rows, fallback = path.lookahead_many(pos, s_lb, lookahead_dist)
         if end_rows.size:
             ended[end_rows] = any_ended = True
         s_lb = np.maximum(s_lb, s2)
@@ -222,13 +242,13 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
             pts[:, k + fallback[0]] = fallback[1]
         np.cos(psi, out=cs[0])
         np.sin(psi, out=cs[1])
-        cmd = blended_many(x, y, cs[0], cs[1], pts[:4, :k], pts[:, k:], speed, k1s, k2s)
+        cmd = blended_many(pos, cs, pts[:4, :k], pts[:, k:], speed, k1s, k2s)
         if any_ended:
             cmd = np.where(ended, 0.0, cmd)
         if a_max is not None:  # vehicle.step's clamp: for a_max > 0, NaN and -0.0 pass as there
             np.maximum(cmd, -a_max, out=cmd)
             np.minimum(cmd, a_max, out=cmd)
-        x, y, psi = step_arrays(x, y, psi, cmd, speed, dt, cs)
+        pos, psi = step_arrays(pos, psi, cmd, speed, dt, cs)
 
     costs = np.sqrt(cte_sq / n_steps)
     return np.where(np.isfinite(costs), costs, np.inf)

@@ -52,9 +52,15 @@ _DIFF = slice(2, 11, 2)
 _XY = slice(1, 4, 2)
 _CHUNK = np.arange(4)[:, None]  # the batched look-ahead's segment offsets from s_lb's
 _CHUNK_FIRST = _CHUNK == 0  # its segment holding s_lb
+_MINUS_PLUS = np.array((-1.0, 1.0))[:, None, None]  # the sign of the discriminant's root in its two roots
 _BEFORE_AT = np.array([[1], [0]])  # the batched projection's segments: ending, starting at a sample
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
+# The batched queries' constant operands as 0-d arrays: a Python float operand costs a ufunc
+# call about 0.2 us to convert, a third of its time on rollout rows.
+_ZERO, _ONE, _TINY, _INF = np.array(0.0), np.array(1.0), np.array(1e-300), np.array(np.inf)
+_SEAM_LO, _SEAM_HI = np.array(-_SEAM_EPS), np.array(1.0 + _SEAM_EPS)
+_MIN_CURVATURE, _MIN_RADIUS, _MAX_RADIUS = np.array(1.0 / MAX_RADIUS), np.array(MIN_RADIUS), np.array(MAX_RADIUS)
 _SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length trapezoid
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
@@ -101,7 +107,7 @@ def radius_from_curvature(kappa: float) -> float:
 
 def radii_from_curvatures(kappa: np.ndarray) -> np.ndarray:
     """The clamp of :func:`radius_from_curvature` over an array."""
-    return np.minimum(MAX_RADIUS, np.maximum(MIN_RADIUS, 1.0 / np.maximum(np.abs(kappa), 1.0 / MAX_RADIUS)))
+    return np.minimum(_MAX_RADIUS, np.maximum(_MIN_RADIUS, _ONE / np.maximum(np.abs(kappa), _MIN_CURVATURE)))
 
 
 class ReferencePath:
@@ -111,8 +117,10 @@ class ReferencePath:
     of the segment to the next sample, x, y, tx, ty, kappa, then their
     differences to the next sample.  31 zero-length segments, at the last
     sample's position, pad its end for the batched projection's 32-sample
-    windows and the batched look-ahead's 4-segment chunk to run into; it
-    takes 88 bytes per sample (1.8 MB per km at the default spacing).  The
+    windows and the batched look-ahead's 4-segment chunk to run into; the
+    windows are two sliding-window views of the table, one of the x row and
+    one of the y row.  The table takes 88 bytes per sample (1.8 MB per km at
+    the default spacing).  The
     scalar queries read plain-float lists of the first eight rows, built
     once (0.64 MB per list per km).  The path also records its longest chord between neighbouring
     samples, which bounds how far the look-ahead scans may skip; a table
@@ -155,8 +163,8 @@ class ReferencePath:
         self._ds = float(spacing)
         self._total = float(spacing) * (n - 1)
         self._table = t
-        # Window j of the batched projection: x, then y, of samples j .. j + 31, as [:, j].
-        self._windows = sliding_window_view(t[_XY], 32, axis=1)
+        # Window j of the batched projection: the x, and the y, of samples j .. j + 31.
+        self._wx, self._wy = sliding_window_view(t[_XY], 32, axis=1)
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # Plain-float rows for the scalar loops; numpy's - * + round like
         # Python's, so the segment rows equal the loops' own arithmetic.
@@ -203,11 +211,11 @@ class ReferencePath:
 
     def point_at_many(self, s: np.ndarray) -> np.ndarray:
         """Position, unit tangent and curvature at many arc lengths, as rows x, y, tx, ty, kappa."""
-        u = np.minimum(np.maximum(s / self._ds, 0.0), self._n - 1)
+        u = np.minimum(np.maximum(s / self._ds, _ZERO), self._n - 1)
         j = np.minimum(u.astype(np.int64), self._n - 2)
         g = self._table.take(j, axis=1)
         pts = g[_POINT] + g[_DIFF] * (u - j)
-        pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), 1e-300)
+        pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), _TINY)
         return pts
 
     # ------------------------------------------------------------------
@@ -278,28 +286,39 @@ class ReferencePath:
             best_dd, best_j, best_u = (px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j, u
         return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
 
-    def project_many(self, x: np.ndarray, y: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Arc lengths and distances of a windowed exact projection per row, with a 1 m backward
-        guard: the nearest of 32 samples from the guard picks two segments, solved as one (2, K) array.
+    def project_many(self, pos: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arc lengths and distances of a windowed exact projection per row of ``pos`` (x, then y),
+        with a 1 m backward guard: the nearest of 32 samples from the guard picks two segments,
+        solved as (2, K) rows with x and y stacked.
 
         On rollout rows it gives ``project(p, s_hint=s_prev)``'s arc length bit for bit and its distance
         within 2 ULP (``x * x`` against ``**``); each form is the faster one for its own kind of query."""
         n, t = self._n, self._table
-        lo_u = np.fmax(s_prev - 1.0, 0.0) / self._ds
+        lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._ds
         j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
         # Samples j_lo .. j_lo + 31 per row; the table's padding stands in for samples past the end.
-        d = self._windows[:, j_lo]
-        d -= np.array((x, y))[..., None]
-        d *= d  # numpy's ** 2
-        i_star = j_lo + (d[0] + d[1]).argmin(axis=1)
+        wx, wy = self._wx[j_lo], self._wy[j_lo]
+        wx -= pos[0, :, None]
+        wy -= pos[1, :, None]
+        wx *= wx  # numpy's ** 2
+        wy *= wy
+        wx += wy
+        i_star = j_lo + wx.argmin(axis=1)
         # The segments ending and starting at the nearest sample.
         jc = np.minimum(np.maximum(i_star - _BEFORE_AT, j_lo), n - 2)
-        a, ax, dxs, ay, dys = g = t[:5].take(jc, axis=1)
-        u = ((x - ax) * dxs + (y - ay) * dys) / np.maximum(a, 1e-300)
-        u_min = np.where(jc == j_lo, np.minimum(lo_u - j_lo, 1.0), 0.0)
-        u = np.minimum(np.maximum(u, u_min), 1.0)
-        foot = g[1:4:2] + g[2:5:2] * u
-        dd = (x - foot[0]) ** 2 + (y - foot[1]) ** 2
+        g = t[:5].take(jc, axis=1)  # seg2, x, dx, y, dy
+        p = pos[:, None]
+        r = p - g[1:4:2]
+        r *= g[2:5:2]
+        u = (r[0] + r[1]) / np.maximum(g[0], _TINY)
+        guard = jc == j_lo
+        if np.count_nonzero(guard):  # the guard segment's selects run only when needed
+            np.maximum(u, np.where(guard, np.minimum(lo_u - j_lo, _ONE), _ZERO), out=u)
+        else:
+            np.maximum(u, _ZERO, out=u)
+        np.minimum(u, _ONE, out=u)
+        r = (p - (g[1:4:2] + g[2:5:2] * u)) ** 2
+        dd = r[0] + r[1]
         s_cand = (jc + u) * self._ds
         second = dd[1] < dd[0]
         return np.where(second, s_cand[1], s_cand[0]), np.sqrt(np.where(second, dd[1], dd[0]))
@@ -369,8 +388,8 @@ class ReferencePath:
         pp, _ = self.project(p, s_hint=s0, window=self._total)
         return LookaheadResult(pp, fallback=True)
 
-    def lookahead_many(self, x: np.ndarray, y: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
-        """First circle/path crossing after s_lb per row: :meth:`lookahead_point`'s answers.
+    def lookahead_many(self, pos: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
+        """First circle/path crossing after s_lb per row of ``pos`` (x, then y): :meth:`lookahead_point`'s answers.
 
         One chunk of the 4 segments from the one holding s_lb, for the usual
         advance of 0-2 segments, answers most rows at once, under the scalar
@@ -387,32 +406,39 @@ class ReferencePath:
         u_s = s_lb / self._ds
         j = np.minimum(u_s.astype(np.int64), n - 2)
         idx = _CHUNK + j  # segments as rows, states as columns
-        a, ax, dxs, ay, dys = t[:5].take(idx, axis=1)
-        rxs, rys = ax - x, ay - y
-        nb = -(rxs * dxs + rys * dys)
-        disc = nb * nb - a * (rxs * rxs + rys * rys - l2)
-        ok = (disc >= 0.0) & (a > 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        u = np.array((nb - sq, nb + sq)) / np.where(ok, a, 1.0)  # the two roots
+        g = t[:5].take(idx, axis=1)  # seg2, x, dx, y, dy
+        a = g[0]
+        r = g[1:4:2] - pos[:, None]  # the rays from the vehicles to the segments' starts
+        b = r * g[2:5:2]
+        b = b[0] + b[1]
+        r *= r
+        disc = b * b - a * (r[0] + r[1] - l2)
+        ok = (disc >= _ZERO) & (a > _ZERO)
+        if np.count_nonzero(ok) < ok.size:  # the selects run only when needed
+            disc, a = np.where(ok, disc, _ZERO), np.where(ok, a, _ONE)
+        u = _MINUS_PLUS * np.sqrt(disc)
+        u -= b
+        u /= a  # the two roots, (-b - sq) / a and (-b + sq) / a
         # Only the segment holding s_lb starts past -eps.
-        inside = (u > np.where(_CHUNK_FIRST, u_s - j, -_SEAM_EPS)) & (u <= 1.0 + _SEAM_EPS)
+        inside = (u > np.where(_CHUNK_FIRST, u_s - j, _SEAM_LO)) & (u <= _SEAM_HI)
         has = ok & (inside[0] | inside[1])
-        s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), 0.0), 1.0)) * self._ds
+        s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), _ZERO), _ONE)) * self._ds
         # The first crossing is the least: s never decreases along the chunk.
-        hit, s_out = has.any(axis=0), np.where(has, s, np.inf).min(axis=0)
-        if hit.all():  # the usual case
+        s_out = np.minimum.reduce(np.where(has, s, _INF), axis=0)
+        hit = s_out < _INF
+        if np.count_nonzero(hit) == hit.size:  # the usual case
             return s_out, _NO_ROWS, None
         miss = np.flatnonzero(~hit)
 
         # The rest of the path holds no root when the chunk reached its end, or when its last
         # vertex's distance differs from L1 by more than a chord per segment left (a nan skips nothing).
-        xm, ym, k = x[miss], y[miss], j[miss] + _CHUNK.size
+        (xm, ym), k = pos[:, miss], j[miss] + _CHUNK.size
         skip = np.abs(np.hypot(t[1].take(k) - xm, t[3].take(k) - ym) - lookahead_dist) / self.max_chord - 1.0
         ends = ((k >= n - 1) | (skip >= n - 1 - k)) & ((t[1, n - 1] - xm) ** 2 + (t[3, n - 1] - ym) ** 2 < l2)
         s_out[miss[ends]] = self._total
         end, fell, points = miss[ends].tolist(), [], []
         for i in miss[~ends].tolist():
-            la = self.lookahead_point((x[i], y[i]), s_lb[i], lookahead_dist)
+            la = self.lookahead_point((pos[0, i], pos[1, i]), s_lb[i], lookahead_dist)
             pp = la.point
             s_out[i] = pp.s
             if la.end_of_path:

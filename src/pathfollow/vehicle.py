@@ -16,6 +16,9 @@ import numpy as np
 
 from .geom import Vec2, wrap_angle
 
+# step_arrays' constant operands as 0-d arrays, which numpy takes without converting a Python float each call.
+_FOUR, _PI, _TWO_PI = np.array(4.0), np.array(np.pi), np.array(2.0 * np.pi)
+
 
 @dataclass(slots=True)
 class VehicleState:
@@ -74,19 +77,20 @@ def step(
     return VehicleState(x, y, psi4, v, state.t + dt)
 
 
-def step_arrays(x, y, psi, a_cmd, speed: float, dt: float, cs):
+def step_arrays(pos, psi, a_cmd, speed: float, dt: float, cs):
     """Vectorized RK4 step matching :func:`step`; used by batched rollouts.
 
-    ``cs`` holds cos(psi) and sin(psi) as rows, computed once for the law and the step.
-    psi2 and psi4 share one cos and one sin call, and x and y one update, each element with
-    :func:`step`'s operations in its order, so the step is the same bit for bit.
+    ``pos`` holds the positions and ``cs`` cos(psi) and sin(psi), each as (2, K) rows x, y; the
+    loop computes ``cs`` once for the law and the step.  psi2 and psi4 share one cos and one sin
+    call, and x and y one update, each element with :func:`step`'s operations in its order, so
+    the step is the same bit for bit.  Returns the new positions and headings.
     """
     ang = np.multiply.outer((0.5 * dt, dt), a_cmd / speed)  # psi2 - psi, psi4 - psi
     ang += psi
     trig = np.empty((2,) + ang.shape)  # cos, then sin, of psi2 and psi4
     np.cos(ang, out=trig[0])
     np.sin(ang, out=trig[1])
-    xy = (4.0 * trig[:, 0] + cs + trig[:, 1]) * (speed * dt / 6.0)
-    pw = np.mod(ang[1], 2.0 * np.pi)
-    np.putmask(pw, pw > np.pi, pw - 2.0 * np.pi)
-    return x + xy[0], y + xy[1], pw
+    xy = (_FOUR * trig[:, 0] + cs + trig[:, 1]) * (speed * dt / 6.0)
+    pw = np.mod(ang[1], _TWO_PI)
+    np.putmask(pw, pw > _PI, pw - _TWO_PI)
+    return pos + xy, pw

@@ -197,7 +197,7 @@ def test_lookahead_many_matches_scalar_bitwise(kind, radius):
     k = rng.integers(1, px.size - 1, 40)
     x[h + 60 : h + 100], y[h + 60 : h + 100] = px[k] + rng.normal(0.0, 1e-10, 40), py[k] + rng.normal(0.0, 1e-10, 40)
     s_lb[h + 60 : h + 100] = k * path.spacing * rng.uniform(0.0, 1.0, 40)
-    s, end_rows, fallback = path.lookahead_many(x, y, s_lb, radius)
+    s, end_rows, fallback = path.lookahead_many(np.array((x, y)), s_lb, radius)
     ended, fell = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     ended[end_rows] = True
     points = np.full((5, m), np.nan)
@@ -220,7 +220,7 @@ def test_lookahead_many_vertex_start_matches_scalar():
     # at s_min lies behind the progress, and both forms take the one ahead.
     path = make_line_path((0.0, 0.0), (1.0, 0.0), 200.0)
     la = path.lookahead_point((10.0, 0.0), 0.0, 10.0)
-    s, end_rows, fallback = path.lookahead_many(np.array([10.0]), np.array([0.0]), np.array([0.0]), 10.0)
+    s, end_rows, fallback = path.lookahead_many(np.array([[10.0], [0.0]]), np.array([0.0]), 10.0)
     assert la.point.s == s[0] == 20.0
     assert not (la.fallback or la.end_of_path) and end_rows.size == 0 and fallback is None
 
@@ -239,7 +239,7 @@ def test_lookahead_many_ends_rows_without_the_scalar_query(monkeypatch):
     monkeypatch.setattr(ReferencePath, "lookahead_point", scalar)
     path = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
     x, y = np.array([50.0, 95.0, 97.0, 99.5]), np.array([0.0, 0.0, 1.0, -2.0])
-    s, end_rows, fallback = path.lookahead_many(x, y, x.copy(), 10.0)
+    s, end_rows, fallback = path.lookahead_many(np.array((x, y)), x.copy(), 10.0)
     assert fallback is None
     assert end_rows.tolist() == [1, 2, 3]
     assert s.tolist() == [60.0] + [path.total_length] * 3

@@ -234,6 +234,49 @@ def stock_path():
     return make_sinusoid_path(-15.0, 150.0)
 
 
+# Inputs the tuner refuses up front, at STOCK_UPDATES[1]: (entry point, keyword overrides).
+REFUSED = {
+    "optimize_negative_lookahead": ("optimize", {"lookahead_dist": -10.0}),
+    "optimize_infinite_lookahead": ("optimize", {"lookahead_dist": math.inf}),
+    "optimize_zero_dt": ("optimize", {"dt": 0.0}),
+    "optimize_negative_dt": ("optimize", {"dt": -0.01}),
+    "optimize_infinite_dt": ("optimize", {"dt": math.inf}),
+    "optimize_nan_dt": ("optimize", {"dt": math.nan}),
+    "optimize_unbounded_horizon": ("optimize", {"d_limit": math.inf}),
+    "rollout_zero_dt": ("rollout", {"dt": 0.0}),
+    "rollout_negative_dt": ("rollout", {"dt": -0.01}),
+    "rollout_infinite_dt": ("rollout", {"dt": math.inf}),
+    "rollout_infinite_lookahead": ("rollout", {"lookahead": math.inf}),
+    "rollout_too_many_steps": ("rollout", {"horizon": 1000.0}),
+    "settings_float_grid": ("settings", {"grid": 5.0}),
+    "settings_float_rounds": ("settings", {"refine_rounds": 1.5}),
+    "settings_bool_rounds": ("settings", {"refine_rounds": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_tuner_refuses_inputs_it_cannot_fly(stock_path, monkeypatch, name):
+    # One ValueError before any rollout, where these crashed, hung or flew a different input.
+    def rollout(*args):
+        raise AssertionError("rolled out")
+
+    monkeypatch.setattr(optimizer, "_rollout_costs", rollout)
+    entry, kw = REFUSED[name]
+    x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
+    st = VehicleState(x, y, heading, 5.0)
+    with pytest.raises(ValueError):
+        if entry == "settings":
+            OptimizerSettings(**kw)
+        elif entry == "optimize":
+            settings = OptimizerSettings(d_limit=kw.pop("d_limit", 20.0))
+            args = {"lookahead_dist": 10.0, "dt": 0.01, **kw}
+            optimize_gains(st, stock_path, s_min, settings, args["lookahead_dist"], args["dt"], s_proj)
+        else:
+            args = {"lookahead": 10.0, "horizon": 4.0, "dt": 0.01, **kw}
+            gains = GuidanceGains(1.0, 0.0, args["lookahead"])
+            rollout_cost(st, stock_path, s_min, gains, args["horizon"], args["dt"], s_proj)
+
+
 @pytest.mark.parametrize("update, expected", STOCK_UPDATES)
 def test_optimize_gains_reproduces_recorded_stock_updates(stock_path, update, expected):
     x, y, heading, s_min, s_proj = update
@@ -403,9 +446,9 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
     calls = []
     batched = ReferencePath.project_many
 
-    def recording(self, x, y, s_prev):
-        s, d = batched(self, x, y, s_prev)
-        calls.append((x, y, s_prev, s, d))
+    def recording(self, pos, s_prev):
+        s, d = batched(self, pos, s_prev)
+        calls.append((*pos, s_prev, s, d))
         return s, d
 
     monkeypatch.setattr(ReferencePath, "project_many", recording)

@@ -8,6 +8,10 @@
 * numpy's float64 ``sin``, ``cos``, ``arctan2`` and ``hypot`` give the same
   bits over an (m, K) array as one call per row: the kernel merges calls on
   rows of equal length, which is exact only under this property.
+* sha256 digests of each batched stage's outputs (``project_many``,
+  ``lookahead_many``, ``point_at_many``, ``blended_many``, ``step_arrays``)
+  over seeded rows on the stock sinusoid and on a line, recorded before the
+  stages took the rows' positions as one (2, K) array.
 """
 
 import hashlib
@@ -72,16 +76,16 @@ def branch_counter(monkeypatch, path, a_max):
     project_many, lookahead_many = ReferencePath.project_many, ReferencePath.lookahead_many
     blended_many, step_arrays = optimizer.blended_many, optimizer.step_arrays
 
-    def project(self, x, y, s_prev):
-        s, d = project_many(self, x, y, s_prev)
+    def project(self, pos, s_prev):
+        s, d = project_many(self, pos, s_prev)
         fired["guard"] += bool(np.any((s_prev > 1.0) & (np.abs(s - (s_prev - 1.0)) < 1e-9)))
         return s, d
 
-    def lookahead(self, x, y, s_lb, lookahead_dist):
-        s2, end_rows, fallback = lookahead_many(self, x, y, s_lb, lookahead_dist)
+    def lookahead(self, pos, s_lb, lookahead_dist):
+        s2, end_rows, fallback = lookahead_many(self, pos, s_lb, lookahead_dist)
         fired["end"] += end_rows.size > 0
         fired["fallback"] += fallback is not None
-        crossed = np.ones(x.size, dtype=bool)
+        crossed = np.ones(pos.shape[1], dtype=bool)
         crossed[end_rows] = False
         if fallback is not None:
             crossed[fallback[0]] = False
@@ -89,13 +93,13 @@ def branch_counter(monkeypatch, path, a_max):
         fired["past_chunk"] += bool(np.any(crossed & (np.floor(s2 / self.spacing) >= first + 4)))
         return s2, end_rows, fallback
 
-    def blended(x, y, hx, hy, proj, *rest):
-        fired["degen"] += bool(np.any(np.abs(proj[2] * hx + proj[3] * hy) < PARALLEL_EPS))
-        return blended_many(x, y, hx, hy, proj, *rest)
+    def blended(pos, cs, proj, *rest):
+        fired["degen"] += bool(np.any(np.abs(proj[2] * cs[0] + proj[3] * cs[1]) < PARALLEL_EPS))
+        return blended_many(pos, cs, proj, *rest)
 
-    def stepped(x, y, psi, a_cmd, *rest, **kwargs):
+    def stepped(pos, psi, a_cmd, *rest, **kwargs):
         fired["saturate"] += a_max is not None and bool(np.any(np.abs(a_cmd) == a_max))
-        return step_arrays(x, y, psi, a_cmd, *rest, **kwargs)
+        return step_arrays(pos, psi, a_cmd, *rest, **kwargs)
 
     monkeypatch.setattr(ReferencePath, "project_many", project)
     monkeypatch.setattr(ReferencePath, "lookahead_many", lookahead)
@@ -146,3 +150,120 @@ def test_merged_transcendentals_match_per_row_calls(k):
         merged = fn(*args)
         rows = np.stack([fn(*(arg[i].copy() for arg in args)) for i in range(m)])
         assert merged.tobytes() == rows.tobytes(), fn.__name__
+
+
+# ----------------------------------------------------------------------
+# Per-stage pins
+# ----------------------------------------------------------------------
+
+# Headings every stage case carries, on rows of the on-path group.
+EDGE_HEADINGS = [math.pi, -math.pi, 0.0, -0.0]
+
+
+def stage_rows(path, seed, k=240, lookahead=10.0):
+    """Seeded rollout rows on ``path``: positions, headings, projection hints and look-ahead bounds.
+
+    Rows 0-29 lie within 8 m of the path end, 30-59 on the path, 60-119 up to 1 m off it and
+    the rest up to 40 m off.  Every fourth row's hint lies 1.5-6 m ahead of its foot, so the 1 m
+    guard clamps its projection; every fifth row's look-ahead bound lies 20 m behind the foot,
+    past the batched look-ahead's first chunk; the other bounds sit just before the crossing."""
+    rng = np.random.default_rng(seed)
+    total = path.total_length
+    s = rng.uniform(0.0, total, k)
+    s[:30] = total - rng.uniform(0.0, 8.0, 30)
+    off = rng.uniform(-40.0, 40.0, k)
+    off[30:60] = 0.0
+    off[60:120] = rng.uniform(-1.0, 1.0, 60)
+    foot = [path.point_at(v) for v in s]
+    tx, ty = np.array([pp.tangent for pp in foot]).T
+    x = np.array([pp.position[0] for pp in foot]) - off * ty
+    y = np.array([pp.position[1] for pp in foot]) + off * tx
+    psi = np.arctan2(ty, tx) + rng.uniform(-1.0, 1.0, k)
+    psi[31:35] = EDGE_HEADINGS
+    s_prev = s + rng.uniform(-0.5, 0.5, k)
+    s_prev[::4] = s[::4] + rng.uniform(1.5, 6.0, s[::4].size)
+    s_lb = s + np.sqrt(np.maximum(lookahead * lookahead - off * off, 0.0)) - rng.uniform(0.0, 0.1, k)
+    s_lb[::5] = s[::5] - 20.0
+    return x, y, psi, np.clip(s_prev, 0.0, total), np.clip(s_lb, 0.0, total)
+
+
+def stage_outputs(path, seed):
+    """Each batched stage's outputs over ``stage_rows``, chained as in a rollout step, plus what fired.
+
+    Every tenth row's heading is turned square to its projection's tangent, so its corrector
+    lines are parallel; three rows are appended to the law's inputs whose corrector point is
+    the vehicle itself.  Gains are drawn from 0, -0, 10 and uniform values, and every third
+    command is clamped to 0.5 m/s^2 before the step."""
+    x, y, psi, s_prev, s_lb = stage_rows(path, seed)
+    k, total = x.size, path.total_length
+    rng = np.random.default_rng(seed + 100)
+    out = {}
+    sp, dist = path.project_many(np.array((x, y)), s_prev)
+    out["project_many"] = (sp, dist)
+    s2, end_rows, fallback = path.lookahead_many(np.array((x, y)), s_lb, 10.0)
+    out["lookahead_many"] = (s2, end_rows) + (fallback or ())
+    pts = path.point_at_many(np.concatenate((sp, s2, [-5.0, -0.0, total, total + 5.0])))
+    out["point_at_many"] = (pts,)
+    if fallback is not None:
+        pts[:, k + fallback[0]] = fallback[1]
+    psi[::10] = np.arctan2(pts[3, :k:10], pts[2, :k:10]) + math.pi / 2
+
+    # Vehicle, projection and look-ahead point of the appended rows: p4 = p1.
+    px, py = rng.uniform(-20.0, 20.0, (2, 3))
+    proj = np.concatenate((pts[:4, :k], [px, py, np.ones(3), np.zeros(3)]), axis=1)
+    p2 = np.concatenate((pts[:, k : 2 * k], [px + 5.0, py + 3.0, np.zeros(3), np.ones(3), np.zeros(3)]), axis=1)
+    bx, by, bpsi = np.append(x, px + 5.0), np.append(y, py), np.append(psi, np.zeros(3))
+    cs = np.array((np.cos(bpsi), np.sin(bpsi)))
+    k1s, k2s = rng.choice([0.0, -0.0, 10.0, 2.5], (2, k + 3))
+    k1s[::3] = rng.uniform(0.0, 10.0, k1s[::3].size)
+    k2s[1::3] = rng.uniform(0.0, 10.0, k2s[1::3].size)
+    cmd = optimizer.blended_many(np.array((bx, by)), cs, proj, p2, 5.0, k1s, k2s)
+    out["blended_many"] = (cmd,)
+
+    cmd = cmd[:k]
+    cmd[::3] = np.clip(cmd[::3], -0.5, 0.5)
+    pos, psi = optimizer.step_arrays(np.array((x, y)), psi, cmd, 5.0, 0.01, cs[:, :k])
+    out["step_arrays"] = (pos[0], pos[1], psi)
+
+    fired = {
+        "guard": bool(np.any((s_prev > 1.0) & (sp == s_prev - 1.0))),
+        "end": end_rows.size > 0,
+        "fallback": fallback is not None,
+        "past_chunk": bool(np.any(np.floor(s2 / path.spacing) >= np.floor(s_lb / path.spacing) + 4)),
+        "degen": bool(np.any(np.abs(proj[2] * cs[0] + proj[3] * cs[1]) < PARALLEL_EPS)),
+        "clamped": bool(np.any(np.abs(cmd) == 0.5)),
+    }
+    return out, fired
+
+
+STAGE_PATHS = {"stock": (STOCK, 11), "line": (LINE, 12)}
+
+# sha256 of each stage's outputs' bytes, concatenated in order, recorded before the stages
+# took positions as one (2, K) array.
+STAGE_DIGESTS = {
+    "line": {
+        "project_many": "65605fdafe24630164c0c27dc9f0f76519df47b73ad20f9efa57d255e87bb2c2",
+        "lookahead_many": "80325a354d9be2f6e9fe08d489ebf15104c63a25f98f1ad9a223607b50b6b817",
+        "point_at_many": "bf5df8ee248c54a5c5ed15d9e0c5d37dd93949e9b3d06d5d659489613a1ed036",
+        "blended_many": "5fc1964fdea50a9f4c9082580765cc8d20b9fd0313f6357dab665dbe479cb68c",
+        "step_arrays": "2c1683200e9844f252367ecf7590adc377407d12a7ba3d7594bd10ba06e2ccbb",
+    },
+    "stock": {
+        "project_many": "2d0ba4ef05611010375bb4d2ce3678b0766e9d230418d696cc05f09c746c05cc",
+        "lookahead_many": "0497594c415e62c0c0d153701e43fb43ac81fd0e8b183b8b7b3718e92832c2b2",
+        "point_at_many": "d93386b33d8e028f788ab0c2ea7e9bae7a7896bbc9fc83c2bdb7610e17b7eb75",
+        "blended_many": "42af76c1c8f4ebe7be3031278d373bcd69d8dc9ba97f1c7e007fc0f72f4469dd",
+        "step_arrays": "44b0f7a08063fb0be92508423083e5fc2ffb44245772aa8bda180ba08fd3d843",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_PATHS))
+def test_stage_outputs_digest(name):
+    out, fired = stage_outputs(*STAGE_PATHS[name])
+    assert all(fired.values()), fired
+    got = {
+        stage: hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+        for stage, arrays in out.items()
+    }
+    assert got == STAGE_DIGESTS[name]
