@@ -26,7 +26,7 @@ from math import atan2, cos, hypot, pi, sin
 import numpy as np
 
 from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle, sub
-from .path import PathPoint, ReferencePath, radii_from_curvatures, radius_from_curvature
+from .path import MAX_RADIUS, MIN_RADIUS, PathPoint, ReferencePath, radius_from_curvature
 from .vehicle import VehicleState
 
 # Lower clamp on target distances: the arc command is singular as a target
@@ -42,13 +42,11 @@ LOOKAHEAD_SPEED_CAP = 5.0
 # term alone.
 WEIGHT_EPS = 1e-12
 
-# blended_many's heading rows for the dot and cross products: (hx, hy), then (-hy, hx).
-_SWAP = np.array([[0, 1], [1, 0]])
-_TURN = np.array([[[1.0], [1.0]], [[-1.0], [1.0]]])
 # Its constant operands as 0-d arrays, which numpy takes without converting a Python float each call.
 _ZERO, _HALF, _ONE, _MINUS_PI, _TWO_PI = np.array(0.0), np.array(0.5), np.array(1.0), np.array(-math.pi), np.array(TWO_PI)
 _PARALLEL_EPS, _WEIGHT_EPS, _MIN_TARGET_DIST = np.array(PARALLEL_EPS), np.array(WEIGHT_EPS), np.array(MIN_TARGET_DIST)
 _MIN_D12, _COS_BETA_LO, _COS_BETA_HI = np.array(1e-12), np.array(-COS_BETA_MIN), np.array(COS_BETA_MIN)
+_MIN_CURVATURE, _MIN_RADIUS = np.array(1.0 / MAX_RADIUS), np.array(MIN_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -286,19 +284,27 @@ def blended_command(state: VehicleState, geom: CorrectorGeometry, gains: Guidanc
     return weighted_blend(w1, w2, a12, a14)
 
 
-def blended_many(pos, cs, proj, p2, speed: float, k1s, k2s):
+def law_operands(speed: float):
+    """:func:`blended_many`'s speed operands as 0-d arrays, built once per rollout: V, 2 V^2 and
+    the look-ahead speed cap, each the float the scalar law computes."""
+    return np.array(speed), np.array(2.0 * speed * speed), np.array(LOOKAHEAD_SPEED_CAP * speed)
+
+
+def blended_many(pos, cs, proj, p2, law, ks):
     """:func:`corrector_geometry` + :func:`blended_command` over rows, for the gain tuner.
 
     ``pos`` holds the vehicles' positions and ``cs`` their headings' cosines and sines, each as
     (2, K) rows x, y; ``proj`` holds the projections' rows x, y, tx, ty and ``p2`` the look-ahead
-    points' rows x, y, tx, ty, kappa.  Same clamps and fallbacks as the scalar law; numpy's
+    points' rows x, y, tx, ty, kappa; ``law`` is :func:`law_operands` of the speed and ``ks``
+    the gains as (2, K) rows k1, k2.  Same clamps and fallbacks as the scalar law; numpy's
     hypot and arctan2 may differ from the math module's in the last bit.  Operations repeated
-    over vectors run as one call on stacked rows (x with y, p2 with p4, the dot products with
-    the cross products, the two weights), each element with the operations of a call per row,
-    so the result is the same bit for bit.
+    over vectors run as one call on stacked rows (x with y, p2 with p4, the two weights),
+    each element with the operations of a call per row, so the result is the same bit for bit.
     """
+    speed, arc_gain, v_cap = law
+    k = pos.shape[1]
     tt = proj[2:4]
-    pts = np.empty((2, 2, pos.shape[1]))  # rows x, y of p2, then of p4
+    pts = np.empty((2, 2, k))  # rows x, y of p2, then of p4
     pts[:, 0] = p2[:2]
 
     # Corrector point p4: the tangent line at proj meets the perpendicular through p2.
@@ -311,35 +317,42 @@ def blended_many(pos, cs, proj, p2, speed: float, k1s, k2s):
     tpar = (w[0] + w[1]) / (np.where(degen, _ONE, den) if any_degen else den)
     np.add(proj[:2], tpar * tt, out=pts[:, 1])
     if any_degen:
-        pts[:, 1] = np.where(degen, p2[:2], pts[:, 1])
+        np.copyto(pts[:, 1], p2[:2], where=degen)
 
     # Vectors as rows x, y: vehicle to p2 and to p4, then p3 to p2 and to p4.
-    v = np.empty((2, 4, pos.shape[1]))
+    v = np.empty((2, 4, k))
     np.subtract(pts, pos[:, None], out=v[:, :2])
-    # hx vx + hy vy, then -hy vx + hx vy (= hx vy - hy vx): the dot, then the cross, products.
-    dc = (cs.take(_SWAP, axis=0) * _TURN)[:, :, None] * v[:, :2]
-    dc = dc[:, 0] + dc[:, 1]
-    eta = np.arctan2(dc[1], dc[0])  # eta12, eta14
+    hv = cs[:, None] * v[:, :2]  # hx vx, hy vy
+    dot = hv[0] + hv[1]
+    np.multiply(cs[::-1, None], v[:, :2], out=hv)  # hy vx, hx vy
+    eta = np.arctan2(hv[1] - hv[0], dot)  # the cross over the dot products: eta12, eta14
     wrap = eta <= _MINUS_PI
     if np.count_nonzero(wrap):
         np.putmask(eta, wrap, eta + _TWO_PI)
-    np.subtract(pts, (dc[0, 0] * cs + pos)[:, None], out=v[:, 2:])  # p3 = p1 + q h: the foot of p2's perpendicular
+    np.subtract(pts, (dot[0] * cs + pos)[:, None], out=v[:, 2:])  # p3 = p1 + q h: the foot of p2's perpendicular
     lens = np.hypot(v[0], v[1])  # d12, lc, l23, l43
     lc = lens[1] > _ZERO
     if np.count_nonzero(lc) < lc.size:
         np.putmask(eta[1], ~lc, _ZERO)
 
-    r_l1 = radii_from_curvatures(p2[4])
+    rv = np.empty((2, k))  # r_l1, then v_m
+    # radius_from_curvature's clamp: 1 / max(|kappa|, 1e-6) never exceeds MAX_RADIUS = 1e6,
+    # since 1 / (1 / 1e6) rounds to 1e6, so only the lower clamp runs.
+    np.maximum(_MIN_RADIUS, _ONE / np.maximum(np.abs(p2[4]), _MIN_CURVATURE), out=rv[0])
     cb = p2[2:4] * v[:, 0]
     cosb = (cb[0] + cb[1]) / np.maximum(lens[0], _MIN_D12)
-    cb = np.where(cosb >= _ZERO, np.maximum(cosb, _COS_BETA_HI), np.minimum(cosb, _COS_BETA_LO))
-    v_l = np.minimum(np.maximum(speed * np.cos(eta[0]) / cb, _ZERO), LOOKAHEAD_SPEED_CAP * speed)
-    v_m = _HALF * (speed + v_l)
+    cb = np.maximum(cosb, _COS_BETA_HI)
+    neg = cosb < _ZERO  # a NaN stays NaN either way
+    if np.count_nonzero(neg):
+        np.putmask(cb, neg, np.minimum(cosb, _COS_BETA_LO))
+    v_l = np.minimum(np.maximum(speed * np.cos(eta[0]) / cb, _ZERO), v_cap)
+    np.multiply(_HALF, speed + v_l, out=rv[1])
 
-    arc = 2.0 * speed * speed * np.sin(eta) / np.maximum(lens[:2], _MIN_TARGET_DIST)  # a12, a14
+    arc = arc_gain * np.sin(eta) / np.maximum(lens[:2], _MIN_TARGET_DIST)  # a12, a14
     wt = _ONE + lens[2:]
-    wt[1] *= r_l1
-    np.divide((k1s * r_l1, k2s * v_m), wt, out=wt)  # w1, w2
+    wt[1] *= rv[0]
+    rv *= ks
+    np.divide(rv, wt, out=wt)  # w1, w2
     wsum = wt[0] + wt[1]
     mix = wt * arc
     small = wsum < _WEIGHT_EPS

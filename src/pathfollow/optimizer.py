@@ -12,17 +12,23 @@ independent of the others, through the path's batched queries
 :func:`vehicle.step_arrays`, so a step costs a fixed number of numpy calls.
 One call serves several where it can: the rows' positions travel as one (2, K)
 array, x then y, through every stage, paired x/y arithmetic runs as one call on
-stacked rows, the headings' cos and sin feed both the law and the step, and
-each transcendental runs once over stacked rows.  That is exact, because
+stacked rows, and each transcendental runs once over stacked rows; the step
+takes the cos and sin of its two RK4 headings and of the new heading in one
+call each, and hands the last to the next step's law.  That is exact, because
 numpy's float64 ufuncs give an element the same bits in any array
-(tests/test_rollout_kernel.py).  A step of a stock gain update in which every
-row crosses in the look-ahead's first chunk makes 159 numpy calls and array
-operators, 23 of them on a Python number, plus 94 indexing operations, at any
-row count (183, 71 and 88 when x and y travelled as separate arrays).  The
-search is bit-deterministic: the reduction orders by (cost, k2, k1), so
-results do not depend on evaluation order.  One gain update keeps a table of costs by gain pair and
-rolls each pair out at most once; every k2 = 0 pair is one entry, because
-such a row flies the look-ahead term alone whatever its k1.
+(tests/test_rollout_kernel.py).  A rollout call builds its constant operands
+once as arrays (V, 2 V^2, the look-ahead speed cap, the RK4 time steps,
+V dt / 6, +-a_max), and a path its spacing and last sample: a Python number
+costs a ufunc call about 0.2 us to convert.  Selects write in place
+(``np.putmask``), and integer indices meet floats only after an explicit cast,
+which is cheaper than a mixed-type ufunc call.  A step of a stock gain update
+in which every row crosses in the look-ahead's first chunk makes 74 numpy calls
+and 95 array operators, one of them on a Python number (L^2), plus 106 indexing
+operations, at any row count.  The search is bit-deterministic: the reduction
+orders by (cost, k2, k1), so results do not depend on evaluation order.  One
+gain update keeps a table of costs by gain pair and rolls each pair out at most
+once; every k2 = 0 pair is one entry, because such a row flies the look-ahead
+term alone whatever its k1.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guidance import GuidanceGains, blended_many, track_projection
+from .guidance import GuidanceGains, blended_many, law_operands, track_projection
 from .path import ReferencePath, curvature_radius
-from .vehicle import VehicleState, step_arrays
+from .vehicle import VehicleState, step_arrays, step_operands
 
 # Most grid points per axis: a rollout call holds up to grid^2 + 1 rows at
 # about 1 KB each (9.8 MB at 101); a larger grid is refused up front.
@@ -105,6 +111,7 @@ def rollout_cost(
         raise ValueError("horizon must be positive")
     if not gains.lookahead < math.inf:
         raise ValueError("look-ahead distance must be finite")
+    _check_a_max(a_max)
     n_steps = _steps(horizon, dt)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
     k1, k2 = np.array([gains.k1]), np.array([gains.k2])
@@ -143,6 +150,7 @@ def optimize_gains(
     """
     if not 0.0 < lookahead_dist < math.inf:
         raise ValueError("look-ahead distance must be positive and finite")
+    _check_a_max(a_max)
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
     n_steps = _steps(horizon, dt)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
@@ -192,6 +200,12 @@ def _steps(horizon, dt):
     return max(1, round(steps))
 
 
+def _check_a_max(a_max):
+    """A ValueError for an ``a_max`` that is neither None nor positive, which would invert the clamp."""
+    if not (a_max is None or a_max > 0.0):
+        raise ValueError(f"a_max must be positive or None, got {a_max!r}")
+
+
 def _box(centre, delta, grid, k_max):
     """A round's candidates: the grid of side ``delta`` around ``centre``, clipped to [0, k_max]^2,
     as pair rows over each axis's distinct values (a centre on the box edge clips half an axis)."""
@@ -216,39 +230,41 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
 
     Rows are independent bit for bit: a subset of the candidates rolls out to the same costs."""
     speed, total = state.speed, path.total_length
+    law, rk4, ks = law_operands(speed), step_operands(speed, dt), np.array((k1s, k2s))
+    if a_max is not None:
+        lo, hi = np.array(-a_max), np.array(a_max)
 
     k = k1s.size
     pos = np.empty((2, k))  # rows x, y
     pos[0], pos[1] = state.x, state.y
     psi = np.full(k, state.heading)
+    cs = np.array((np.cos(psi), np.sin(psi)))  # the headings' cos and sin, shared by the law and the step
     s_lb = np.full(k, min(max(s_min, 0.0), total))
-    sp = np.full(k, min(max(s_proj, 0.0), total))
+    s = np.empty((2, k))  # arc lengths of the projections, then of the look-ahead points
+    s[0] = min(max(s_proj, 0.0), total)
     ended, any_ended = np.zeros(k, dtype=bool), False
     cte_sq = np.zeros(k)
-    cs = np.empty((2, k))  # the headings' cos and sin, shared by the law and the step
 
     for _ in range(n_steps):
-        sp, pdist = path.project_many(pos, sp)
+        s[0], pdist = path.project_many(pos, s[0])
         cte_sq += pdist * pdist
 
-        s2, end_rows, fallback = path.lookahead_many(pos, s_lb, lookahead_dist)
+        s[1], end_rows, fallback = path.lookahead_many(pos, s_lb, lookahead_dist)
         if end_rows.size:
             ended[end_rows] = any_ended = True
-        s_lb = np.maximum(s_lb, s2)
+        np.maximum(s_lb, s[1], out=s_lb)
 
         # One table interpolation for the projections and the look-ahead points.
-        pts = path.point_at_many(np.concatenate((sp, s2)))
+        pts = path.point_at_many(s)
         if fallback is not None:
-            pts[:, k + fallback[0]] = fallback[1]
-        np.cos(psi, out=cs[0])
-        np.sin(psi, out=cs[1])
-        cmd = blended_many(pos, cs, pts[:4, :k], pts[:, k:], speed, k1s, k2s)
+            pts[:, 1, fallback[0]] = fallback[1]
+        cmd = blended_many(pos, cs, pts[:4, 0], pts[:, 1], law, ks)
         if any_ended:
-            cmd = np.where(ended, 0.0, cmd)
+            np.putmask(cmd, ended, 0.0)
         if a_max is not None:  # vehicle.step's clamp: for a_max > 0, NaN and -0.0 pass as there
-            np.maximum(cmd, -a_max, out=cmd)
-            np.minimum(cmd, a_max, out=cmd)
-        pos, psi = step_arrays(pos, psi, cmd, speed, dt, cs)
+            np.maximum(cmd, lo, out=cmd)
+            np.minimum(cmd, hi, out=cmd)
+        pos, psi, cs = step_arrays(pos, psi, cmd, rk4, cs)
 
     costs = np.sqrt(cte_sq / n_steps)
     return np.where(np.isfinite(costs), costs, np.inf)

@@ -51,16 +51,16 @@ _POINT = slice(1, 11, 2)
 _DIFF = slice(2, 11, 2)
 _XY = slice(1, 4, 2)
 _CHUNK = np.arange(4)[:, None]  # the batched look-ahead's segment offsets from s_lb's
-_CHUNK_FIRST = _CHUNK == 0  # its segment holding s_lb
 _MINUS_PLUS = np.array((-1.0, 1.0))[:, None, None]  # the sign of the discriminant's root in its two roots
-_BEFORE_AT = np.array([[1], [0]])  # the batched projection's segments: ending, starting at a sample
+# The batched projection's segments, ending and starting at window sample i, from the window's first.
+_WINDOW_SEGMENTS = np.array((np.maximum(np.arange(32) - 1, 0), np.arange(32)))
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
 # The batched queries' constant operands as 0-d arrays: a Python float operand costs a ufunc
 # call about 0.2 us to convert, a third of its time on rollout rows.
-_ZERO, _ONE, _TINY, _INF = np.array(0.0), np.array(1.0), np.array(1e-300), np.array(np.inf)
+_ZERO, _ONE, _TINY, _INF, _NAN = np.array(0.0), np.array(1.0), np.array(1e-300), np.array(np.inf), np.array(np.nan)
 _SEAM_LO, _SEAM_HI = np.array(-_SEAM_EPS), np.array(1.0 + _SEAM_EPS)
-_MIN_CURVATURE, _MIN_RADIUS, _MAX_RADIUS = np.array(1.0 / MAX_RADIUS), np.array(MIN_RADIUS), np.array(MAX_RADIUS)
+_PAD = 31  # zero-length segments past a table's last sample, for the batched queries to run into
 _SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length trapezoid
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
@@ -105,11 +105,6 @@ def radius_from_curvature(kappa: float) -> float:
     return min(MAX_RADIUS, max(MIN_RADIUS, 1.0 / k))
 
 
-def radii_from_curvatures(kappa: np.ndarray) -> np.ndarray:
-    """The clamp of :func:`radius_from_curvature` over an array."""
-    return np.minimum(_MAX_RADIUS, np.maximum(_MIN_RADIUS, _ONE / np.maximum(np.abs(kappa), _MIN_CURVATURE)))
-
-
 class ReferencePath:
     """Arc-length parameterized planar curve backed by a uniform sample table.
 
@@ -120,11 +115,13 @@ class ReferencePath:
     windows and the batched look-ahead's 4-segment chunk to run into; the
     windows are two sliding-window views of the table, one of the x row and
     one of the y row.  The table takes 88 bytes per sample (1.8 MB per km at
-    the default spacing).  The
-    scalar queries read plain-float lists of the first eight rows, built
-    once (0.64 MB per list per km).  The path also records its longest chord between neighbouring
-    samples, which bounds how far the look-ahead scans may skip; a table
-    whose samples all coincide has no such bound and is rejected.
+    the default spacing).  The scalar queries read plain-float lists of the
+    first eight rows, built once (0.64 MB per list per km), and the batched
+    ones the spacing and last sample as 0-d arrays.  The path also records
+    its longest chord between neighbouring samples, which bounds how far the
+    look-ahead scans may skip; a table whose samples all coincide has no such
+    bound and is rejected.  A pickled path holds the table and those scalars
+    alone, and is rebuilt from them, read-only, without normalizing again.
     """
 
     def __init__(
@@ -148,7 +145,7 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        t = np.zeros((11, n + 31))
+        t = np.zeros((11, n + _PAD))
         for v, col in zip(range(1, 11, 2), (*positions.T, *tangents.T, curvatures)):
             t[v, :n] = col
             np.subtract(col[1:], col[:-1], out=t[v + 1, : n - 1])
@@ -157,19 +154,29 @@ class ReferencePath:
         max_chord = float(np.max(np.hypot(t[2, : n - 1], t[4, : n - 1])))
         if max_chord == 0.0:
             raise ValueError("degenerate path: all samples coincide")
-        t.flags.writeable = False
+        self._adopt(t, float(spacing), max_chord)
 
+    def _adopt(self, t: np.ndarray, spacing: float, max_chord: float) -> None:
+        """Take ``t`` as the sample table, read-only, and build what the queries read from it."""
+        t.flags.writeable = False
+        n = t.shape[1] - _PAD
         self._n = n
-        self._ds = float(spacing)
-        self._total = float(spacing) * (n - 1)
+        self._ds = spacing
+        self._total = spacing * (n - 1)
         self._table = t
         # Window j of the batched projection: the x, and the y, of samples j .. j + 31.
         self._wx, self._wy = sliding_window_view(t[_XY], 32, axis=1)
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
+        # The batched queries' last sample, last segment and spacing, as 0-d arrays (see _ZERO).
+        self._nd_last, self._nd_last_seg, self._nd_ds = np.array(n - 1.0), np.array(n - 2), np.array(spacing)
         # Plain-float rows for the scalar loops; numpy's - * + round like
         # Python's, so the segment rows equal the loops' own arithmetic.
         rows = t[:5, :n].tolist() + t[5:10:2, :n].tolist()
         self._seg2l, self._pxl, self._dxl, self._pyl, self._dyl, self._txl, self._tyl, self._kl = rows
+
+    def __reduce__(self):
+        # The table and its scalars: the windows and float lists are rebuilt from them on load.
+        return _restore_path, (self._table, self._ds, self.max_chord)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -210,11 +217,12 @@ class ReferencePath:
         return self._point_at_fraction(j, f)
 
     def point_at_many(self, s: np.ndarray) -> np.ndarray:
-        """Position, unit tangent and curvature at many arc lengths, as rows x, y, tx, ty, kappa."""
-        u = np.minimum(np.maximum(s / self._ds, _ZERO), self._n - 1)
-        j = np.minimum(u.astype(np.int64), self._n - 2)
+        """Position, unit tangent and curvature at arc lengths of any shape, as rows x, y, tx, ty, kappa
+        in front of that shape."""
+        u = np.minimum(np.maximum(s / self._nd_ds, _ZERO), self._nd_last)
+        j = np.minimum(u.astype(np.int64), self._nd_last_seg)
         g = self._table.take(j, axis=1)
-        pts = g[_POINT] + g[_DIFF] * (u - j)
+        pts = g[_POINT] + g[_DIFF] * (u - j.astype(float))  # a float operand: mixed int/float ops cost more
         pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), _TINY)
         return pts
 
@@ -293,9 +301,9 @@ class ReferencePath:
 
         On rollout rows it gives ``project(p, s_hint=s_prev)``'s arc length bit for bit and its distance
         within 2 ULP (``x * x`` against ``**``); each form is the faster one for its own kind of query."""
-        n, t = self._n, self._table
-        lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._ds
-        j_lo = np.minimum(lo_u.astype(np.int64), n - 2)
+        last_seg, t = self._nd_last_seg, self._table
+        lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
+        j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
         # Samples j_lo .. j_lo + 31 per row; the table's padding stands in for samples past the end.
         wx, wy = self._wx[j_lo], self._wy[j_lo]
         wx -= pos[0, :, None]
@@ -303,9 +311,8 @@ class ReferencePath:
         wx *= wx  # numpy's ** 2
         wy *= wy
         wx += wy
-        i_star = j_lo + wx.argmin(axis=1)
-        # The segments ending and starting at the nearest sample.
-        jc = np.minimum(np.maximum(i_star - _BEFORE_AT, j_lo), n - 2)
+        # The segments ending and starting at the nearest sample, none before the window's first.
+        jc = np.minimum(_WINDOW_SEGMENTS.take(wx.argmin(axis=1), axis=1) + j_lo, last_seg)
         g = t[:5].take(jc, axis=1)  # seg2, x, dx, y, dy
         p = pos[:, None]
         r = p - g[1:4:2]
@@ -319,9 +326,12 @@ class ReferencePath:
         np.minimum(u, _ONE, out=u)
         r = (p - (g[1:4:2] + g[2:5:2] * u)) ** 2
         dd = r[0] + r[1]
-        s_cand = (jc + u) * self._ds
+        s = jc.astype(float)
+        s += u
         second = dd[1] < dd[0]
-        return np.where(second, s_cand[1], s_cand[0]), np.sqrt(np.where(second, dd[1], dd[0]))
+        np.putmask(s[0], second, s[1])
+        np.putmask(dd[0], second, dd[1])
+        return s[0] * self._nd_ds, np.sqrt(dd[0])
 
     # ------------------------------------------------------------------
     # Look-ahead
@@ -403,8 +413,8 @@ class ReferencePath:
         """
         n, t = self._n, self._table
         l2 = lookahead_dist * lookahead_dist
-        u_s = s_lb / self._ds
-        j = np.minimum(u_s.astype(np.int64), n - 2)
+        u_s = s_lb / self._nd_ds
+        j = np.minimum(u_s.astype(np.int64), self._nd_last_seg)
         idx = _CHUNK + j  # segments as rows, states as columns
         g = t[:5].take(idx, axis=1)  # seg2, x, dx, y, dy
         a = g[0]
@@ -413,18 +423,29 @@ class ReferencePath:
         b = b[0] + b[1]
         r *= r
         disc = b * b - a * (r[0] + r[1] - l2)
-        ok = (disc >= _ZERO) & (a > _ZERO)
-        if np.count_nonzero(ok) < ok.size:  # the selects run only when needed
-            disc, a = np.where(ok, disc, _ZERO), np.where(ok, a, _ONE)
+        ok = disc >= _ZERO
+        if np.count_nonzero(ok) + np.count_nonzero(a) < 2 * a.size:  # a row without a root or a segment
+            disc = np.where(ok & (a > _ZERO), disc, _NAN)  # NaN roots, never inside
         u = _MINUS_PLUS * np.sqrt(disc)
         u -= b
-        u /= a  # the two roots, (-b - sq) / a and (-b + sq) / a
+        u /= a  # the two roots, (-b - sq) / a <= (-b + sq) / a
         # Only the segment holding s_lb starts past -eps.
-        inside = (u > np.where(_CHUNK_FIRST, u_s - j, _SEAM_LO)) & (u <= _SEAM_HI)
-        has = ok & (inside[0] | inside[1])
-        s = (idx + np.minimum(np.maximum(np.where(inside[0], u[0], u[1]), _ZERO), _ONE)) * self._ds
-        # The first crossing is the least: s never decreases along the chunk.
+        u_lo = np.empty(idx.shape)
+        u_lo[1:] = _SEAM_LO
+        np.subtract(u_s, j.astype(float), out=u_lo[0])
+        # The scalar scan's root: the first if it lies past the lower bound, else the second; it
+        # counts if it is not past the upper bound (the second lies past the lower one whenever
+        # the first does).
+        past = u > u_lo
+        root = u[1]
+        has = past[1]
+        np.putmask(root, past[0], u[0])
+        has &= root <= _SEAM_HI
+        # The first crossing is the least: s never decreases along the chunk, and scaling by ds keeps the least.
+        s = idx.astype(float)
+        s += np.minimum(np.maximum(root, _ZERO), _ONE)
         s_out = np.minimum.reduce(np.where(has, s, _INF), axis=0)
+        s_out *= self._nd_ds
         hit = s_out < _INF
         if np.count_nonzero(hit) == hit.size:  # the usual case
             return s_out, _NO_ROWS, None
@@ -453,6 +474,13 @@ class ReferencePath:
         """Read-only views of the sample rows (px, py, tx, ty, kappa)."""
         t, n = self._table, self._n
         return tuple(t[_POINT, :n])
+
+
+def _restore_path(table: np.ndarray, spacing: float, max_chord: float) -> ReferencePath:
+    """A pickled :class:`ReferencePath` back from its table, as ``__init__`` left it."""
+    path = ReferencePath.__new__(ReferencePath)
+    path._adopt(table, spacing, max_chord)
+    return path
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,8 @@ class MissionConfig:
             raise ValueError("dt must be positive")
         if self.controller not in (CONTROLLER_BASELINE, CONTROLLER_PROPOSED):
             raise ValueError(f"unknown controller {self.controller!r}")
+        if not (self.a_max is None or self.a_max > 0.0):
+            raise ValueError(f"a_max must be positive or None, got {self.a_max!r}")
 
     @property
     def radius(self) -> float:

@@ -77,20 +77,29 @@ def step(
     return VehicleState(x, y, psi4, v, state.t + dt)
 
 
-def step_arrays(pos, psi, a_cmd, speed: float, dt: float, cs):
+def step_operands(speed: float, dt: float):
+    """:func:`step_arrays`' operands as arrays, built once per rollout: V, the column
+    (0.5 dt, dt, dt) and V dt / 6, each the float :func:`step` computes."""
+    return np.array(speed), np.array([[0.5 * dt], [dt], [dt]]), np.array(speed * dt / 6.0)
+
+
+def step_arrays(pos, psi, a_cmd, rk4, cs):
     """Vectorized RK4 step matching :func:`step`; used by batched rollouts.
 
-    ``pos`` holds the positions and ``cs`` cos(psi) and sin(psi), each as (2, K) rows x, y; the
-    loop computes ``cs`` once for the law and the step.  psi2 and psi4 share one cos and one sin
-    call, and x and y one update, each element with :func:`step`'s operations in its order, so
-    the step is the same bit for bit.  Returns the new positions and headings.
+    ``pos`` holds the positions and ``cs`` cos(psi) and sin(psi), each as (2, K) rows x, y, and
+    ``rk4`` is :func:`step_operands` of the speed and time step.  psi2, psi4 and the new
+    heading (psi4 wrapped) share one cos and one sin call, and x and y one update, each element
+    with :func:`step`'s operations in its order, so the step is the same bit for bit.  Returns
+    the new positions, headings and the headings' cos and sin rows, which the next step takes.
     """
-    ang = np.multiply.outer((0.5 * dt, dt), a_cmd / speed)  # psi2 - psi, psi4 - psi
+    speed, steps, scale = rk4
+    ang = steps * (a_cmd / speed)  # psi2 - psi, psi4 - psi twice
     ang += psi
-    trig = np.empty((2,) + ang.shape)  # cos, then sin, of psi2 and psi4
-    np.cos(ang, out=trig[0])
-    np.sin(ang, out=trig[1])
-    xy = (_FOUR * trig[:, 0] + cs + trig[:, 1]) * (speed * dt / 6.0)
-    pw = np.mod(ang[1], _TWO_PI)
+    pw = ang[2]  # the new heading
+    np.mod(pw, _TWO_PI, out=pw)
     np.putmask(pw, pw > _PI, pw - _TWO_PI)
-    return pos + xy, pw
+    trig = np.empty((3, 2) + psi.shape)  # cos and sin of psi2, psi4, then the new heading
+    np.cos(ang, out=trig[:, 0])
+    np.sin(ang, out=trig[:, 1])
+    xy = (_FOUR * trig[0] + cs + trig[1]) * scale
+    return pos + xy, pw, trig[2]

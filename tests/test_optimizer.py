@@ -251,12 +251,19 @@ REFUSED = {
     "settings_float_grid": ("settings", {"grid": 5.0}),
     "settings_float_rounds": ("settings", {"refine_rounds": 1.5}),
     "settings_bool_rounds": ("settings", {"refine_rounds": True}),
+    "optimize_zero_a_max": ("optimize", {"a_max": 0.0}),
+    "optimize_negative_a_max": ("optimize", {"a_max": -1.0}),
+    "optimize_nan_a_max": ("optimize", {"a_max": math.nan}),
+    "rollout_zero_a_max": ("rollout", {"a_max": 0.0}),
+    "rollout_negative_a_max": ("rollout", {"a_max": -1.0}),
+    "rollout_nan_a_max": ("rollout", {"a_max": math.nan}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_tuner_refuses_inputs_it_cannot_fly(stock_path, monkeypatch, name):
-    # One ValueError before any rollout, where these crashed, hung or flew a different input.
+    # One ValueError before any rollout, where these crashed, hung or flew a different input
+    # (an a_max of 0 or below inverts the clamp, and a NaN one crashes the tuner).
     def rollout(*args):
         raise AssertionError("rolled out")
 
@@ -269,12 +276,12 @@ def test_tuner_refuses_inputs_it_cannot_fly(stock_path, monkeypatch, name):
             OptimizerSettings(**kw)
         elif entry == "optimize":
             settings = OptimizerSettings(d_limit=kw.pop("d_limit", 20.0))
-            args = {"lookahead_dist": 10.0, "dt": 0.01, **kw}
-            optimize_gains(st, stock_path, s_min, settings, args["lookahead_dist"], args["dt"], s_proj)
+            args = {"lookahead_dist": 10.0, "dt": 0.01, "a_max": None, **kw}
+            optimize_gains(st, stock_path, s_min, settings, args["lookahead_dist"], args["dt"], s_proj, args["a_max"])
         else:
-            args = {"lookahead": 10.0, "horizon": 4.0, "dt": 0.01, **kw}
+            args = {"lookahead": 10.0, "horizon": 4.0, "dt": 0.01, "a_max": None, **kw}
             gains = GuidanceGains(1.0, 0.0, args["lookahead"])
-            rollout_cost(st, stock_path, s_min, gains, args["horizon"], args["dt"], s_proj)
+            rollout_cost(st, stock_path, s_min, gains, args["horizon"], args["dt"], s_proj, args["a_max"])
 
 
 @pytest.mark.parametrize("update, expected", STOCK_UPDATES)
@@ -448,7 +455,7 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
 
     def recording(self, pos, s_prev):
         s, d = batched(self, pos, s_prev)
-        calls.append((*pos, s_prev, s, d))
+        calls.append((*pos, s_prev.copy(), s, d))  # the rollout reuses the hint's buffer
         return s, d
 
     monkeypatch.setattr(ReferencePath, "project_many", recording)

@@ -10,20 +10,24 @@
   rows of equal length, which is exact only under this property.
 * sha256 digests of each batched stage's outputs (``project_many``,
   ``lookahead_many``, ``point_at_many``, ``blended_many``, ``step_arrays``)
-  over seeded rows on the stock sinusoid and on a line, recorded before the
-  stages took the rows' positions as one (2, K) array.
+  over seeded rows on the stock sinusoid, a line, a circle arc and a kinked
+  polyline table, recorded before the stages took the rows' positions as one
+  (2, K) array (sinusoid and line) or before their per-call constants and
+  in-place selects (circle and polyline).
 """
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import pathfollow.optimizer as optimizer
 from pathfollow.geom import PARALLEL_EPS
-from pathfollow.path import ReferencePath, make_line_path, make_sinusoid_path
-from pathfollow.vehicle import VehicleState
+from pathfollow.guidance import law_operands
+from pathfollow.path import ReferencePath, make_circle_path, make_line_path, make_sinusoid_path
+from pathfollow.vehicle import VehicleState, step_operands
 
 STOCK = make_sinusoid_path(-15.0, 150.0)
 LINE = make_line_path((0.0, 0.0), (1.0, 0.0), 60.0)
@@ -217,12 +221,12 @@ def stage_outputs(path, seed):
     k1s, k2s = rng.choice([0.0, -0.0, 10.0, 2.5], (2, k + 3))
     k1s[::3] = rng.uniform(0.0, 10.0, k1s[::3].size)
     k2s[1::3] = rng.uniform(0.0, 10.0, k2s[1::3].size)
-    cmd = optimizer.blended_many(np.array((bx, by)), cs, proj, p2, 5.0, k1s, k2s)
+    cmd = optimizer.blended_many(np.array((bx, by)), cs, proj, p2, law_operands(5.0), np.array((k1s, k2s)))
     out["blended_many"] = (cmd,)
 
     cmd = cmd[:k]
     cmd[::3] = np.clip(cmd[::3], -0.5, 0.5)
-    pos, psi = optimizer.step_arrays(np.array((x, y)), psi, cmd, 5.0, 0.01, cs[:, :k])
+    pos, psi, _ = optimizer.step_arrays(np.array((x, y)), psi, cmd, step_operands(5.0, 0.01), cs[:, :k])
     out["step_arrays"] = (pos[0], pos[1], psi)
 
     fired = {
@@ -236,17 +240,53 @@ def stage_outputs(path, seed):
     return out, fired
 
 
-STAGE_PATHS = {"stock": (STOCK, 11), "line": (LINE, 12)}
+def kinked_table(seed, vertices=40, spacing=0.05):
+    """A seeded polyline sampled along its straight chords: each sample takes its chord's direction
+    as tangent and a seeded curvature per chord, so tangent and curvature jump at every vertex."""
+    rng = np.random.default_rng(seed)
+    heading = np.cumsum(rng.uniform(-1.5, 1.5, vertices - 1))
+    chord = rng.uniform(1.0, 6.0, vertices - 1)
+    step = chord[:, None] * np.column_stack((np.cos(heading), np.sin(heading)))
+    verts = np.concatenate(([[0.0, 0.0]], np.cumsum(step, axis=0)))
+    edges = np.concatenate(([0.0], np.cumsum(chord)))
+    s = spacing * np.arange(int(edges[-1] / spacing) + 1)
+    i = np.minimum(np.searchsorted(edges, s, side="right") - 1, chord.size - 1)
+    pos = verts[i] + ((s - edges[i]) / chord[i])[:, None] * step[i]
+    tangents = np.column_stack((np.cos(heading[i]), np.sin(heading[i])))
+    return ReferencePath(pos, tangents, rng.uniform(-0.5, 0.5, chord.size)[i], spacing)
 
-# sha256 of each stage's outputs' bytes, concatenated in order, recorded before the stages
-# took positions as one (2, K) array.
+
+STAGE_PATHS = {
+    "stock": (STOCK, 11),
+    "line": (LINE, 12),
+    "circle": (make_circle_path((3.0, -2.0), 15.0, start_angle=0.3, turns=1.25), 13),
+    "polyline": (kinked_table(5), 14),
+}
+
+# sha256 of each stage's outputs' bytes, concatenated in order: line and stock recorded before
+# the stages took positions as one (2, K) array, circle and polyline before the stages built
+# their constant operands once per call and selected in place.
 STAGE_DIGESTS = {
+    "circle": {
+        "project_many": "d07255bd19d1dfa4cbb28a729ef43f2a81d72afdcc1e8f4d657d03def3b17a0d",
+        "lookahead_many": "f05c2f4566e7bd5458ea0707f28e3661abffac47549ef13f71e2e74b577e2b4a",
+        "point_at_many": "6efc465125afe3a6fcf4bd1da2e6b951ad6a9b8a704db81edb8761ba75bef71e",
+        "blended_many": "ad3a1c751d9b8dd133f88cb10e51f00d4dc598b39099352e4d7cf8265c6c97bb",
+        "step_arrays": "cbe7ab52157124338972c64e8d8a12f74c1a5705e305ef2780cd00a80ae2fa8a",
+    },
     "line": {
         "project_many": "65605fdafe24630164c0c27dc9f0f76519df47b73ad20f9efa57d255e87bb2c2",
         "lookahead_many": "80325a354d9be2f6e9fe08d489ebf15104c63a25f98f1ad9a223607b50b6b817",
         "point_at_many": "bf5df8ee248c54a5c5ed15d9e0c5d37dd93949e9b3d06d5d659489613a1ed036",
         "blended_many": "5fc1964fdea50a9f4c9082580765cc8d20b9fd0313f6357dab665dbe479cb68c",
         "step_arrays": "2c1683200e9844f252367ecf7590adc377407d12a7ba3d7594bd10ba06e2ccbb",
+    },
+    "polyline": {
+        "project_many": "e3f100e10666c17d9d35dc839016a9185b8b88bd9a35a15029d39bf80f782460",
+        "lookahead_many": "b9b2e4ce0ed8eef6f89c16abdbb64f2944c7a295d152cb654f08b168f3d88a42",
+        "point_at_many": "dd7d981c77f8c7d6bc50c976a9a8c51e332fe810ea4631a9ba3fb43f0ac7e650",
+        "blended_many": "293e0ee82c1929ab20901d1ee18b95cccadcce24fc92dc26bfda00401b366fed",
+        "step_arrays": "e7823815f82cf1d35cff1f4047473e0e41114f53a2913f9f3edd3aa93b4abc2e",
     },
     "stock": {
         "project_many": "2d0ba4ef05611010375bb4d2ce3678b0766e9d230418d696cc05f09c746c05cc",
@@ -258,12 +298,25 @@ STAGE_DIGESTS = {
 }
 
 
+def stage_digests(out):
+    return {
+        stage: hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+        for stage, arrays in out.items()
+    }
+
+
 @pytest.mark.parametrize("name", sorted(STAGE_PATHS))
 def test_stage_outputs_digest(name):
     out, fired = stage_outputs(*STAGE_PATHS[name])
     assert all(fired.values()), fired
-    got = {
-        stage: hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
-        for stage, arrays in out.items()
-    }
-    assert got == STAGE_DIGESTS[name]
+    assert stage_digests(out) == STAGE_DIGESTS[name]
+
+
+def test_pickled_path_ships_its_table_once_and_restores_it_read_only():
+    # Sweep workers get the path pickled: the table, not its 32-sample windows, and back read-only.
+    blob = pickle.dumps(STOCK)
+    assert len(blob) < 1.1 * STOCK._table.nbytes + 4096
+    path = pickle.loads(blob)
+    assert not path._table.flags.writeable
+    out, _ = stage_outputs(path, STAGE_PATHS["stock"][1])
+    assert stage_digests(out) == STAGE_DIGESTS["stock"]

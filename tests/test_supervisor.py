@@ -161,3 +161,16 @@ def test_gain_updates_roll_out_with_the_mission_a_max(bench_path, monkeypatch):
     for _ in range(5):
         mission.step()
     assert seen == [0.5]
+
+
+@pytest.mark.parametrize("a_max", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_mission_config_refuses_the_a_max_the_schema_refuses(a_max):
+    # parse_scenario refuses sim.a_max <= 0; at -1 a baseline mission flew an inverted
+    # clamp that never finished, and at NaN the tuner died in point_at_many.
+    with pytest.raises(ValueError, match="a_max"):
+        MissionConfig(a_max=a_max)
+
+
+@pytest.mark.parametrize("a_max", [None, 5e-324, 3.0, math.inf])
+def test_mission_config_takes_a_positive_or_no_a_max(a_max):
+    assert MissionConfig(a_max=a_max).a_max == a_max

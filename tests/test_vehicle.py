@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathfollow.geom import wrap_angle
-from pathfollow.vehicle import VehicleState, step, step_arrays
+from pathfollow.vehicle import VehicleState, step, step_arrays, step_operands
 
 
 def run_steps(state, a_cmd, dt, n, a_max=None):
@@ -125,7 +125,9 @@ def test_step_arrays_matches_scalar():
     y = rng.uniform(-10, 10, 50)
     psi = rng.uniform(-3, 3, 50)
     a = rng.uniform(-5, 5, 50)
-    (xn, yn), pn = step_arrays(np.array((x, y)), psi, a, 5.0, 0.01, np.array((np.cos(psi), np.sin(psi))))
+    (xn, yn), pn, cs = step_arrays(np.array((x, y)), psi, a, step_operands(5.0, 0.01), np.array((np.cos(psi), np.sin(psi))))
+    # The next step's cos and sin rows are those of the new headings, bit for bit.
+    assert cs.tobytes() == np.array((np.cos(pn), np.sin(pn))).tobytes()
     for i in range(50):
         s = step(VehicleState(x[i], y[i], psi[i], 5.0), float(a[i]), 0.01)
         assert xn[i] == pytest.approx(s.x, abs=1e-12)
