@@ -214,7 +214,7 @@ def select_circle(
     deterministic ties preferring the anticlockwise circle, then the larger
     arc radius.
     """
-    best: tuple[float, int, float, InitiationCircle, ContactSolution] | None = None
+    best: tuple[float, tuple[int, float], InitiationCircle, ContactSolution] | None = None
     tried = []
     for circle in candidates:
         try:
@@ -225,21 +225,16 @@ def select_circle(
         for sol in sols:
             if not sol.feasible:
                 continue
-            mag = abs(sol.a_const)
-            sense_rank = 0 if circle.sense == SENSE_ANTICLOCKWISE else 1
-            if best is None:
-                best = (mag, sense_rank, -sol.lam, circle, sol)
-                continue
-            if mag < best[0] - 1e-12 * (1.0 + best[0]):
-                best = (mag, sense_rank, -sol.lam, circle, sol)
-            elif mag <= best[0] + 1e-12 * (1.0 + best[0]) and (sense_rank, -sol.lam) < (best[1], best[2]):
-                best = (mag, sense_rank, -sol.lam, circle, sol)
+            mag, rank = abs(sol.a_const), (0 if circle.sense == SENSE_ANTICLOCKWISE else 1, -sol.lam)
+            tol = 1e-12 * (1.0 + best[0]) if best else 0.0
+            if not best or mag < best[0] - tol or (mag <= best[0] + tol and rank < best[1]):
+                best = (mag, rank, circle, sol)
     if best is None:
         detail = "; ".join(tried) if tried else "no feasible tangency branch"
         raise InfeasibleGeometryError(
             f"no feasible initiation geometry from p={p}, heading={heading:.4f} rad ({detail})"
         )
-    return best[3], best[4]
+    return best[2], best[3]
 
 
 def midcourse_command(state: VehicleState, sol: ContactSolution) -> float:

@@ -21,14 +21,12 @@ once as arrays (V, 2 V^2, the look-ahead speed cap, the RK4 time steps,
 V dt / 6, +-a_max), and a path its spacing and last sample: a Python number
 costs a ufunc call about 0.2 us to convert.  Selects write in place
 (``np.putmask``), and integer indices meet floats only after an explicit cast,
-which is cheaper than a mixed-type ufunc call.  A step of a stock gain update
-in which every row crosses in the look-ahead's first chunk makes 74 numpy calls
-and 95 array operators, one of them on a Python number (L^2), plus 106 indexing
-operations, at any row count.  The search is bit-deterministic: the reduction
-orders by (cost, k2, k1), so results do not depend on evaluation order.  One
-gain update keeps a table of costs by gain pair and rolls each pair out at most
-once; every k2 = 0 pair is one entry, because such a row flies the look-ahead
-term alone whatever its k1.
+which is cheaper than a mixed-type ufunc call.  The search is bit-deterministic:
+the reduction orders by (cost, k2, k1), so results do not depend on evaluation
+order.  One gain update keeps a table of costs by gain pair and rolls each pair
+out at most once; every k2 = 0 pair is one entry, because such a row flies the
+look-ahead term alone whatever its k1.  Rollout steps are at most 0.4 m
+(``speed * dt``), which the batched projection's window can follow.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 
 from .guidance import GuidanceGains, blended_many, law_operands, track_projection
 from .path import ReferencePath, curvature_radius
-from .vehicle import VehicleState, step_arrays, step_operands
+from .vehicle import VehicleState, _check_a_max, step_arrays, step_operands
 
 # Most grid points per axis: a rollout call holds up to grid^2 + 1 rows at
 # about 1 KB each (9.8 MB at 101); a larger grid is refused up front.
@@ -48,6 +46,11 @@ MAX_GRID = 101
 # Most steps in one rollout, min(d_limit, MAX_RADIUS) / speed / dt (400 in the
 # stock scenario); a scenario whose tuner could ask for more is refused up front.
 MAX_ROLLOUT_STEPS = 10_000
+# Longest step, speed * dt in m, that a rollout flies (0.05 in the stock scenario).  The batched projection's
+# window reaches 0.5 m past the previous projection; at that reach, over three stock gain updates (6 x 6 gain
+# pairs, 60 steps each), its arc lengths match the scalar projection's in every row up to a 0.46 m step, and
+# part from them from 0.47-0.48 m on, by spacing (ROADMAP, "Closed by measurement").
+_MAX_STEP = 0.4
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ def rollout_cost(
     if not gains.lookahead < math.inf:
         raise ValueError("look-ahead distance must be finite")
     _check_a_max(a_max)
-    n_steps = _steps(horizon, dt)
+    n_steps = _steps(horizon, dt, state.speed)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
     k1, k2 = np.array([gains.k1]), np.array([gains.k2])
     return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps, a_max)[0])
@@ -152,7 +155,7 @@ def optimize_gains(
         raise ValueError("look-ahead distance must be positive and finite")
     _check_a_max(a_max)
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
-    n_steps = _steps(horizon, dt)
+    n_steps = _steps(horizon, dt, state.speed)
     sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
 
     g, k_max, rounds = settings.grid, settings.k_max, settings.refine_rounds
@@ -189,21 +192,18 @@ def optimize_gains(
     return OptimizedGains(best_k1, best_k2, best_cost, horizon)
 
 
-def _steps(horizon, dt):
-    """Steps of a rollout over ``horizon``, at least one; a ValueError for a ``dt`` outside (0, inf) or
-    more than MAX_ROLLOUT_STEPS steps, which no mission that ``supervisor.mission_problems`` admits asks for."""
+def _steps(horizon, dt, speed):
+    """Steps of a rollout over ``horizon``, at least one; a ValueError for a ``dt`` outside (0, inf), a step
+    ``speed * dt`` past _MAX_STEP or more than MAX_ROLLOUT_STEPS steps, which no mission that
+    ``supervisor.mission_problems`` admits asks for."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not speed * dt <= _MAX_STEP:
+        raise ValueError(f"a rollout step speed * dt must be at most {_MAX_STEP} m, got {speed!r} * {dt!r}")
     steps = horizon / dt
     if not (steps < math.inf and round(steps) <= MAX_ROLLOUT_STEPS):
         raise ValueError(f"a rollout of horizon {horizon!r} s at dt {dt!r} s exceeds {MAX_ROLLOUT_STEPS} steps")
     return max(1, round(steps))
-
-
-def _check_a_max(a_max):
-    """A ValueError for an ``a_max`` that is neither None nor positive, which would invert the clamp."""
-    if not (a_max is None or a_max > 0.0):
-        raise ValueError(f"a_max must be positive or None, got {a_max!r}")
 
 
 def _box(centre, delta, grid, k_max):

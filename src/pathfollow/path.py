@@ -7,9 +7,10 @@ look-ahead circle intersections are solved exactly segment by segment, which
 keeps every query deterministic and self-consistent with the stored geometry.
 The gain tuner's rollouts ask the same questions for many states at once:
 ``project_many``, ``lookahead_many`` and ``point_at_many`` answer them on the
-same table, beside their scalar forms and under the same rules;
-``lookahead_many`` hands the rare row its one 4-segment chunk cannot settle
-to the scalar ``lookahead_point``.
+same table, beside their scalar forms and under the same rules; the window
+``project_many`` searches grows on fine tables to reach 0.5 m past each hint,
+and ``lookahead_many`` hands the rare row its 4-segment chunk cannot settle to
+the scalar ``lookahead_point``.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; polylines are resampled along their not-a-knot cubic
@@ -52,15 +53,12 @@ _DIFF = slice(2, 11, 2)
 _XY = slice(1, 4, 2)
 _CHUNK = np.arange(4)[:, None]  # the batched look-ahead's segment offsets from s_lb's
 _MINUS_PLUS = np.array((-1.0, 1.0))[:, None, None]  # the sign of the discriminant's root in its two roots
-# The batched projection's segments, ending and starting at window sample i, from the window's first.
-_WINDOW_SEGMENTS = np.array((np.maximum(np.arange(32) - 1, 0), np.arange(32)))
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
 # The batched queries' constant operands as 0-d arrays: a Python float operand costs a ufunc
 # call about 0.2 us to convert, a third of its time on rollout rows.
 _ZERO, _ONE, _TINY, _INF, _NAN = np.array(0.0), np.array(1.0), np.array(1e-300), np.array(np.inf), np.array(np.nan)
 _SEAM_LO, _SEAM_HI = np.array(-_SEAM_EPS), np.array(1.0 + _SEAM_EPS)
-_PAD = 31  # zero-length segments past a table's last sample, for the batched queries to run into
 _SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length trapezoid
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
@@ -110,12 +108,12 @@ class ReferencePath:
 
     The samples live in one read-only table of 11 rows: the squared length
     of the segment to the next sample, x, y, tx, ty, kappa, then their
-    differences to the next sample.  31 zero-length segments, at the last
-    sample's position, pad its end for the batched projection's 32-sample
-    windows and the batched look-ahead's 4-segment chunk to run into; the
-    windows are two sliding-window views of the table, one of the x row and
-    one of the y row.  The table takes 88 bytes per sample (1.8 MB per km at
-    the default spacing).  The scalar queries read plain-float lists of the
+    differences to the next sample.  Zero-length segments at the last
+    sample's position pad its end for the batched projection's windows
+    (:func:`_window_width`) and the batched look-ahead's 4-segment chunk to
+    run into; the windows are two sliding-window views of the table, one of
+    the x row and one of the y row.  The table takes 88 bytes per sample (1.8 MB
+    per km at the default spacing).  The scalar queries read plain-float lists of the
     first eight rows, built once (0.64 MB per list per km), and the batched
     ones the spacing and last sample as 0-d arrays.  The path also records
     its longest chord between neighbouring samples, which bounds how far the
@@ -137,6 +135,10 @@ class ReferencePath:
         n = positions.shape[0]
         if n < 2:
             raise ValueError("path needs at least two samples")
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+        pad = _window_width(spacing) - 1
+        _check_samples(n + pad)
         if positions.shape != (n, 2) or tangents.shape != (n, 2) or curvatures.shape != (n,):
             raise ValueError("inconsistent sample table shapes")
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(tangents)) and np.all(np.isfinite(curvatures))):
@@ -145,7 +147,7 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        t = np.zeros((11, n + _PAD))
+        t = np.zeros((11, n + pad))
         for v, col in zip(range(1, 11, 2), (*positions.T, *tangents.T, curvatures)):
             t[v, :n] = col
             np.subtract(col[1:], col[:-1], out=t[v + 1, : n - 1])
@@ -159,13 +161,15 @@ class ReferencePath:
     def _adopt(self, t: np.ndarray, spacing: float, max_chord: float) -> None:
         """Take ``t`` as the sample table, read-only, and build what the queries read from it."""
         t.flags.writeable = False
-        n = t.shape[1] - _PAD
+        width = _window_width(spacing)
+        n = t.shape[1] - width + 1
         self._n = n
         self._ds = spacing
         self._total = spacing * (n - 1)
         self._table = t
-        # Window j of the batched projection: the x, and the y, of samples j .. j + 31.
-        self._wx, self._wy = sliding_window_view(t[_XY], 32, axis=1)
+        # Window j of the batched projection: the x, and the y, of samples j .. j + width - 1.
+        self._wx, self._wy = sliding_window_view(t[_XY], width, axis=1)
+        self._wseg = np.array((np.maximum(np.arange(width) - 1, 0), np.arange(width)))  # segments at sample i
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # The batched queries' last sample, last segment and spacing, as 0-d arrays (see _ZERO).
         self._nd_last, self._nd_last_seg, self._nd_ds = np.array(n - 1.0), np.array(n - 2), np.array(spacing)
@@ -296,15 +300,15 @@ class ReferencePath:
 
     def project_many(self, pos: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arc lengths and distances of a windowed exact projection per row of ``pos`` (x, then y),
-        with a 1 m backward guard: the nearest of 32 samples from the guard picks two segments,
+        with a 1 m backward guard: the nearest sample of the window from the guard picks two segments,
         solved as (2, K) rows with x and y stacked.
 
-        On rollout rows it gives ``project(p, s_hint=s_prev)``'s arc length bit for bit and its distance
-        within 2 ULP (``x * x`` against ``**``); each form is the faster one for its own kind of query."""
+        On rollout rows, whose steps the tuner keeps short of the window's 0.5 m reach, it gives ``project(p,
+        s_hint=s_prev)``'s arc length bit for bit and its distance within 2 ULP (``x * x`` against ``**``)."""
         last_seg, t = self._nd_last_seg, self._table
         lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
         j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
-        # Samples j_lo .. j_lo + 31 per row; the table's padding stands in for samples past the end.
+        # The window from sample j_lo per row; the table's padding stands in for samples past the end.
         wx, wy = self._wx[j_lo], self._wy[j_lo]
         wx -= pos[0, :, None]
         wy -= pos[1, :, None]
@@ -312,7 +316,7 @@ class ReferencePath:
         wy *= wy
         wx += wy
         # The segments ending and starting at the nearest sample, none before the window's first.
-        jc = np.minimum(_WINDOW_SEGMENTS.take(wx.argmin(axis=1), axis=1) + j_lo, last_seg)
+        jc = np.minimum(self._wseg.take(wx.argmin(axis=1), axis=1) + j_lo, last_seg)
         g = t[:5].take(jc, axis=1)  # seg2, x, dx, y, dy
         p = pos[:, None]
         r = p - g[1:4:2]
@@ -488,9 +492,22 @@ def _restore_path(table: np.ndarray, spacing: float, max_chord: float) -> Refere
 # ----------------------------------------------------------------------
 
 
+def _window_width(spacing: float) -> int:
+    """Samples in a batched projection window: the fewest whose segments reach 1.5 m past its first; 32 at least."""
+    return max(32, math.ceil(1.5 / spacing) + 1)
+
+
 def _check_samples(count: float) -> None:
     if not count <= MAX_SAMPLES:
         raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES:,} per table or grid")
+
+
+def _uniform_grid(total: float, spacing: float) -> tuple[np.ndarray, float]:
+    """The uniform grid over [0, ``total``] nearest ``spacing``, two samples at least: its arc lengths and spacing."""
+    _check_samples(total / spacing + 1.0)
+    n = max(int(math.ceil(total / spacing)) + 1, 2)
+    ds = total / (n - 1)
+    return ds * np.arange(n), ds
 
 
 def _from_parametric(t_fine: np.ndarray, curve: callable, spacing: float) -> ReferencePath:
@@ -513,10 +530,8 @@ def _from_parametric(t_fine: np.ndarray, curve: callable, spacing: float) -> Ref
     total = float(s_fine[-1])
     if not total > 0.0:
         raise ValueError("degenerate path: zero length")
-    _check_samples(total / spacing + 1.0)
-    n = max(int(math.ceil(total / spacing)) + 1, 2)
-    ds = total / (n - 1)
-    (x, y), (dx, dy), (ddx, ddy) = curve(np.interp(ds * np.arange(n), s_fine, t_fine))
+    s, ds = _uniform_grid(total, spacing)
+    (x, y), (dx, dy), (ddx, ddy) = curve(np.interp(s, s_fine, t_fine))
     h = np.hypot(dx, dy)
     kappa = (dx * ddy - dy * ddx) / np.power(dx * dx + dy * dy, 1.5)
     return ReferencePath(np.column_stack([x, y]), np.column_stack([dx / h, dy / h]), kappa, ds)
@@ -554,16 +569,12 @@ def make_circle_path(
     if not turns > 0.0:
         raise ValueError("turns must be positive")
     sign = 1.0 if sense == SENSE_ANTICLOCKWISE else -1.0
-    total = 2.0 * math.pi * radius * turns
-    _check_samples(total / spacing + 1.0)
-    n = max(int(math.ceil(total / spacing)) + 1, 2)
-    ds = total / (n - 1)
-    s = ds * np.arange(n)
+    s, ds = _uniform_grid(2.0 * math.pi * radius * turns, spacing)
     theta = start_angle + sign * s / radius
     cx, cy = float(center[0]), float(center[1])
     positions = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
     tangents = np.column_stack([-sign * np.sin(theta), sign * np.cos(theta)])
-    curvatures = np.full(n, sign / radius)
+    curvatures = np.full(s.size, sign / radius)
     return ReferencePath(positions, tangents, curvatures, ds)
 
 
@@ -577,14 +588,9 @@ def make_line_path(
     if dn == 0.0:
         raise ValueError("degenerate direction: zero vector")
     ux, uy = direction[0] / dn, direction[1] / dn
-    _check_samples(length / spacing + 1.0)
-    n = max(int(math.ceil(length / spacing)) + 1, 2)
-    ds = length / (n - 1)
-    s = ds * np.arange(n)
+    s, ds = _uniform_grid(length, spacing)
     positions = np.column_stack([start[0] + ux * s, start[1] + uy * s])
-    tangents = np.tile([ux, uy], (n, 1))
-    curvatures = np.zeros(n)
-    return ReferencePath(positions, tangents, curvatures, ds)
+    return ReferencePath(positions, np.tile([ux, uy], (s.size, 1)), np.zeros(s.size), ds)
 
 
 def _knot_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 from . import guidance, midcourse as mc, optimizer as opt, vehicle
-from .geom import heading_vector, signed_angle
+from .geom import Vec2, heading_vector, signed_angle
 from .metrics import PHASE_CIRCLE, PHASE_CLOSE, PHASE_MIDCOURSE, RunRecord
 from .path import MAX_RADIUS, MIN_RADIUS, ReferencePath, curvature_radius
-from .vehicle import VehicleState
+from .vehicle import VehicleState, _check_a_max
 
 CONTROLLER_BASELINE = "baseline"
 CONTROLLER_PROPOSED = "proposed"
@@ -59,8 +59,7 @@ class MissionConfig:
             raise ValueError("dt must be positive")
         if self.controller not in (CONTROLLER_BASELINE, CONTROLLER_PROPOSED):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if not (self.a_max is None or self.a_max > 0.0):
-            raise ValueError(f"a_max must be positive or None, got {self.a_max!r}")
+        _check_a_max(self.a_max)
 
     @property
     def radius(self) -> float:
@@ -71,7 +70,8 @@ def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     """The flight envelope: one line, named by its scenario key, per bound that ``config`` breaks at ``speed``.
     Finite: the arc command 2 speed^2 / MIN_TARGET_DIST, the coast's lookahead / speed / dt steps, a step's turn dt * 2
     speed / MIN_TARGET_DIST, (speed * max_time)^2 and the blend, (k1 MAX_RADIUS + k2 (1 + cap) speed / 2 MIN_RADIUS)
-    times the arc command at the largest gains flown.  At most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout."""
+    times the arc command at the largest gains flown.  At most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout
+    of steps speed * dt at most the tuner's bound, which its batched projection can follow."""
     v, dt, mt, d_min = speed, config.dt, config.max_time, guidance.MIN_TARGET_DIST
     tuner = config.optimizer if config.controller == CONTROLLER_PROPOSED else None  # the baseline is never tuned
     too_fast = not math.isfinite(2.0 * v * v / d_min)
@@ -86,6 +86,9 @@ def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     elif tuner and not too_long and (n := min(tuner.d_limit, MAX_RADIUS) / v / dt) > opt.MAX_ROLLOUT_STEPS:
         problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {MAX_RADIUS:g}) / speed / dt steps must be at most"
                         f" {opt.MAX_ROLLOUT_STEPS}, got {n:.6g} at d_limit {tuner.d_limit!r}, speed {v!r}, dt {dt!r}")
+    if tuner and not v * dt <= opt._MAX_STEP:
+        problems.append(f"sim.dt: a rollout's step speed * dt must be at most {opt._MAX_STEP} m, got {v * dt:.6g}"
+                        f" at speed {v!r}, dt {dt!r}")
     if not math.isfinite(dt * 2.0 * v / d_min):
         problems.append(f"sim.dt: the turn per step dt * 2 speed / {d_min} must be finite, got {dt!r} at speed {v!r}")
     if not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises
@@ -151,11 +154,12 @@ class Mission:
         self._optimizer = None if baseline else config.optimizer
         self._next_opt_t = -math.inf
 
-        r0 = curvature_radius(path.point_at(0.0))
-        if classify_phase(state, path, r0) == PHASE_MIDCOURSE:
+        self._start = path.start  # the pose the approach ends at, where close range starts
+        if classify_phase(state, path, curvature_radius(self._start)) == PHASE_MIDCOURSE:
             candidates = mc.candidate_circles(path, config.radius)
             circle, solution = mc.select_circle(state.position, state.heading, candidates, state.speed)
             self.phase: Phase = Midcourse(solution, circle)
+            self._contact = solution.w, circle.tangent_at(solution.w)  # where the arc meets the circle
         else:
             self.phase = CloseRange(s_min=0.0)
 
@@ -195,27 +199,21 @@ class Mission:
     # ------------------------------------------------------------------
 
     def _check_transitions(self) -> None:
-        cfg = self.config
-        if isinstance(self.phase, Midcourse):
-            sol, circle = self.phase.solution, self.phase.circle
-            d = math.hypot(self.state.x - sol.w[0], self.state.y - sol.w[1])
-            if d <= cfg.arrive_pos_tol:
-                tang = circle.tangent_at(sol.w)
-                err = abs(signed_angle(heading_vector(self.state.heading), tang))
-                if err <= cfg.arrive_heading_tol:
-                    self.phase = CircleFollow(circle)
-        if isinstance(self.phase, CircleFollow):
-            start = self.path.start
-            d = math.hypot(self.state.x - start.position[0], self.state.y - start.position[1])
-            if d <= cfg.arrive_pos_tol:
-                err = abs(signed_angle(heading_vector(self.state.heading), start.tangent))
-                if err <= cfg.arrive_heading_tol:
-                    self.phase = CloseRange(s_min=0.0)
+        if isinstance(self.phase, Midcourse) and self._arrived(*self._contact):
+            self.phase = CircleFollow(self.phase.circle)
+        if isinstance(self.phase, CircleFollow) and self._arrived(self._start.position, self._start.tangent):
+            self.phase = CloseRange(s_min=0.0)
+
+    def _arrived(self, point: Vec2, tangent: Vec2) -> bool:
+        """Within the position tolerance of ``point`` and the heading tolerance of ``tangent``."""
+        cfg, state = self.config, self.state
+        return (math.hypot(state.x - point[0], state.y - point[1]) <= cfg.arrive_pos_tol
+                and abs(signed_angle(heading_vector(state.heading), tangent)) <= cfg.arrive_heading_tol)
 
     def _command_and_cte(self) -> tuple[float, float, str]:
         cfg = self.config
         if isinstance(self.phase, Midcourse):
-            sx, sy = self.path.start.position
+            sx, sy = self._start.position
             cte = math.hypot(self.state.x - sx, self.state.y - sy)
             return mc.midcourse_command(self.state, self.phase.solution), cte, PHASE_MIDCOURSE
 

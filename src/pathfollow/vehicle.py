@@ -59,6 +59,7 @@ def step(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if a_max is not None:  # min(max(a_cmd, -a_max), a_max)
+        _check_a_max(a_max)
         a_cmd = -a_max if -a_max > a_cmd else a_cmd
         a_cmd = a_max if a_max < a_cmd else a_cmd
 
@@ -75,6 +76,12 @@ def step(
     x = state.x + v * dt / 6.0 * (c1 + 4.0 * c2 + c4)
     y = state.y + v * dt / 6.0 * (s1 + 4.0 * s2 + s4)
     return VehicleState(x, y, psi4, v, state.t + dt)
+
+
+def _check_a_max(a_max) -> None:
+    """A ValueError for an ``a_max`` that is neither None nor positive, which would invert or skip the clamp."""
+    if not (a_max is None or a_max > 0.0):
+        raise ValueError(f"a_max must be positive or None, got {a_max!r}")
 
 
 def step_operands(speed: float, dt: float):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +97,9 @@ def test_path_without_kind_is_a_sinusoid():
 
 
 def test_integer_values_parse_as_floats():
-    cfg = parse_scenario({"vehicle": {"heading_deg": 90, "speed": 5, "start": [-15, 0]}, "sim": {"dt": 1}})
+    # A baseline scenario: the tuner refuses a 5 m step.
+    cfg = parse_scenario({"vehicle": {"heading_deg": 90, "speed": 5, "start": [-15, 0]}, "sim": {"dt": 1},
+                          "controller": "baseline"})
     assert [type(v) for v in (cfg.heading_deg, cfg.speed, *cfg.start, cfg.mission.dt)] == [float] * 5
     assert type(cfg.optimizer.grid) is int
 
@@ -125,6 +129,10 @@ def test_integer_values_parse_as_floats():
          ["unknown top-level keys: ['vehicel']", "controller: expected baseline/proposed/both, got 'bogus'"]),
         # The flight envelope is checked only once every key has parsed: dt 1e-6 alone is a too-long mission.
         ({"vehicle": {"heading_deg": "x"}, "sim": {"dt": 1e-6}}, ["vehicle.heading_deg: expected a finite number, got 'x'"]),
+        # The tuner's batched projection cannot follow a 0.5 m step; the baseline never rolls out.
+        ({"vehicle": {"speed": 50.0}},
+         ["sim.dt: a rollout's step speed * dt must be at most 0.4 m, got 0.5 at speed 50.0, dt 0.01"]),
+        ([1, 2], ["top level: expected an object"]),
     ],
 )
 def test_problem_messages(scenario, problems):
@@ -135,6 +143,19 @@ def test_problem_messages(scenario, problems):
 
 def test_rollout_step_bound_applies_only_with_the_tuner():
     assert parse_scenario({"guidance": {"lookahead": 1e4}, "optimizer": {"enabled": False}}).optimizer is None
+    assert parse_scenario({"vehicle": {"speed": 50.0}, "controller": "baseline"}).speed == 50.0
+    assert parse_scenario({"vehicle": {"speed": 50.0}, "optimizer": {"enabled": False}}).optimizer is None
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep"]])
+def test_a_step_the_tuner_cannot_follow_exits_2(tmp_path, capsys, argv):
+    cfgp = write_config(tmp_path, {"vehicle": {"speed": 40.0}, "sim": {"dt": 0.0125}})
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sim.dt: a rollout's step speed * dt must be at most 0.4 m, got 0.5 at speed 40.0, dt 0.0125"
+    ]
+    assert not out.exists()
 
 
 def test_partial_overrides_merge_with_defaults():
@@ -662,8 +683,9 @@ def test_tuned_missions_a_baseline_scenario_adds_are_checked_up_front(tmp_path, 
     out = tmp_path / "out"
     assert main([*argv, "--config", cfgp, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
+        "config error: sim.dt: a rollout's step speed * dt must be at most 0.4 m, got 1e+148 at speed 1e+150, dt 0.01",
         "config error: guidance.k1/k2: the blended command must be finite, got 1.0 / 0.0"
-        " (tuned up to optimizer.k_max 10.0) at speed 1e+150"
+        " (tuned up to optimizer.k_max 10.0) at speed 1e+150",
     ]
     assert not out.exists()
 
@@ -701,6 +723,26 @@ def test_stock_run_outputs_are_unchanged(tmp_path):
         "path.csv": "0528e1b26ec768cbcf332c75d0b60a5104ff8453ba0aa543b5ef513addef1a08",
         "summary.json": "f5e932bc0eae8096cc7a74e4ad4dfbffdd0fd264e802c49b3c235c5f40fdd897",
         "trajectory_baseline.csv": "1a8e16370d89c845dc02236a11313b9f95b79dfedc42fac6f1b5107e16482f64",
+    }
+
+
+def test_two_phase_run_outputs_are_unchanged(tmp_path):
+    # Criterion 5's geometry: the stock runs never leave close range, this one flies all three phases.
+    cfgp = write_config(tmp_path, {
+        "path": {"kind": "sinusoid", "x_start": 0.0, "x_end": 150.0},
+        "vehicle": {"start": [-45.0, 20.0], "heading_deg": 0.0},
+        "guidance": {"initiation_radius": 10.0},
+    })
+    out = tmp_path / "two_phase"
+    assert main(["run", "--controller", "baseline", "--config", cfgp, "--out", str(out)]) == 0
+    with open(out / "trajectory_baseline.csv", newline="") as f:
+        phases = Counter(row["phase"] for row in csv.DictReader(f))
+    assert phases == {"midcourse": 1003, "circle": 1139, "close": 4367}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {
+        "path.csv": "99fbe0f277edc323f49ae9e1492374280feeea550a8d485d0fe2fad84c77a6ea",
+        "summary.json": "f70df83e5b4e31da3c79a6fde970106e8ad326cf73141baff563bf1a4adec259",
+        "trajectory_baseline.csv": "586399111fc3a88415f7a1779e865a0be07bca1c99d64c6c076de67e2cc744bf",
     }
 
 
@@ -802,3 +844,25 @@ def test_cmd_compare(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "identical" in report
     assert "DIFFERS" not in report
+
+
+def test_cmd_compare_names_files_in_one_directory_only(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "same.csv").write_text("1\n")
+    (b / "same.csv").write_text("1\n")
+    (a / "first.csv").write_text("x\n")
+    (b / "second.csv").write_text("y\n")
+    assert main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "first.csv: only in first directory", "same.csv: identical", "second.csv: only in second directory"
+    ]
+
+
+def test_cmd_compare_refuses_a_non_directory(tmp_path, capsys):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "file").write_text("")
+    for pair in (["run", "file"], ["missing", "run"]):
+        assert main(["compare", *(str(tmp_path / name) for name in pair)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["compare: both arguments must be run directories"]

@@ -51,6 +51,12 @@ def test_latax_direct_substitution():
     assert latax_l1(s, target, 10.0) == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("lookahead", [0.0, -1.0, math.nan])
+def test_latax_refuses_a_non_positive_lookahead(lookahead):
+    with pytest.raises(ValueError, match="look-ahead distance must be positive"):
+        latax_l1(state_at(0, 0, 0), (7.0, 0.0), lookahead)
+
+
 def test_latax_zero_eta():
     assert latax_l1(state_at(0, 0, 0), (7.0, 0.0), 10.0) == 0.0
 

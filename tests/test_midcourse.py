@@ -183,6 +183,17 @@ def test_select_behind_symmetric_ties_to_anticlockwise():
     assert sol.w == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("p, heading", [((-30.0, 0.0), 0.0), ((30.0, 0.0), math.pi)], ids=["straight", "arc"])
+def test_select_mirrored_ties_go_anticlockwise_in_either_candidate_order(p, heading):
+    # The circles mirror each other across the path's start tangent, so their best commands tie
+    # within 1e-12 (exactly 0 on the straight run, 3 ULP apart on the arc).
+    line = make_line_path((0.0, 0.0), (1.0, 0.0), 200.0)
+    left, right = candidate_circles(line, 5.0)
+    best = next(s for s in contact_solutions(p, heading, left, SPEED) if s.feasible)
+    for cands in ((left, right), (right, left)):
+        assert select_circle(p, heading, cands, SPEED) == (left, best)
+
+
 def test_select_behind_generic_minimizes_command():
     line = make_line_path((0.0, 0.0), (1.0, 0.0), 200.0)
     cands = candidate_circles(line, 5.0)

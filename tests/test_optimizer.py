@@ -257,6 +257,10 @@ REFUSED = {
     "rollout_zero_a_max": ("rollout", {"a_max": 0.0}),
     "rollout_negative_a_max": ("rollout", {"a_max": -1.0}),
     "rollout_nan_a_max": ("rollout", {"a_max": math.nan}),
+    "rollout_zero_horizon": ("rollout", {"horizon": 0.0}),
+    # A 0.5 m step outruns the batched projection's window.
+    "optimize_long_step": ("optimize", {"dt": 0.1}),
+    "rollout_long_step": ("rollout", {"dt": 0.1}),
 }
 
 
@@ -282,6 +286,13 @@ def test_tuner_refuses_inputs_it_cannot_fly(stock_path, monkeypatch, name):
             args = {"lookahead": 10.0, "horizon": 4.0, "dt": 0.01, "a_max": None, **kw}
             gains = GuidanceGains(1.0, 0.0, args["lookahead"])
             rollout_cost(st, stock_path, s_min, gains, args["horizon"], args["dt"], s_proj, args["a_max"])
+
+
+def test_optimize_gains_falls_back_to_the_baseline_pair_when_no_rollout_is_finite(stock_path, monkeypatch):
+    monkeypatch.setattr(optimizer, "_rollout_costs", lambda *args: np.full(args[4].size, np.inf))  # args[4]: k1s
+    x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
+    res = optimize_gains(VehicleState(x, y, heading, 5.0), stock_path, s_min, OptimizerSettings(), 10.0, 0.01, s_proj)
+    assert (res.k1, res.k2, res.cost, res.horizon, res.fallback) == (1.0, 0.0, math.inf, 4.0, True)
 
 
 @pytest.mark.parametrize("update, expected", STOCK_UPDATES)
@@ -450,6 +461,25 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
     # pairs roll out as one) both give the same arc length bit for bit, and
     # distances within 2 ULP (numpy's x * x against Python's x ** 2).  Both
     # stay: each is the faster form for its queries.
+    assert _rollout_projections_agree(stock_path, monkeypatch) == 111 * 400
+
+
+@pytest.mark.parametrize("spacing", [0.02, 0.03])
+def test_batched_projection_agrees_with_scalar_project_on_fine_tables(monkeypatch, spacing):
+    # The batched projection's window is wider on a finer table: it still reaches past the
+    # hint, where a fixed 32 samples ended behind the vehicle (25 m apart at 0.03 m).
+    assert _rollout_projections_agree(make_sinusoid_path(-15.0, 150.0, spacing), monkeypatch) == 111 * 400
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.03])
+def test_batched_projection_follows_the_longest_step_the_tuner_takes(monkeypatch, spacing):
+    # 40 m/s at dt 0.01 steps 0.4 m, optimizer._MAX_STEP; the 20 m horizon takes 50 steps.
+    path = make_sinusoid_path(-15.0, 150.0, spacing)
+    assert _rollout_projections_agree(path, monkeypatch, speed=40.0) == 111 * 50
+
+
+def _rollout_projections_agree(path, monkeypatch, speed=5.0):
+    """Rows checked: every rollout row and step of the first search round at STOCK_UPDATES[1]."""
     calls = []
     batched = ReferencePath.project_many
 
@@ -460,13 +490,13 @@ def test_batched_projection_agrees_with_scalar_project(stock_path, monkeypatch):
 
     monkeypatch.setattr(ReferencePath, "project_many", recording)
     x, y, heading, s_min, s_proj = STOCK_UPDATES[1][0]
-    st = VehicleState(x, y, heading, 5.0)
-    optimize_gains(st, stock_path, s_min, OptimizerSettings(refine_rounds=0), 10.0, 0.01, s_proj)
+    st = VehicleState(x, y, heading, speed)
+    optimize_gains(st, path, s_min, OptimizerSettings(refine_rounds=0), 10.0, 0.01, s_proj)
     rows = 0
     for xs, ys, s_prev, s, d in calls:
         for i in range(xs.size):
-            pp, dist = stock_path.project((xs[i], ys[i]), s_hint=s_prev[i])
+            pp, dist = path.project((xs[i], ys[i]), s_hint=s_prev[i])
             assert pp.s == s[i]
             assert abs(dist - d[i]) <= 2 * np.spacing(dist)
             rows += 1
-    assert rows == 111 * 400
+    return rows

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,54 @@ def stacked_vertex_table():
     return ReferencePath(positions, [(1.0, 0.0)] * n, np.zeros(n), 1.0)
 
 
+@pytest.mark.parametrize(
+    "positions, tangents, curvatures, spacing, message",
+    [
+        ([(0.0, 0.0)], [(1.0, 0.0)], [0.0], 1.0, "at least two samples"),
+        ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0)], [0.0, 0.0], 1.0, "inconsistent sample table shapes"),
+        ([(0.0, 0.0), (math.nan, 0.0)], [(1.0, 0.0)] * 2, [0.0, 0.0], 1.0, "non-finite path samples"),
+        ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (0.0, 0.0)], [0.0, 0.0], 1.0, "zero tangent sample"),
+        ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0)] * 2, [0.0, 0.0], 0.0, "spacing must be positive"),
+        ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0)] * 2, [0.0, 0.0], math.nan, "spacing must be positive"),
+        # The batched projection's window spans 1.5 m of samples: 1.5e9 of them at 1 nm.
+        ([(0.0, 0.0), (1e-9, 0.0)], [(1.0, 0.0)] * 2, [0.0, 0.0], 1e-9, f"limit of {MAX_SAMPLES:,}"),
+    ],
+    ids=["one_sample", "shapes", "non_finite", "zero_tangent", "zero_spacing", "nan_spacing", "window"],
+)
+def test_reference_path_refuses_tables_it_cannot_query(positions, tangents, curvatures, spacing, message):
+    with pytest.raises(ValueError, match=message):
+        ReferencePath(np.array(positions), np.array(tangents), np.array(curvatures), spacing)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_circle_path((0.0, 0.0), 0.0), "radius must be positive"),
+        (lambda: make_circle_path((0.0, 0.0), 5.0, sense="cw"), "unknown sense 'cw'"),
+        (lambda: make_circle_path((0.0, 0.0), 5.0, turns=-1.0), "turns must be positive"),
+        (lambda: make_line_path((0.0, 0.0), (1.0, 0.0), math.nan), "length must be positive"),
+        (lambda: make_line_path((0.0, 0.0), (0.0, 0.0)), "degenerate direction"),
+        # A curve that stands still: position (t, t), both derivatives zero.
+        (lambda: path_module._from_parametric(np.linspace(0.0, 1.0, 16), lambda t: ((t, t), (0 * t,) * 2, (0 * t,) * 2),
+                                              0.05), "zero length"),
+    ],
+    ids=["circle_radius", "circle_sense", "circle_turns", "line_length", "line_direction", "zero_length"],
+)
+def test_constructors_refuse_degenerate_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("spacing, width", [(0.5, 32), (0.07, 32), (0.05, 32), (0.03, 51), (0.02, 76), (0.001, 1501)])
+def test_batched_projection_window_reaches_half_a_metre_past_the_guard(spacing, width):
+    # The fewest samples whose segments span the 1 m guard and 0.5 m more, and 32 at least,
+    # which keeps every table at the default spacing or coarser as it was.
+    path = pickle.loads(pickle.dumps(make_line_path((0.0, 0.0), (1.0, 0.0), 3.0, spacing)))
+    assert path._wx.shape[1] == path._wseg.shape[1] == width
+    assert (width - 1) * path.spacing >= 1.5 and (width == 32 or (width - 2) * path.spacing < 1.5)
+    assert path._table.shape[1] == path._n + width - 1
+
+
 def test_project_zero_length_segments_return_nearest_vertex():
     pp, d = stacked_vertex_table().project((1.0, 0.5))
     assert pp.position == (1.0, 0.0)
@@ -321,6 +370,12 @@ def test_lookahead_far_point_falls_back_to_projection():
     res = line.lookahead_point((30.0, 50.0), 0.0, 10.0)
     assert res.fallback and not res.end_of_path
     assert res.point.position == pytest.approx((30.0, 0.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("lookahead", [0.0, -1.0, math.nan])
+def test_lookahead_refuses_a_non_positive_distance(sinusoid, lookahead):
+    with pytest.raises(ValueError, match="look-ahead distance must be positive"):
+        sinusoid.lookahead_point((0.0, 20.0), 0.0, lookahead)
 
 
 def test_lookahead_end_of_path_flag():

@@ -8,6 +8,7 @@ from pathfollow.midcourse import InfeasibleGeometryError
 from pathfollow.optimizer import OptimizerSettings
 from pathfollow.path import curvature_radius, make_line_path, make_sinusoid_path
 from pathfollow.supervisor import (
+    CircleFollow,
     CloseRange,
     Done,
     Mission,
@@ -163,12 +164,37 @@ def test_gain_updates_roll_out_with_the_mission_a_max(bench_path, monkeypatch):
     assert seen == [0.5]
 
 
+@pytest.mark.parametrize("off_deg, arrives", [(1.9, True), (-1.9, True), (2.1, False), (-2.1, False)])
+def test_approach_phases_hand_over_only_within_the_heading_tolerance(bench_path, off_deg, arrives):
+    # On the contact point, then on the path start, heading off_deg from the tangent there (2 deg allowed).
+    mission = Mission(bench_path, VehicleState(-45.0, 20.0, 0.0, 5.0),
+                      MissionConfig(controller="baseline", initiation_radius=10.0))
+    circle, w = mission.phase.circle, mission.phase.solution.w
+    start = bench_path.start
+    for phase, (x, y), (tx, ty), after in ((mission.phase, w, circle.tangent_at(w), CircleFollow),
+                                            (CircleFollow(circle), start.position, start.tangent, CloseRange)):
+        mission.phase = phase
+        mission.state = VehicleState(x, y, math.atan2(ty, tx) + math.radians(off_deg), 5.0)
+        mission.step()
+        assert isinstance(mission.phase, after if arrives else type(phase))
+
+
 @pytest.mark.parametrize("a_max", [0.0, -0.0, -1.0, math.nan, -math.inf])
 def test_mission_config_refuses_the_a_max_the_schema_refuses(a_max):
     # parse_scenario refuses sim.a_max <= 0; at -1 a baseline mission flew an inverted
     # clamp that never finished, and at NaN the tuner died in point_at_many.
     with pytest.raises(ValueError, match="a_max"):
         MissionConfig(a_max=a_max)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("lookahead", 0.0, "lookahead must be positive"), ("lookahead", math.nan, "lookahead must be positive"),
+     ("dt", -0.01, "dt must be positive"), ("controller", "both", "unknown controller 'both'")],
+)
+def test_mission_config_refuses_what_no_mission_can_fly(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MissionConfig(**{field: value})
 
 
 @pytest.mark.parametrize("a_max", [None, 5e-324, 3.0, math.inf])

@@ -114,6 +114,13 @@ def test_optional_saturation():
     assert capped.heading < free.heading
 
 
+@pytest.mark.parametrize("a_max", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_step_refuses_the_a_max_the_schema_refuses(a_max):
+    # The clamp applied -1.0 for an a_max of -1, and a NaN one let the command through unclamped.
+    with pytest.raises(ValueError, match="a_max"):
+        step(VehicleState(0, 0, 0, 5.0), 0.5, 0.01, a_max=a_max)
+
+
 def test_state_requires_positive_speed():
     with pytest.raises(ValueError):
         VehicleState(0, 0, 0, 0.0)
