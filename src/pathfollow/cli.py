@@ -23,7 +23,6 @@ from . import metrics
 from .config import CONTROLLER_BOTH, ConfigError, ScenarioConfig, load_scenario
 from .metrics import CSV_HEADER, RunRecord
 from .midcourse import InfeasibleGeometryError
-from .path import ReferencePath
 from .supervisor import CONTROLLER_BASELINE, CONTROLLER_PROPOSED, run_mission
 
 EXIT_OK = 0
@@ -154,13 +153,13 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(cfg: ScenarioConfig, path: ReferencePath, heading_deg: float) -> dict:
-    """One sweep row: baseline and proposed runs at a fixed initial heading.
+def _sweep_row(cfg: ScenarioConfig, heading_deg: float) -> dict:
+    """One sweep row: baseline and proposed runs at a fixed initial heading, on a path built from ``cfg``.
 
     Infeasible geometry or a timed-out mission makes an error row; any other
     exception propagates."""
     row = {"heading_deg": heading_deg}
-    summaries = []
+    path, summaries = cfg.build_path(), []
     for controller in (CONTROLLER_BASELINE, CONTROLLER_PROPOSED):
         try:
             run = run_mission(path, cfg.build_state(heading_deg), cfg.mission_config(controller))
@@ -207,31 +206,33 @@ def _render_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_sweep(cfg: ScenarioConfig, path: ReferencePath) -> list[dict]:
+def run_sweep(cfg: ScenarioConfig) -> list[dict]:
     """The sweep's rows, one per heading in order, each flown in a worker process.
 
-    The pool holds one worker per CPU and at most one per heading.  Workers are
-    spawned, not forked: numpy's BLAS threads are already running here.  So a
-    script that calls this must guard its own top level with
+    Each row's worker gets the scenario and builds its own path from it (about
+    15 ms for the stock path), so no path crosses a process boundary.  The pool
+    holds one worker per CPU and at most one per heading.  Workers are spawned,
+    not forked: numpy's BLAS threads are already running here.  So a script
+    that calls this must guard its own top level with
     ``if __name__ == "__main__"``, as spawned workers import it."""
     headings = cfg.sweep_headings_deg
     workers = min(len(headings), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_sweep_row, repeat(cfg), repeat(path), headings))
+        return list(pool.map(_sweep_row, repeat(cfg), headings))
 
 
 def cmd_sweep(args) -> int:
     try:
         cfg = load_scenario(args.config)
         cfg.mission_config(CONTROLLER_PROPOSED)  # the sweep flies both controllers, whatever the scenario names
-        path = cfg.build_path()
+        cfg.build_path()  # refused here, before any output; each worker builds its own
     except ConfigError as exc:
         return _config_error(exc)
 
     out = _out_dir(args.out)
     if out is None:
         return EXIT_CONFIG
-    rows = run_sweep(cfg, path)
+    rows = run_sweep(cfg)
     _write_atomic(out / "sweep.csv", _render_sweep_csv(rows))
     text = _render_sweep_text(rows)
     _write_atomic(out / "sweep.txt", text)

@@ -26,7 +26,7 @@ from math import atan2, cos, hypot, pi, sin
 import numpy as np
 
 from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle, sub
-from .path import MAX_RADIUS, MIN_RADIUS, PathPoint, ReferencePath, radius_from_curvature
+from .path import MAX_RADIUS, MIN_RADIUS, PathPoint, ReferencePath, curvature_radius
 from .vehicle import VehicleState
 
 # Lower clamp on target distances: the arc command is singular as a target
@@ -215,7 +215,7 @@ def corrector_geometry(
     lc = math.hypot(lcx, lcy)
     eta14 = signed_angle((hx, hy), (lcx, lcy)) if lc > 0.0 else 0.0
 
-    r_l1 = radius_from_curvature(p2.curvature)
+    r_l1 = curvature_radius(p2)
 
     t2x, t2y = p2.tangent
     cosb = (t2x * rx + t2y * ry) / max(d12, 1e-12)
@@ -336,7 +336,7 @@ def blended_many(pos, cs, proj, p2, law, ks):
         np.putmask(eta[1], ~lc, _ZERO)
 
     rv = np.empty((2, k))  # r_l1, then v_m
-    # radius_from_curvature's clamp: 1 / max(|kappa|, 1e-6) never exceeds MAX_RADIUS = 1e6,
+    # curvature_radius's clamp: 1 / max(|kappa|, 1e-6) never exceeds MAX_RADIUS = 1e6,
     # since 1 / (1 / 1e6) rounds to 1e6, so only the lower clamp runs.
     np.maximum(_MIN_RADIUS, _ONE / np.maximum(np.abs(p2[4]), _MIN_CURVATURE), out=rv[0])
     cb = p2[2:4] * v[:, 0]

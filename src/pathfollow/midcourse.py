@@ -22,16 +22,12 @@ import numpy as np
 
 from .geom import Vec2, heading_vector, perp_left
 from .guidance import arc_command
-from .path import ReferencePath, SENSE_ANTICLOCKWISE, SENSE_CLOCKWISE
+from .path import ReferencePath, SENSE_ANTICLOCKWISE, SENSE_CLOCKWISE, SENSE_SIGN
 from .vehicle import VehicleState
 
 
 class InfeasibleGeometryError(RuntimeError):
     """No initiation-circle approach reaches the path start with the right sense."""
-
-
-def _sense_sign(sense: str) -> float:
-    return 1.0 if sense == SENSE_ANTICLOCKWISE else -1.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class InitiationCircle:
         n = math.hypot(rx, ry)
         if n == 0.0:
             raise ValueError("point coincides with circle center")
-        s = _sense_sign(self.sense)
+        s = SENSE_SIGN[self.sense]
         return (-s * ry / n, s * rx / n)
 
     def angle_of(self, point: Vec2) -> float:
@@ -111,7 +107,7 @@ def contact_solutions(
         # Velocity points more than 90 degrees away from the circle center.
         raise ValueError("heading away from circle")
 
-    s_circ = _sense_sign(circle.sense)
+    s_circ = SENSE_SIGN[circle.sense]
 
     # Vehicle effectively on the circle: the tangent arc degenerates; the
     # contact point is the vehicle itself.
@@ -258,7 +254,7 @@ def circle_follow_command(state: VehicleState, circle: InitiationCircle, lookahe
     if chord > 2.0 * big_r:
         chord = 1.8 * big_r
     dtheta = 2.0 * math.asin(chord / (2.0 * big_r))
-    s = _sense_sign(circle.sense)
+    s = SENSE_SIGN[circle.sense]
     theta = circle.angle_of(state.position) + s * dtheta
     tx = circle.center[0] + big_r * math.cos(theta)
     ty = circle.center[1] + big_r * math.sin(theta)

@@ -110,13 +110,7 @@ def rollout_cost(
     :func:`vehicle.step` does.  Deterministic for identical inputs; geometry
     breakdowns surface as an infinite cost.
     """
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    if not gains.lookahead < math.inf:
-        raise ValueError("look-ahead distance must be finite")
-    _check_a_max(a_max)
-    n_steps = _steps(horizon, dt, state.speed)
-    sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, gains.lookahead)[0].s
+    n_steps, sp0 = _rollout_start(state, path, s_min, gains.lookahead, horizon, dt, s_proj, a_max)
     k1, k2 = np.array([gains.k1]), np.array([gains.k2])
     return float(_rollout_costs(path, state, s_min, sp0, k1, k2, gains.lookahead, dt, n_steps, a_max)[0])
 
@@ -151,12 +145,8 @@ def optimize_gains(
     ``grid^2 + 1`` rows.  The picks are those of rolling out every round
     whole, bit for bit, since a row's cost does not depend on the other rows.
     """
-    if not 0.0 < lookahead_dist < math.inf:
-        raise ValueError("look-ahead distance must be positive and finite")
-    _check_a_max(a_max)
     horizon = adaptive_interval(state, path, settings.d_limit, s_hint=s_proj)
-    n_steps = _steps(horizon, dt, state.speed)
-    sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
+    n_steps, sp0 = _rollout_start(state, path, s_min, lookahead_dist, horizon, dt, s_proj, a_max)
 
     g, k_max, rounds = settings.grid, settings.k_max, settings.refine_rounds
     table = {}  # cost by _keys entry
@@ -192,18 +182,25 @@ def optimize_gains(
     return OptimizedGains(best_k1, best_k2, best_cost, horizon)
 
 
-def _steps(horizon, dt, speed):
-    """Steps of a rollout over ``horizon``, at least one; a ValueError for a ``dt`` outside (0, inf), a step
-    ``speed * dt`` past _MAX_STEP or more than MAX_ROLLOUT_STEPS steps, which no mission that
-    ``supervisor.mission_problems`` admits asks for."""
+def _rollout_start(state, path, s_min, lookahead_dist, horizon, dt, s_proj, a_max):
+    """The tuner's entry checks, then a rollout's steps over ``horizon`` (at least one) and its first projection's arc
+    length.  A ValueError, before any rollout, for a look-ahead distance or ``dt`` outside (0, inf), a ``horizon`` not
+    above 0, an ``a_max`` the schema refuses, a step ``speed * dt`` past _MAX_STEP or more than MAX_ROLLOUT_STEPS
+    steps, none of which a mission that ``supervisor.mission_problems`` admits asks for."""
+    if not 0.0 < lookahead_dist < math.inf:
+        raise ValueError(f"look-ahead distance must be positive and finite, got {lookahead_dist!r}")
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    _check_a_max(a_max)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not speed * dt <= _MAX_STEP:
-        raise ValueError(f"a rollout step speed * dt must be at most {_MAX_STEP} m, got {speed!r} * {dt!r}")
+    if not state.speed * dt <= _MAX_STEP:
+        raise ValueError(f"a rollout step speed * dt must be at most {_MAX_STEP} m, got {state.speed!r} * {dt!r}")
     steps = horizon / dt
     if not (steps < math.inf and round(steps) <= MAX_ROLLOUT_STEPS):
         raise ValueError(f"a rollout of horizon {horizon!r} s at dt {dt!r} s exceeds {MAX_ROLLOUT_STEPS} steps")
-    return max(1, round(steps))
+    sp0 = float(s_proj) if s_proj is not None else track_projection(state, path, s_min, lookahead_dist)[0].s
+    return max(1, round(steps)), sp0
 
 
 def _box(centre, delta, grid, k_max):

@@ -17,6 +17,8 @@ closed-form derivatives; polylines are resampled along their not-a-knot cubic
 spline.  A ReferencePath's sample table is read-only after construction, every
 query returns fresh PathPoint / LookaheadResult records and the library never
 mutates a record after building it, so one path can be shared across threads.
+A path is not shipped between processes: each sweep worker builds its own from
+the scenario (``cli.run_sweep``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ _SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
+SENSE_SIGN = {SENSE_ANTICLOCKWISE: 1.0, SENSE_CLOCKWISE: -1.0}  # the sign of a circle's turn in each sense
 
 
 @dataclass(slots=True)
@@ -93,11 +96,7 @@ class LookaheadResult:
 
 def curvature_radius(pp: PathPoint) -> float:
     """Unsigned radius of curvature, clamped to [MIN_RADIUS, MAX_RADIUS]."""
-    return radius_from_curvature(pp.curvature)
-
-
-def radius_from_curvature(kappa: float) -> float:
-    k = abs(kappa)
+    k = abs(pp.curvature)
     if k <= 1.0 / MAX_RADIUS:
         return MAX_RADIUS
     return min(MAX_RADIUS, max(MIN_RADIUS, 1.0 / k))
@@ -118,8 +117,7 @@ class ReferencePath:
     ones the spacing and last sample as 0-d arrays.  The path also records
     its longest chord between neighbouring samples, which bounds how far the
     look-ahead scans may skip; a table whose samples all coincide has no such
-    bound and is rejected.  A pickled path holds the table and those scalars
-    alone, and is rebuilt from them, read-only, without normalizing again.
+    bound and is rejected.
     """
 
     def __init__(
@@ -135,10 +133,9 @@ class ReferencePath:
         n = positions.shape[0]
         if n < 2:
             raise ValueError("path needs at least two samples")
-        if not 0.0 < spacing < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
-        pad = _window_width(spacing) - 1
-        _check_samples(n + pad)
+        _check_spacing(spacing)
+        width = _window_width(spacing)
+        _check_samples(n + width - 1)
         if positions.shape != (n, 2) or tangents.shape != (n, 2) or curvatures.shape != (n,):
             raise ValueError("inconsistent sample table shapes")
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(tangents)) and np.all(np.isfinite(curvatures))):
@@ -147,7 +144,7 @@ class ReferencePath:
         if np.any(norms == 0.0):
             raise ValueError("zero tangent sample")
         tangents = tangents / norms[:, None]
-        t = np.zeros((11, n + pad))
+        t = np.zeros((11, n + width - 1))
         for v, col in zip(range(1, 11, 2), (*positions.T, *tangents.T, curvatures)):
             t[v, :n] = col
             np.subtract(col[1:], col[:-1], out=t[v + 1, : n - 1])
@@ -156,15 +153,9 @@ class ReferencePath:
         max_chord = float(np.max(np.hypot(t[2, : n - 1], t[4, : n - 1])))
         if max_chord == 0.0:
             raise ValueError("degenerate path: all samples coincide")
-        self._adopt(t, float(spacing), max_chord)
-
-    def _adopt(self, t: np.ndarray, spacing: float, max_chord: float) -> None:
-        """Take ``t`` as the sample table, read-only, and build what the queries read from it."""
         t.flags.writeable = False
-        width = _window_width(spacing)
-        n = t.shape[1] - width + 1
         self._n = n
-        self._ds = spacing
+        self._ds = spacing = float(spacing)
         self._total = spacing * (n - 1)
         self._table = t
         # Window j of the batched projection: the x, and the y, of samples j .. j + width - 1.
@@ -177,10 +168,6 @@ class ReferencePath:
         # Python's, so the segment rows equal the loops' own arithmetic.
         rows = t[:5, :n].tolist() + t[5:10:2, :n].tolist()
         self._seg2l, self._pxl, self._dxl, self._pyl, self._dyl, self._txl, self._tyl, self._kl = rows
-
-    def __reduce__(self):
-        # The table and its scalars: the windows and float lists are rebuilt from them on load.
-        return _restore_path, (self._table, self._ds, self.max_chord)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -254,18 +241,17 @@ class ReferencePath:
         """
         px, py = float(p[0]), float(p[1])
         n, ds, total = self._n, self._ds, self._total
+        if s_hint is None:  # the whole path: from 0, unguarded, to the last sample
+            s_hint, window = 0.0, total
         # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
         # min(a, b), NaN and -0.0 included, without the builtin call.
-        if s_hint is None:
-            lo_s, ilo, d = 0.0, 0, self._table[_XY, :n] - ((px,), (py,))
-        else:
-            lo_s = float(s_hint) - 1.0
-            lo_s = 0.0 if 0.0 > lo_s else lo_s
-            lo_s = total if total < lo_s else lo_s
-            hi_s = float(s_hint) + window
-            ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
-            ihi = ilo + 2 if ilo + 2 > ihi else ihi
-            d = self._table[_XY, ilo : n if n < ihi else ihi] - ((px,), (py,))
+        lo_s = float(s_hint) - 1.0
+        lo_s = 0.0 if 0.0 > lo_s else lo_s
+        lo_s = total if total < lo_s else lo_s
+        hi_s = float(s_hint) + window
+        ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
+        ihi = ilo + 2 if ilo + 2 > ihi else ihi
+        d = self._table[_XY, ilo : n if n < ihi else ihi] - ((px,), (py,))
         d *= d
         e = d[0]
         e += d[1]
@@ -303,8 +289,11 @@ class ReferencePath:
         with a 1 m backward guard: the nearest sample of the window from the guard picks two segments,
         solved as (2, K) rows with x and y stacked.
 
-        On rollout rows, whose steps the tuner keeps short of the window's 0.5 m reach, it gives ``project(p,
-        s_hint=s_prev)``'s arc length bit for bit and its distance within 2 ULP (``x * x`` against ``**``)."""
+        It answers ``project(p, s_hint=s_prev)`` within its window's 0.5 m reach only.  The scalar search reaches 25 m
+        ahead, so on a path that comes back within 25 m (a hairpin) it may pick a later leg that this window cannot
+        reach, and a row pinned at the guard may part from it by 1-2 ULP.  Along the stock rollouts, whose steps the
+        tuner keeps short of the reach, the arc length matches bit for bit and the distance within 2 ULP (``x * x``
+        against ``**``)."""
         last_seg, t = self._nd_last_seg, self._table
         lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
         j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
@@ -480,13 +469,6 @@ class ReferencePath:
         return tuple(t[_POINT, :n])
 
 
-def _restore_path(table: np.ndarray, spacing: float, max_chord: float) -> ReferencePath:
-    """A pickled :class:`ReferencePath` back from its table, as ``__init__`` left it."""
-    path = ReferencePath.__new__(ReferencePath)
-    path._adopt(table, spacing, max_chord)
-    return path
-
-
 # ----------------------------------------------------------------------
 # Constructors
 # ----------------------------------------------------------------------
@@ -497,6 +479,11 @@ def _window_width(spacing: float) -> int:
     return max(32, math.ceil(1.5 / spacing) + 1)
 
 
+def _check_spacing(spacing: float) -> None:
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+
+
 def _check_samples(count: float) -> None:
     if not count <= MAX_SAMPLES:
         raise ValueError(f"{count:.3g} samples exceed the limit of {MAX_SAMPLES:,} per table or grid")
@@ -504,6 +491,7 @@ def _check_samples(count: float) -> None:
 
 def _uniform_grid(total: float, spacing: float) -> tuple[np.ndarray, float]:
     """The uniform grid over [0, ``total``] nearest ``spacing``, two samples at least: its arc lengths and spacing."""
+    _check_spacing(spacing)
     _check_samples(total / spacing + 1.0)
     n = max(int(math.ceil(total / spacing)) + 1, 2)
     ds = total / (n - 1)
@@ -564,11 +552,11 @@ def make_circle_path(
     """Circular arc of ``turns`` revolutions, traversed in the given sense."""
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    if sense not in (SENSE_ANTICLOCKWISE, SENSE_CLOCKWISE):
+    if sense not in SENSE_SIGN:
         raise ValueError(f"unknown sense {sense!r}")
     if not turns > 0.0:
         raise ValueError("turns must be positive")
-    sign = 1.0 if sense == SENSE_ANTICLOCKWISE else -1.0
+    sign = SENSE_SIGN[sense]
     s, ds = _uniform_grid(2.0 * math.pi * radius * turns, spacing)
     theta = start_angle + sign * s / radius
     cx, cy = float(center[0]), float(center[1])
@@ -644,6 +632,7 @@ def make_polyline_path(points, spacing: float = DEFAULT_SPACING) -> ReferencePat
         if np.min(chord) <= MIN_CHORD_RATIO * np.max(chord) or not np.min(chord) ** 2 > 0.0:
             raise ValueError(f"polyline has repeated consecutive points (chord {np.min(chord):.3g} m)")
         t_knots = np.concatenate(([0.0], np.cumsum(chord)))
+        _check_spacing(spacing)
         _check_samples(t_knots[-1] / (spacing / 4.0) + 1.0)
         h, s = np.diff(t_knots), _knot_slopes(t_knots, pts)
         m = np.diff(pts, axis=0) / h[:, None]

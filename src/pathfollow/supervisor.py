@@ -7,9 +7,10 @@ The phase is classified once at mission start: mid-course when the vehicle
 is at least twice the start curvature radius away from the path start,
 otherwise the close-range law applies immediately.
 
-Both controllers fly one close-range tick: the baseline is gains (1, 0)
-with no optimizer, the proposed controller the configured gains and
-optimizer.  While k2 = 0 the tick evaluates only the look-ahead term.
+Both controllers fly one close-range tick, at the gains and tuner that
+:attr:`MissionConfig.flown` gives: the baseline is gains (1, 0) with no
+optimizer, the proposed controller the configured gains and optimizer.  While
+k2 = 0 the tick evaluates only the look-ahead term.
 
 Each integration step emits exactly one telemetry record.  Cross-track
 error follows the phase convention: distance to the path start point during
@@ -65,15 +66,23 @@ class MissionConfig:
     def radius(self) -> float:
         return self.initiation_radius if self.initiation_radius is not None else self.lookahead / 2.0
 
+    @property
+    def flown(self) -> tuple[float, float, opt.OptimizerSettings | None]:
+        """The gains (k1, k2) the controller starts from and the tuner it flies: the baseline is (1, 0), never tuned."""
+        if self.controller == CONTROLLER_BASELINE:
+            return 1.0, 0.0, None
+        return self.k1, self.k2, self.optimizer
+
 
 def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     """The flight envelope: one line, named by its scenario key, per bound that ``config`` breaks at ``speed``.
     Finite: the arc command 2 speed^2 / MIN_TARGET_DIST, the coast's lookahead / speed / dt steps, a step's turn dt * 2
-    speed / MIN_TARGET_DIST, (speed * max_time)^2 and the blend, (k1 MAX_RADIUS + k2 (1 + cap) speed / 2 MIN_RADIUS)
-    times the arc command at the largest gains flown.  At most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout
-    of steps speed * dt at most the tuner's bound, which its batched projection can follow."""
+    speed / MIN_TARGET_DIST, (speed * max_time)^2 and, for a law that blends (a tuner or a flown k2 other than 0), the
+    blend, (k1 MAX_RADIUS + k2 (1 + cap) speed / 2 MIN_RADIUS) times the arc command at the largest gains flown.  At
+    most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout of steps speed * dt at most the tuner's bound, which
+    its batched projection can follow."""
     v, dt, mt, d_min = speed, config.dt, config.max_time, guidance.MIN_TARGET_DIST
-    tuner = config.optimizer if config.controller == CONTROLLER_PROPOSED else None  # the baseline is never tuned
+    k1, k2, tuner = config.flown
     too_fast = not math.isfinite(2.0 * v * v / d_min)
     problems = [f"vehicle.speed: must keep the arc command 2 speed^2 / {d_min} finite, got {v!r}"] if too_fast else []
     if too_long := not mt / dt <= MAX_MISSION_STEPS:  # a quotient past the float range is inf
@@ -94,13 +103,13 @@ def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     if not math.isfinite((v * mt) * (v * mt)):  # a product: Python's ** raises
         problems.append(f"sim.max_time: the farthest flight speed * max_time must square to a finite float,"
                         f" got {mt!r} at speed {v!r}")
+    if tuner is None and k2 == 0.0:  # the tick flies the arc command alone and forms no blend
+        return problems
     k_max = tuner.k_max if tuner else 0.0  # the tuner's largest gains
-    k1, k2 = max(config.k1, k_max), max(config.k2, k_max)
-    w_max = k1 * MAX_RADIUS + k2 * (1.0 + guidance.LOOKAHEAD_SPEED_CAP) * v / (2.0 * MIN_RADIUS)
+    w_max = max(k1, k_max) * MAX_RADIUS + max(k2, k_max) * (1.0 + guidance.LOOKAHEAD_SPEED_CAP) * v / (2.0 * MIN_RADIUS)
     if not math.isfinite(w_max * 2.0 * v * v / d_min):
-        tuned = f" (tuned up to optimizer.k_max {k_max!r})" if k_max > min(config.k1, config.k2) else ""
-        problems.append(f"guidance.k1/k2: the blended command must be finite, got {config.k1!r} / {config.k2!r}{tuned}"
-                        f" at speed {v!r}")
+        tuned = f" (tuned up to optimizer.k_max {k_max!r})" if k_max > min(k1, k2) else ""
+        problems.append(f"guidance.k1/k2: the blended command must be finite, got {k1!r} / {k2!r}{tuned} at speed {v!r}")
     return problems
 
 
@@ -147,11 +156,8 @@ class Mission:
         self.state = state
         self.config = config
         self.record = RunRecord(controller=config.controller)
-        # The baseline is the blended law at gains (1, 0), never tuned.
-        baseline = config.controller == CONTROLLER_BASELINE
-        k1, k2 = (1.0, 0.0) if baseline else (config.k1, config.k2)
+        k1, k2, self._optimizer = config.flown
         self.gains = guidance.GuidanceGains(k1, k2, config.lookahead)
-        self._optimizer = None if baseline else config.optimizer
         self._next_opt_t = -math.inf
 
         self._start = path.start  # the pose the approach ends at, where close range starts

@@ -156,7 +156,7 @@ def test_criterion_3_tangency_oracle():
 def sweep_rows():
     cfg = parse_scenario(default_scenario())
     t0 = time.perf_counter()
-    rows = run_sweep(cfg, cfg.build_path())
+    rows = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
     assert all("error" not in r for r in rows), rows
     return rows, elapsed

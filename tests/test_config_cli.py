@@ -327,9 +327,8 @@ def test_cmd_sweep_single_row_matches_run(tmp_path):
 def test_cmd_sweep_parallel_matches_serial():
     # The pooled sweep renders the bytes of the rows flown in this process.
     cfg = parse_scenario(sweep_scenario())
-    path = cfg.build_path()
-    rows = [cli._sweep_row(cfg, path, h) for h in cfg.sweep_headings_deg]
-    assert cli._render_sweep_csv(cli.run_sweep(cfg, path)) == cli._render_sweep_csv(rows)
+    rows = [cli._sweep_row(cfg, h) for h in cfg.sweep_headings_deg]
+    assert cli._render_sweep_csv(cli.run_sweep(cfg)) == cli._render_sweep_csv(rows)
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3), (None, 1), (1, 1)])
@@ -353,7 +352,7 @@ def test_cmd_sweep_caps_worker_processes(tmp_path, monkeypatch, cpus, workers):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "_sweep_row", lambda cfg, path, h: {"heading_deg": h, "error": "not flown"})
+    monkeypatch.setattr(cli, "_sweep_row", lambda cfg, h: {"heading_deg": h, "error": "not flown"})
     cfg = sweep_scenario()
     cfg["sweep"] = {"headings_deg": [-10.0, 15.0, 40.0]}
     out = tmp_path / "sw"
@@ -423,7 +422,7 @@ def test_sweep_row_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(cli, "run_mission", broken)
     cfg = parse_scenario(fast_scenario())
     with pytest.raises(ValueError, match="not a geometry problem"):
-        cli._sweep_row(cfg, cfg.build_path(), 0.0)
+        cli._sweep_row(cfg, 0.0)
 
 
 def test_cmd_sweep_timed_out_mission_is_error_row(tmp_path):
@@ -495,6 +494,37 @@ def test_cmd_sweep_polyline_file_relative_to_config(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert all(math.isfinite(float(v)) for v in lines[1].split(","))
+
+
+def test_pooled_sweep_workers_build_a_relative_polyline_file_as_this_process_does(tmp_path, monkeypatch):
+    # Workers get the scenario, not the path: each builds it from the file named relative to the
+    # config's directory, itself given relative to the working directory.
+    (tmp_path / "scen").mkdir()
+    pts = np.column_stack([np.linspace(0, 30, 40), 4.0 * np.sin(np.linspace(0, 3, 40))])
+    np.savetxt(tmp_path / "scen" / "pts.csv", pts, delimiter=",")
+    cfg = sweep_scenario()
+    cfg["path"] = {"kind": "polyline", "file": "pts.csv"}
+    cfg["guidance"] = {"k2": 1.0}
+    write_config(tmp_path / "scen", cfg)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", "scen/scenario.json", "--out", "swp"]) == 0
+    scenario = load_scenario("scen/scenario.json")
+    rows = [cli._sweep_row(scenario, h) for h in scenario.sweep_headings_deg]
+    assert all("error" not in r for r in rows), rows
+    assert (tmp_path / "swp" / "sweep.csv").read_text() == cli._render_sweep_csv(rows)
+
+
+@pytest.mark.parametrize("guidance", [{"k1": 1e300, "k2": 1e300}, {"k2": 1e305}], ids=["k1_k2_1e300", "k2_1e305"])
+def test_a_baseline_scenario_is_not_bounded_by_gains_it_never_flies(tmp_path, guidance):
+    # The baseline flies (1, 0): these gains exited 2 with a guidance.k1/k2 line, and now fly the stock baseline.
+    assert parse_scenario({"controller": "baseline", "guidance": guidance}).controller == "baseline"
+    stock, out = tmp_path / "stock", tmp_path / "big"
+    assert main(["run", "--controller", "baseline", "--out", str(stock)]) == 0
+    cfgp = write_config(tmp_path, {"controller": "baseline", "guidance": guidance})
+    assert main(["run", "--controller", "baseline", "--config", cfgp, "--out", str(out)]) == 0
+    names = sorted(p.name for p in stock.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    assert all((stock / name).read_bytes() == (out / name).read_bytes() for name in names)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

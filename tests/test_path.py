@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
-import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -311,11 +311,29 @@ def test_constructors_refuse_degenerate_shapes(build, message):
         build()
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spacing: make_line_path((0.0, 0.0), (1.0, 0.0), 10.0, spacing),
+        lambda spacing: make_circle_path((0.0, 0.0), 5.0, spacing=spacing),
+        lambda spacing: make_sinusoid_path(0.0, 10.0, spacing),
+        lambda spacing: make_polyline_path([(0.0, 0.0), (5.0, 2.0), (10.0, 0.0)], spacing),
+    ],
+    ids=["line", "circle", "sinusoid", "polyline"],
+)
+def test_constructors_refuse_a_spacing_outside_zero_to_inf(build, spacing):
+    # Refused before any grid is built: 0 divided by zero, -1 and inf built a two-sample path,
+    # and a polyline said "inf samples" at 0 and "nan samples" at NaN.
+    with pytest.raises(ValueError, match=rf"^spacing must be positive and finite, got {re.escape(repr(spacing))}$"):
+        build(spacing)
+
+
 @pytest.mark.parametrize("spacing, width", [(0.5, 32), (0.07, 32), (0.05, 32), (0.03, 51), (0.02, 76), (0.001, 1501)])
 def test_batched_projection_window_reaches_half_a_metre_past_the_guard(spacing, width):
     # The fewest samples whose segments span the 1 m guard and 0.5 m more, and 32 at least,
     # which keeps every table at the default spacing or coarser as it was.
-    path = pickle.loads(pickle.dumps(make_line_path((0.0, 0.0), (1.0, 0.0), 3.0, spacing)))
+    path = make_line_path((0.0, 0.0), (1.0, 0.0), 3.0, spacing)
     assert path._wx.shape[1] == path._wseg.shape[1] == width
     assert (width - 1) * path.spacing >= 1.5 and (width == 32 or (width - 2) * path.spacing < 1.5)
     assert path._table.shape[1] == path._n + width - 1

@@ -18,7 +18,6 @@
 
 import hashlib
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ import pytest
 import pathfollow.optimizer as optimizer
 from pathfollow.geom import PARALLEL_EPS
 from pathfollow.guidance import law_operands
-from pathfollow.path import ReferencePath, make_circle_path, make_line_path, make_sinusoid_path
+from pathfollow.path import ReferencePath, make_circle_path, make_line_path, make_polyline_path, make_sinusoid_path
 from pathfollow.vehicle import VehicleState, step_operands
 
 STOCK = make_sinusoid_path(-15.0, 150.0)
@@ -34,6 +33,10 @@ LINE = make_line_path((0.0, 0.0), (1.0, 0.0), 60.0)
 AXIS = np.linspace(0.0, 10.0, 11)
 GRID = [a.ravel() for a in np.meshgrid(AXIS, AXIS, indexing="ij")]
 FEW = (np.array([1.0, 2.0, 0.0, 10.0]), np.array([0.0, 3.0, 1.0, 10.0]))
+# A polyline hairpin, its legs 3 m apart, and gain pairs whose rows lose the circle on the sinusoid
+# below with costs that depend on the fallback point's last bits.
+HAIRPIN = make_polyline_path([(0.0, 0.0), (20.0, 0.0), (21.5, 1.5), (20.0, 3.0), (0.0, 3.0)])
+LOST = (np.array([1.0, 2.0, 3.0, 10.0]), np.array([0.0, 5.0, 4.0, 1.0]))
 
 # Gain updates of the stock proposed mission: (x, y, heading, s_min, s_proj),
 # as recorded in test_optimizer.STOCK_UPDATES.
@@ -58,6 +61,12 @@ CASES = {
     "degen": (LINE, (20.0, -1.0, math.pi / 2), 20.0, 20.0, FEW, None, "degen"),
     # Projection hint 5 m ahead of the vehicle: the 1 m guard clamps it.
     "guard": (LINE, (20.0, 0.5, 0.0), 20.0, 25.0, FEW, None, "guard"),
+    # Off curved paths every row loses the circle, and the fallback point comes from the scalar
+    # projection: on a line it equals the table point at its arc length, on a curve not in every bit.
+    # The state of test_optimize_deterministic_and_bounded, with its first projection.
+    "lost_sinusoid": (make_sinusoid_path(0.0, 150.0), (40.0, 20.0, 0.5), 30.0, 27.272826421246503, LOST, None,
+                      "fallback"),
+    "lost_hairpin": (HAIRPIN, (18.0, 20.0, 3.7), 57.0, 57.0, FEW, None, "fallback"),
 }
 
 # sha256 of the costs' bytes over 200 steps at L1 = 10 m, dt = 0.01 s.
@@ -71,6 +80,8 @@ DIGESTS = {
     "saturate": "a8db7d533d8606f3c5da26e32397a89d09d9cc876c99c3f9b77a50645bb2c4dc",
     "degen": "aec07a1218adfd0da728246ac52361e986ac6a54e7ff6c68e44737967f2f2485",
     "guard": "22f9946deb58cdf2c068440e1bde309fedd72f5119a22185b2e50dd93b9dcb94",
+    "lost_sinusoid": "bc482f893fc4f0ba21beebc813f9af2b2d3830aad17cd18b8379687093505642",
+    "lost_hairpin": "afc01d8d055be0075f70102bfc56c030623f603ef8a0f507b2c0f9b5cc824707",
 }
 
 
@@ -311,12 +322,3 @@ def test_stage_outputs_digest(name):
     assert all(fired.values()), fired
     assert stage_digests(out) == STAGE_DIGESTS[name]
 
-
-def test_pickled_path_ships_its_table_once_and_restores_it_read_only():
-    # Sweep workers get the path pickled: the table, not its 32-sample windows, and back read-only.
-    blob = pickle.dumps(STOCK)
-    assert len(blob) < 1.1 * STOCK._table.nbytes + 4096
-    path = pickle.loads(blob)
-    assert not path._table.flags.writeable
-    out, _ = stage_outputs(path, STAGE_PATHS["stock"][1])
-    assert stage_digests(out) == STAGE_DIGESTS["stock"]

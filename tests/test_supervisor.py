@@ -200,3 +200,28 @@ def test_mission_config_refuses_what_no_mission_can_fly(field, value, message):
 @pytest.mark.parametrize("a_max", [None, 5e-324, 3.0, math.inf])
 def test_mission_config_takes_a_positive_or_no_a_max(a_max):
     assert MissionConfig(a_max=a_max).a_max == a_max
+
+
+@pytest.mark.parametrize("k1, k2", [(1e300, 1e300), (1.0, 1e305), (math.inf, math.inf)])
+def test_baseline_mission_takes_gains_it_never_flies(bench_path, k1, k2):
+    # The baseline flies (1, 0) untuned, so the blended-command bound of the configured gains is not its own.
+    config = MissionConfig(controller="baseline", k1=k1, k2=k2, optimizer=OptimizerSettings())
+    assert config.flown == (1.0, 0.0, None)
+    mission = Mission(bench_path, VehicleState(-15.0, 0.0, math.radians(39.118), 5.0), config)
+    assert (mission.gains.k1, mission.gains.k2, mission._optimizer) == (1.0, 0.0, None)
+
+
+def test_an_untuned_law_at_k2_zero_is_not_bounded_by_its_k1(bench_path):
+    # At k2 = 0 the tick flies the look-ahead term alone, whatever k1: the baseline's bits.
+    st = VehicleState(-15.0, 0.0, math.radians(39.118), 5.0)
+    rb = run_mission(bench_path, st, MissionConfig(controller="baseline", max_time=5.0))
+    rp = run_mission(bench_path, st, MissionConfig(k1=1e300, k2=0.0, max_time=5.0))
+    assert rb.x == rp.x and rb.a_cmd == rp.a_cmd
+
+
+@pytest.mark.parametrize("k2", [1e305, math.nan])
+def test_a_fixed_gain_law_that_blends_keeps_the_blended_command_bound(bench_path, k2):
+    # The k2 the baseline scenario may now hold is still refused where it is flown; a NaN k2 is not 0, so it blends.
+    config = MissionConfig(k1=1.0, k2=k2)
+    with pytest.raises(ValueError, match="guidance.k1/k2: the blended command must be finite"):
+        Mission(bench_path, VehicleState(-15.0, 0.0, 0.0, 5.0), config)
