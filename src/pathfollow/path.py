@@ -10,7 +10,10 @@ The gain tuner's rollouts ask the same questions for many states at once:
 same table, beside their scalar forms and under the same rules; the window
 ``project_many`` searches grows on fine tables to reach 0.5 m past each hint,
 and ``lookahead_many`` hands the rare row its 4-segment chunk cannot settle to
-the scalar ``lookahead_point``.
+the scalar ``lookahead_point``.  A hinted scalar ``project`` walks from its
+hint to the nearest sample and proves it against per-sample bounds built with
+the table (``_walk_bounds``); wider searches, and the rare walk the bounds
+cannot vouch for, scan their window with numpy.  Both give the same bits.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; polylines are resampled along their not-a-knot cubic
@@ -62,6 +65,13 @@ _SEAM_EPS = 1e-9  # the scalar look-ahead's vertex-seam tolerance
 _ZERO, _ONE, _TINY, _INF, _NAN = np.array(0.0), np.array(1.0), np.array(1e-300), np.array(np.inf), np.array(np.nan)
 _SEAM_LO, _SEAM_HI = np.array(-_SEAM_EPS), np.array(1.0 + _SEAM_EPS)
 _SLICE = 8192  # fine-grid intervals per slice of a parametric path's arc-length trapezoid
+# The hinted projection's walk (ReferencePath.project and _walk_bounds).
+_WALK_WINDOW = 25.0  # the widest hinted window, past the 1 m guard, that the per-sample bounds cover
+_WALK_A = 0.75  # the certificate's tangential tolerance a, in spacings
+_WALK_CAP = 1024.0  # the largest normal offset the certificate vouches for, in spacings
+_WALK_EPS = 2.0**-40  # the certificate's float margin: 2^13 units in the last place
+_WALK_SINGLES = 6  # offsets 2 .. 6 are bounded sample by sample, larger ones in blocks
+_WALK_NEAR = 6.0  # blocks from this far along the path on, in metres, take the chord bound
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -114,10 +124,13 @@ class ReferencePath:
     the x row and one of the y row.  The table takes 88 bytes per sample (1.8 MB
     per km at the default spacing).  The scalar queries read plain-float lists of the
     first eight rows, built once (0.64 MB per list per km), and the batched
-    ones the spacing and last sample as 0-d arrays.  The path also records
-    its longest chord between neighbouring samples, which bounds how far the
-    look-ahead scans may skip; a table whose samples all coincide has no such
-    bound and is rejected.
+    ones the spacing and last sample as 0-d arrays.  A ninth list, built with
+    them, holds the hinted projection's per-sample normal bound (another
+    0.64 MB per km): hinted windows up to 25 m walk from the hint
+    (:meth:`_walk_nearest`); unhinted and wider ones scan with numpy.  The
+    path also records its longest chord between neighbouring samples, which
+    bounds how far the look-ahead scans may skip; a table whose samples all
+    coincide has no such bound and is rejected.
     """
 
     def __init__(
@@ -164,6 +177,11 @@ class ReferencePath:
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
         # The batched queries' last sample, last segment and spacing, as 0-d arrays (see _ZERO).
         self._nd_last, self._nd_last_seg, self._nd_ds = np.array(n - 1.0), np.array(n - 2), np.array(spacing)
+        # The hinted projection's walk: the widest sample span it may answer, its tangential
+        # tolerance and its per-sample normal bounds (built before the rows below, for a lower peak).
+        self._walk_reach = min(n - 1, math.ceil((_WALK_WINDOW + 1.0) / spacing) + 3)
+        self._walk_a = _WALK_A * spacing
+        self._betal = _walk_bounds(*t[1:8:2, :n], spacing, self._walk_reach)
         # Plain-float rows for the scalar loops; numpy's - * + round like
         # Python's, so the segment rows equal the loops' own arithmetic.
         rows = t[:5, :n].tolist() + t[5:10:2, :n].tolist()
@@ -232,30 +250,43 @@ class ReferencePath:
         With no hint the search is global.  With ``s_hint`` the search is
         local to [s_hint - 1, s_hint + window] and the returned arc length
         never falls below s_hint - 1 m, which prevents the projection from
-        jumping backward on self-approaching paths.
+        jumping backward on self-approaching paths.  A NaN ``s_hint`` is a
+        ValueError; infinite ones clamp to the path's ends.
 
-        The nearest sample comes from numpy, squared in place (numpy's
-        ``a ** 2`` is ``a * a``); the four segments around it are solved in
-        plain floats and squared with ``**``, which differs from ``x * x`` in
-        the last bit on about 0.1% of inputs, so the two are not swapped.
+        The search window's first nearest sample comes from one of two
+        places, with the same bits.  A hinted window spanning at most
+        ``_walk_reach`` samples (every one up to 25 m) is walked from the
+        hint's sample to a local minimum, which a certificate from per-sample
+        bounds proves to be the scan's answer, float rounding included
+        (:meth:`_walk_nearest` argues the margin).  Unhinted and wider
+        windows, and any walk the certificate cannot vouch for, take the
+        numpy scan, :meth:`_scan_nearest`.  The four segments around that
+        sample are then solved in plain floats and squared with ``**``,
+        which differs from ``x * x`` in the last bit on about 0.1% of
+        inputs, so the two are not swapped.
         """
         px, py = float(p[0]), float(p[1])
         n, ds, total = self._n, self._ds, self._total
-        if s_hint is None:  # the whole path: from 0, unguarded, to the last sample
+        walk = s_hint is not None
+        if not walk:  # the whole path: from 0, unguarded, to the last sample
             s_hint, window = 0.0, total
+        s_hint = float(s_hint)
+        if s_hint != s_hint:
+            raise ValueError("s_hint is NaN")
         # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
         # min(a, b), NaN and -0.0 included, without the builtin call.
-        lo_s = float(s_hint) - 1.0
+        lo_s = s_hint - 1.0
         lo_s = 0.0 if 0.0 > lo_s else lo_s
         lo_s = total if total < lo_s else lo_s
-        hi_s = float(s_hint) + window
-        ilo, ihi = int(lo_s / ds), int((total if total < hi_s else hi_s) / ds) + 2
+        hi_s = s_hint + window
+        hi_s = total if total < hi_s else hi_s
+        hi_s = 0.0 if 0.0 > hi_s else hi_s
+        ilo, ihi = int(lo_s / ds), int(hi_s / ds) + 2
         ihi = ilo + 2 if ilo + 2 > ihi else ihi
-        d = self._table[_XY, ilo : n if n < ihi else ihi] - ((px,), (py,))
-        d *= d
-        e = d[0]
-        e += d[1]
-        i0 = ilo + int(e.argmin())
+        ihi = n if n < ihi else ihi
+        i0 = self._walk_nearest(px, py, ilo, ihi, s_hint) if walk and 2 < ihi - ilo <= self._walk_reach + 1 else -1
+        if i0 < 0:
+            i0 = self._scan_nearest(px, py, ilo, ihi)
 
         # The guard segment is the last one at most, even at lo_s = total.
         j_min = min(int(lo_s / ds), n - 2)
@@ -284,6 +315,77 @@ class ReferencePath:
             best_dd, best_j, best_u = (px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j, u
         return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
 
+    def _scan_nearest(self, px: float, py: float, ilo: int, ihi: int) -> int:
+        """The first sample of ilo .. ihi - 1 nearest (px, py), by one numpy pass squared in place
+        (numpy's ``a ** 2`` is ``a * a``)."""
+        d = self._table[_XY, ilo:ihi] - ((px,), (py,))
+        d *= d
+        e = d[0]
+        e += d[1]
+        return ilo + int(e.argmin())
+
+    def _walk_nearest(self, px: float, py: float, ilo: int, ihi: int, s_hint: float) -> int:
+        """:meth:`_scan_nearest`'s sample, found by a walk from the hint's, or -1 when unproven.
+
+        The walk moves from the hint's sample (kept off the window's ends) to
+        a local minimum c of e_k = dx * dx + dy * dy, the scan's own float
+        operations, so every e it compares has the scan's bits; a close-range
+        tick takes two or three.  A walk that reaches the window's first or
+        last sample gives up.  The certificate then proves that every sample
+        k of the window with |k - c| >= 2 has e_k > e_c, so the scan's first
+        minimum is c - 1 when e_{c-1} == e_c and c otherwise.
+
+        Take q = p - x_c and s = x_k - x_c in c's tangent frame.  x_k lies
+        strictly farther from p than x_c when s.q < |s|^2 / 2, and
+        s.q <= |s| |q_t| + |s_n| |q_n|.  So |q_t| <= a (0.75 spacings) and
+        |q_n| < beta_c = min over k of (|s|^2 / 2 - a |s|) / |s_n| prove it
+        for every k at once; ``_walk_bounds`` builds beta per sample, over
+        every k within ``_walk_reach`` samples, with |s| for |s_n| from 6 m
+        along the path on.  NaN or infinite points fail both tests and scan.
+
+        Float margin.  With u = 2^-53 and eps = 2^-40 = 2^13 u: computing q
+        and its two components in the stored, not quite unit, tangent frame
+        errs by at most 8u (a + cap) on each, which the bounds absorb by
+        widening a and narrowing beta by eps (a + cap); cap is 1024 spacings,
+        the largest beta stored.  The bounds subtract m = eps ((a + cap)^2 +
+        span^2), span being the reach in metres, from each |s|^2 / 2 - a |s|,
+        and add eps * span to each |s_n|: this covers their own rounding (a
+        few u span^2 and u span) with room for the gap a certified point
+        keeps, e_k - e_c > 2m, to beat the rounding of e_k and e_c, 4u each
+        of at most |q|^2 + (e_k - e_c) with |q| <= a + cap.
+        """
+        xl, yl = self._pxl, self._pyl
+        i = int(s_hint / self._ds)
+        i = ilo + 1 if i <= ilo else (ihi - 2 if i >= ihi - 1 else i)
+        dx, dy = xl[i] - px, yl[i] - py
+        e = dx * dx + dy * dy
+        dx, dy = xl[i + 1] - px, yl[i + 1] - py
+        e1 = dx * dx + dy * dy
+        tie = False
+        if e1 < e:  # downhill ahead: e_{c-1} > e_c where the walk stops
+            while True:
+                i, e = i + 1, e1
+                if i == ihi - 1:
+                    return -1
+                dx, dy = xl[i + 1] - px, yl[i + 1] - py
+                e1 = dx * dx + dy * dy
+                if not e1 < e:
+                    break
+        else:
+            while True:
+                dx, dy = xl[i - 1] - px, yl[i - 1] - py
+                e1 = dx * dx + dy * dy
+                if not e1 < e:
+                    break
+                i, e = i - 1, e1
+                if i == ilo:
+                    return -1
+            tie = e1 == e
+        qx, qy, tx, ty = px - xl[i], py - yl[i], self._txl[i], self._tyl[i]
+        if self._walk_a >= abs(qx * tx + qy * ty) and self._betal[i] > abs(qy * tx - qx * ty):
+            return i - 1 if tie else i
+        return -1
+
     def project_many(self, pos: np.ndarray, s_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Arc lengths and distances of a windowed exact projection per row of ``pos`` (x, then y),
         with a 1 m backward guard: the nearest sample of the window from the guard picks two segments,
@@ -291,9 +393,11 @@ class ReferencePath:
 
         It answers ``project(p, s_hint=s_prev)`` within its window's 0.5 m reach only.  The scalar search reaches 25 m
         ahead, so on a path that comes back within 25 m (a hairpin) it may pick a later leg that this window cannot
-        reach, and a row pinned at the guard may part from it by 1-2 ULP.  Along the stock rollouts, whose steps the
-        tuner keeps short of the reach, the arc length matches bit for bit and the distance within 2 ULP (``x * x``
-        against ``**``)."""
+        reach.  On any path, about one row in five pinned at the guard parts from it: the guard's fraction is
+        ``lo / ds - j`` here and ``(lo - j * ds) / ds`` there, 1-2 ULP apart in the arc length, and the distance moves
+        with it (by thousands of ULP for a row on the path); recorded digests pin each form.  Along the stock
+        rollouts, whose steps the tuner keeps short of the reach, the arc length matches bit for bit and the distance
+        within 2 ULP (``x * x`` against ``**``)."""
         last_seg, t = self._nd_last_seg, self._table
         lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
         j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
@@ -341,14 +445,17 @@ class ReferencePath:
         distance to ``p`` changes by at most one chord from vertex to vertex,
         so at a vertex whose distance differs from ``lookahead_dist`` by
         ``gap`` the next ``floor(gap / max_chord) - 1`` segments hold no root.
-        Never fails: degenerate situations are reported through the result
-        flags.
+        Degenerate geometry never fails: it is reported through the result
+        flags.  A NaN ``s_min`` is a ValueError; infinite ones clamp to the
+        path's ends.
         """
         if not lookahead_dist > 0.0:
             raise ValueError("look-ahead distance must be positive")
         px, py = float(p[0]), float(p[1])
         ds, total, last = self._ds, self._total, self._n - 1
         s0 = float(s_min)
+        if s0 != s0:
+            raise ValueError("s_min is NaN")
         s0 = 0.0 if 0.0 > s0 else s0
         s0 = total if total < s0 else s0
         j0 = j = min(int(s0 / ds), last - 1)
@@ -477,6 +584,99 @@ class ReferencePath:
 def _window_width(spacing: float) -> int:
     """Samples in a batched projection window: the fewest whose segments reach 1.5 m past its first; 32 at least."""
     return max(32, math.ceil(1.5 / spacing) + 1)
+
+
+def _walk_bounds(
+    x: np.ndarray, y: np.ndarray, tx: np.ndarray, ty: np.ndarray, spacing: float, reach: int
+) -> list[float]:
+    """Per sample c, the normal offset beta_c under which :meth:`ReferencePath._walk_nearest`'s certificate holds.
+
+    beta_c is the least of (|s|^2 / 2 - A |s| - m) / (|s_n| + eps * span) over every sample k = c +- o,
+    2 <= o <= ``reach``, with s = x_k - x_c, s_n its component normal to c's tangent and A = a + eps (a + cap)
+    (the float margin is argued there), capped at 1024 spacings and narrowed by eps (a + cap).  Offsets up to
+    ``_WALK_SINGLES`` are bounded one sample at a time.  Past them, a block of g samples between offsets o and
+    o + g, g the largest power of two up to o / 2, is bounded at once by its two end samples A and B: its
+    samples lie within w of the chord AB (w from the doubling w_2g(i) <= max(w_g(i), w_g(i + g)) + the
+    distance from sample i + g to the chord from i to i + 2g), so |s_n| <= max(|s_n(A)|, |s_n(B)|) + w, and
+    consecutive samples lie at most a chord apart, so |s| >= (|s(A)| + |s(B)|) / 2 - g chords / 2.  Blocks from
+    ``_WALK_NEAR`` metres on take |s| for |s_n|, the chord bound |q| < |s| / 2, which needs neither normal
+    components nor sagittas, so they run from o to 2 o; it still vouches for about 3 m.  Both ends of the path
+    are extended along their tangents for the blocks that run past them; the extra points only add bounds.
+    Every pass is one numpy operation over the samples, so memory stays linear in the path (2-3 ms for the
+    stock sinusoid).
+    """
+    n, near = x.size, _WALK_NEAR / spacing
+    blocks = [(o, o) for o in range(2, min(_WALK_SINGLES, reach) + 1)]
+    o = _WALK_SINGLES
+    while o < reach:
+        ob = o + (1 << ((o // 2).bit_length() - 1)) if o < near else min(2 * o, reach)
+        blocks.append((o, ob))
+        o = ob
+    pad = blocks[-1][1] if blocks else 0
+    run = spacing * np.arange(pad, 0, -1)
+    xp = np.concatenate((x[0] - run * tx[0], x, x[-1] + run[::-1] * tx[-1]))
+    yp = np.concatenate((y[0] - run * ty[0], y, y[-1] + run[::-1] * ty[-1]))
+    eps, a, cap = _WALK_EPS, _WALK_A * spacing, _WALK_CAP * spacing
+    with np.errstate(all="ignore"):  # a table at the float range's edge gets NaN or negative bounds: it scans
+        dx, dy = np.diff(xp), np.diff(yp)
+        chord = float(np.sqrt(np.max(dx * dx + dy * dy))) * (1.0 + eps)
+        span = pad * chord
+        A, m, slack = a + eps * (a + cap), eps * ((a + cap) ** 2 + span * span), eps * span
+        beta = np.full(n, cap)
+        g, w = 1, np.zeros(xp.size)  # w_g: samples i .. i + g lie within w_g(i) of their chord
+        ends = {}
+        for oa, ob in blocks:
+            gap, normal = ob - oa, oa < near
+            while normal and g < gap:  # double w_g
+                size = xp.size - 2 * g
+                ux, uy = xp[2 * g :] - xp[:size], yp[2 * g :] - yp[:size]
+                rx, ry = xp[g : g + size] - xp[:size], yp[g : g + size] - yp[:size]
+                lam = (rx * ux + ry * uy) / np.maximum(ux * ux + uy * uy, 1e-300)
+                np.clip(lam, 0.0, 1.0, out=lam)
+                rx -= lam * ux
+                ry -= lam * uy
+                w2 = np.full(xp.size, np.inf)
+                np.maximum(w[:size], w[g : g + size], out=w2[:size])
+                w2[:size] += np.sqrt(rx * rx + ry * ry)
+                g, w = 2 * g, w2
+            if ob not in ends:
+                # Offset ob's pairs (i, i + ob) of the extended samples, from i = pad - ob: c's forward
+                # pair is at c + ob, its backward one at c.
+                sx = xp[pad : pad + n + ob] - xp[pad - ob : pad + n]
+                sy = yp[pad : pad + n + ob] - yp[pad - ob : pad + n]
+                sn = []
+                for i in (ob, 0) if normal else ():
+                    v = sy[i : i + n] * tx
+                    v -= sx[i : i + n] * ty
+                    np.abs(v, out=v)
+                    v += slack
+                    sn.append(v)
+                ends = {oa: ends.get(oa), ob: (np.sqrt(sx * sx + sy * sy), sn)}
+            (da, sna), (db, snb) = ends[oa], ends[ob]
+            for k, (ia, ib, iw) in enumerate(((oa, ob, pad + oa), (0, 0, pad - ob))):
+                # The least |s|, raised to A: x^2 / 2 - A x rises from x = A on and is negative below it.
+                if gap:
+                    lo = da[ia : ia + n] + db[ib : ib + n]
+                    lo -= gap * chord
+                    lo *= 0.5
+                    np.maximum(lo, A, out=lo)
+                else:
+                    lo = np.maximum(da[ia : ia + n], A)
+                num = lo * 0.5
+                num -= A
+                num *= lo
+                num -= m
+                if not normal:  # the chord bound: |s_n| <= |s|
+                    num /= lo
+                elif gap:
+                    hn = np.maximum(sna[k], snb[k])
+                    hn += w[iw : iw + n]
+                    num /= hn
+                else:
+                    num /= sna[k]
+                np.minimum(beta, num, out=beta)
+        beta -= eps * (a + cap)
+    return beta.tolist()
 
 
 def _check_spacing(spacing: float) -> None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathfollow import path as path_module
+from pathfollow.cli import main
 from pathfollow.path import (
     MAX_RADIUS,
     MAX_SAMPLES,
@@ -358,6 +359,150 @@ def test_project_hint_past_path_end_returns_end(sinusoid):
     assert pp.s == pytest.approx(total, abs=1e-9)
     assert pp.position == pytest.approx(end, abs=1e-9)
     assert d == pytest.approx(math.dist((end[0] + 3.0, end[1]), end), abs=1e-9)
+
+
+def test_project_and_lookahead_refuse_a_nan_arc_length_by_name(sinusoid):
+    with pytest.raises(ValueError, match="s_hint is NaN"):
+        sinusoid.project((1.0, 20.0), s_hint=math.nan)
+    with pytest.raises(ValueError, match="s_min is NaN"):
+        sinusoid.lookahead_point((1.0, 20.0), math.nan, 3.0)
+
+
+def test_project_clamps_a_minus_infinite_hint_to_the_path_start(sinusoid):
+    # As any hint a whole window before the start: the segments around the first two samples.
+    p = (3.0, 25.0)
+    pp, d = sinusoid.project(p, s_hint=-math.inf)
+    assert (pp, d) == sinusoid.project(p, s_hint=-1e6)
+    assert 0.0 <= pp.s <= 3.0 * sinusoid.spacing
+    assert sinusoid.lookahead_point(p, -math.inf, 3.0) == sinusoid.lookahead_point(p, 0.0, 3.0)
+
+
+WALK_PATHS = {
+    "sinusoid": PROJECT_PATHS["sinusoid"],
+    "arc": make_circle_path((5.0, -3.0), 2.0, "clockwise", 1.0, turns=0.9),
+    "line": make_line_path((0.0, 0.0), (1.0, 0.0), 40.0, 0.25),  # a grid of exact floats: ties on every bisector
+    "hairpin": make_polyline_path([(0, 0), (20, 0), (21.5, 1.5), (20, 3), (0, 3)]),
+    "kinked": make_polyline_path([(0, 0), (8, 0), (8.2, 6), (16, 6)]),
+    "near_coincident": make_polyline_path([(0, 0), (10, 0), (10 + 1e-4, 1e-4), (20, 1)]),
+}
+
+
+def _scanned(path, p, hint, window):
+    """``project`` with the walk refused, so every window takes the numpy scan it falls back to."""
+    path._walk_nearest = lambda *args: -1
+    try:
+        return path.project(p, s_hint=hint, window=window)
+    finally:
+        del path._walk_nearest
+
+
+def _walked(path, p, hint, window):
+    """``project``, with the walk's sample and the scan's over the same window, or None if it did not walk."""
+    seen = [None]
+
+    def spy(*args):
+        seen[0] = ReferencePath._walk_nearest(path, *args), path._scan_nearest(*args[:4])
+        return seen[0][0]
+
+    path._walk_nearest = spy
+    try:
+        return path.project(p, s_hint=hint, window=window), seen[0]
+    finally:
+        del path._walk_nearest
+
+
+def _check_walk(path, p, hint, window):
+    """The walk's projection has the scan's bits, and the sample it found, if any, is the scan's."""
+    (pp, d), samples = _walked(path, p, hint, window)
+    qq, e = _scanned(path, p, hint, window)
+    assert (pp.s, pp.position, pp.tangent, pp.curvature, d) == (qq.s, qq.position, qq.tangent, qq.curvature, e)
+    if samples is not None and samples[0] >= 0:
+        assert samples[0] == samples[1]
+    return samples
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(WALK_PATHS)),
+    frac=st.floats(0.0, 1.0),
+    normal=st.floats(-20.0, 20.0),
+    along=st.floats(-1.0, 1.0),
+    hint_shift=st.floats(-5.0, 5.0),
+    window=st.floats(0.5, 25.0),
+)
+def test_walked_projection_has_the_scans_bits(kind, frac, normal, along, hint_shift, window):
+    # States up to 20 m off the path, hints from 5 m before its start to 5 m past its end.
+    path = WALK_PATHS[kind]
+    pp = path.point_at(frac * path.total_length)
+    (x, y), (tx, ty) = pp.position, pp.tangent
+    _check_walk(path, (x + along * tx - normal * ty, y + along * ty + normal * tx), pp.s + hint_shift, window)
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_PATHS))
+def test_walk_finds_the_scans_sample_on_a_grid_of_states(kind):
+    # Every 0.35 m along the path, up to 4 m off it either side, hinted at the foot: the hairpin's
+    # and the kink's other legs lie within the window, a few metres across.
+    path = WALK_PATHS[kind]
+    walked = 0
+    for s in np.arange(0.0, path.total_length, 0.35):
+        pp = path.point_at(s)
+        (x, y), (tx, ty) = pp.position, pp.tangent
+        for normal in np.linspace(-4.0, 4.0, 17):
+            samples = _check_walk(path, (x - normal * ty, y + normal * tx), s, 25.0)
+            walked += samples is not None and samples[0] >= 0
+    assert walked > 0
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_PATHS))
+def test_walk_bounds_hold_at_the_corners_of_the_certified_box(kind):
+    # A point at a corner of c's box, |q_t| = a and |q_n| = beta_c (a hair inside), is strictly nearer
+    # x_c than every sample k of its reach with |k - c| >= 2, in the scan's float arithmetic.
+    path = WALK_PATHS[kind]
+    x, y, tx, ty, _ = (np.asarray(r) for r in path.sample_table())
+    a, reach, beta = path._walk_a, path._walk_reach, path._betal
+    shrink = 1.0 - 1e-12
+    for c in range(0, x.size, 3):
+        lo, hi = max(0, c - reach), min(x.size, c + reach + 1)
+        far = np.abs(np.arange(lo, hi) - c) >= 2
+        for qt, qn in ((a, beta[c]), (a, -beta[c]), (-a, beta[c]), (-a, -beta[c])):
+            qt, qn = qt * shrink, qn * shrink
+            dx, dy = x[lo:hi] - (x[c] + qt * tx[c] - qn * ty[c]), y[lo:hi] - (y[c] + qt * ty[c] + qn * tx[c])
+            e = dx * dx + dy * dy
+            assert not beta[c] > 0.0 or e[far].min() > e[c - lo], (c, qt, qn)
+
+
+@pytest.mark.parametrize("hint", [0.0, 5.0, 9.6, 10.3, 10.9])
+@pytest.mark.parametrize("y", [0.0, 0.7, -2.5])
+def test_walk_breaks_ties_as_the_scan_does(hint, y):
+    # (10.125, y) is as far from the sample at 10.0 as from the one at 10.25: the scan picks the first,
+    # and the walk reaches the pair from either side.
+    line = WALK_PATHS["line"]
+    p = (10.125, y)
+    (x0, _), (x1, _) = line.point_at(10.0).position, line.point_at(10.25).position
+    assert (p[0] - x0) ** 2 == (p[0] - x1) ** 2
+    walk, scan = _check_walk(line, p, hint, 25.0)
+    assert walk == scan == 40
+
+
+def test_walk_answers_every_hinted_window_of_the_stock_baseline_run(tmp_path, monkeypatch):
+    walks, windows = [], []
+    walk, project = ReferencePath._walk_nearest, ReferencePath.project
+
+    def spy_walk(self, *args):
+        walks.append(walk(self, *args))
+        return walks[-1]
+
+    def spy_project(self, p, s_hint=None, window=25.0):
+        if s_hint is not None and window <= 25.0:
+            windows.append(window)
+        return project(self, p, s_hint, window)
+
+    monkeypatch.setattr(ReferencePath, "_walk_nearest", spy_walk)
+    monkeypatch.setattr(ReferencePath, "project", spy_project)
+    assert main(["run", "--controller", "baseline", "--out", str(tmp_path)]) == 0
+    assert len(windows) > 4000
+    assert len(walks) == len(windows)
+    assert min(walks) >= 0
 
 
 # ----------------------------------------------------------------------
