@@ -243,15 +243,17 @@ class ReferencePath:
         self,
         p: Vec2,
         s_hint: float | None = None,
-        window: float = 25.0,
+        window: float = _WALK_WINDOW,
     ) -> tuple[PathPoint, float]:
         """Closest point on the path to ``p``.
 
         With no hint the search is global.  With ``s_hint`` the search is
-        local to [s_hint - 1, s_hint + window] and the returned arc length
-        never falls below s_hint - 1 m, which prevents the projection from
-        jumping backward on self-approaching paths.  A NaN ``s_hint`` is a
-        ValueError; infinite ones clamp to the path's ends.
+        local to [s_hint - 1, s_hint + window], ``window`` being
+        ``_WALK_WINDOW`` (25 m) by default, and the returned arc length never
+        falls below s_hint - 1 m, which prevents the projection from jumping
+        backward on self-approaching paths.  A NaN ``s_hint``, or a NaN or
+        negative ``window``, is a ValueError; infinite hints clamp to the
+        path's ends (-inf with an infinite window searches the whole path).
 
         The search window's first nearest sample comes from one of two
         places, with the same bits.  A hinted window spanning at most
@@ -260,8 +262,9 @@ class ReferencePath:
         bounds proves to be the scan's answer, float rounding included
         (:meth:`_walk_nearest` argues the margin).  Unhinted and wider
         windows, and any walk the certificate cannot vouch for, take the
-        numpy scan, :meth:`_scan_nearest`.  The four segments around that
-        sample are then solved in plain floats and squared with ``**``,
+        numpy scan, :meth:`_scan_nearest`.  The segments ending and starting
+        at that sample, none before the guard's, are then solved under
+        :meth:`project_many`'s rules in plain floats, squared with ``**``,
         which differs from ``x * x`` in the last bit on about 0.1% of
         inputs, so the two are not swapped.
         """
@@ -273,46 +276,38 @@ class ReferencePath:
         s_hint = float(s_hint)
         if s_hint != s_hint:
             raise ValueError("s_hint is NaN")
-        # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is
-        # min(a, b), NaN and -0.0 included, without the builtin call.
+        if not window >= 0.0:
+            raise ValueError(f"window must be non-negative, got {window!r}")
+        # ``b if b > a else a`` is max(a, b) and ``b if b < a else a`` is min(a, b), NaN and
+        # -0.0 included, without the builtin call; hi_s takes the path end for -inf + inf's NaN.
         lo_s = s_hint - 1.0
         lo_s = 0.0 if 0.0 > lo_s else lo_s
         lo_s = total if total < lo_s else lo_s
         hi_s = s_hint + window
-        hi_s = total if total < hi_s else hi_s
+        hi_s = hi_s if total > hi_s else total
         hi_s = 0.0 if 0.0 > hi_s else hi_s
         ilo, ihi = int(lo_s / ds), int(hi_s / ds) + 2
-        ihi = ilo + 2 if ilo + 2 > ihi else ihi
         ihi = n if n < ihi else ihi
-        i0 = self._walk_nearest(px, py, ilo, ihi, s_hint) if walk and 2 < ihi - ilo <= self._walk_reach + 1 else -1
+        walk = walk and 2 < ihi - ilo <= self._walk_reach + 1
+        i0 = self._walk_nearest(px, py, ilo, ihi, s_hint if s_hint > lo_s else lo_s) if walk else -1
         if i0 < 0:
             i0 = self._scan_nearest(px, py, ilo, ihi)
 
         # The guard segment is the last one at most, even at lo_s = total.
         j_min = min(int(lo_s / ds), n - 2)
-        guarded = lo_s > 0.0
         pxl, pyl, dxl, dyl, seg2l = self._pxl, self._pyl, self._dxl, self._dyl, self._seg2l
-        best_j, best_dd, best_key, best_u = -1, 0.0, 0.0, 0.0
-        for j in range(i0 - 2 if i0 - 2 > j_min else j_min, i0 + 2 if i0 + 2 < n - 1 else n - 1):
-            seg2 = seg2l[j]
-            if seg2 == 0.0:
-                continue
+        best_j, best_dd, best_u = -1, 0.0, 0.0
+        for j in range(i0 - 1 if i0 - 1 > j_min else j_min, i0 + 1 if i0 + 1 < n - 1 else n - 1):
+            seg2 = seg2l[j]  # a zero-length segment answers its vertex
             ax, ay, dx, dy = pxl[j], pyl[j], dxl[j], dyl[j]
-            u = ((px - ax) * dx + (py - ay) * dy) / seg2
-            u_lo = (lo_s - j * ds) / ds if j == j_min and guarded else 0.0
+            u = ((px - ax) * dx + (py - ay) * dy) / (seg2 if seg2 > 1e-300 else 1e-300)
+            u_lo = lo_s / ds - j if j == j_min else 0.0
             u = u_lo if u_lo > u else u
             u = 1.0 if 1.0 < u else u
             cx, cy = ax + u * dx, ay + u * dy
             dd = (px - cx) ** 2 + (py - cy) ** 2
-            if best_j < 0 or dd < best_dd - 1e-18 or (abs(dd - best_dd) <= 1e-18 and j + u < best_key):
-                best_dd, best_key, best_j, best_u = dd, j + u, j, u
-        if best_j < 0:
-            # Every segment in reach has zero length and sits on vertex i0.
-            j = min(i0, n - 2)
-            u = float(i0 - j)
-            if j == j_min and guarded:
-                u = min(max(u, (lo_s - j * ds) / ds), 1.0)
-            best_dd, best_j, best_u = (px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j, u
+            if best_j < 0 or dd < best_dd:
+                best_dd, best_j, best_u = dd, j, u
         return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
 
     def _scan_nearest(self, px: float, py: float, ilo: int, ihi: int) -> int:
@@ -391,13 +386,10 @@ class ReferencePath:
         with a 1 m backward guard: the nearest sample of the window from the guard picks two segments,
         solved as (2, K) rows with x and y stacked.
 
-        It answers ``project(p, s_hint=s_prev)`` within its window's 0.5 m reach only.  The scalar search reaches 25 m
-        ahead, so on a path that comes back within 25 m (a hairpin) it may pick a later leg that this window cannot
-        reach.  On any path, about one row in five pinned at the guard parts from it: the guard's fraction is
-        ``lo / ds - j`` here and ``(lo - j * ds) / ds`` there, 1-2 ULP apart in the arc length, and the distance moves
-        with it (by thousands of ULP for a row on the path); recorded digests pin each form.  Along the stock
-        rollouts, whose steps the tuner keeps short of the reach, the arc length matches bit for bit and the distance
-        within 2 ULP (``x * x`` against ``**``)."""
+        It answers ``project(p, s_hint=s_prev)`` wherever that answer lies in its window, 0.5 m past the guard at
+        least: the arc length bit for bit and the distance within 2 ULP (``x * x`` against ``**``).  The scalar search
+        reaches 25 m ahead, so on a path that comes back within 25 m (a hairpin) it may pick a later leg that this
+        window cannot reach; the tuner keeps its steps short of the reach (``optimizer._MAX_STEP``)."""
         last_seg, t = self._nd_last_seg, self._table
         lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
         j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
@@ -490,8 +482,8 @@ class ReferencePath:
                     return LookaheadResult(self._point_at_fraction(j, 1.0 if 1.0 < u else u))
             j += 1
 
-        ex, ey = pxl[-1], pyl[-1]
-        if hypot(ex - px, ey - py) < lookahead_dist:
+        ex, ey = pxl[-1] - px, pyl[-1] - py
+        if ex * ex + ey * ey < r2:
             return LookaheadResult(self.point_at(self._total), end_of_path=True)
         # No crossing anywhere ahead: fall back to the closest point over the
         # whole remaining path (forward-progress guard still applies).
@@ -499,7 +491,8 @@ class ReferencePath:
         return LookaheadResult(pp, fallback=True)
 
     def lookahead_many(self, pos: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
-        """First circle/path crossing after s_lb per row of ``pos`` (x, then y): :meth:`lookahead_point`'s answers.
+        """First circle/path crossing after s_lb per row of ``pos`` (x, then y): :meth:`lookahead_point`'s answers, bit
+        for bit, for s_lb in [0, total_length].
 
         One chunk of the 4 segments from the one holding s_lb, for the usual
         advance of 0-2 segments, answers most rows at once, under the scalar

@@ -22,6 +22,8 @@ from pathfollow.path import (
     make_sinusoid_path,
 )
 
+from path_tables import corner_table
+
 EPS = 1e-9
 
 
@@ -50,7 +52,8 @@ def reference_lookahead(path, p, s_min, radius):
         k = int(np.argmax(hit1 | hit2))
         u = u1[k] if hit1[k] else u2[k]
         return (j0 + k + min(max(float(u), 0.0), 1.0)) * ds, False, False
-    if math.hypot(px[-1] - p[0], py[-1] - p[1]) < radius:
+    ex, ey = px[-1] - p[0], py[-1] - p[1]
+    if ex * ex + ey * ey < radius * radius:
         return path.point_at(path.total_length).s, False, True
     pp, _ = path.project(p, s_hint=s0, window=path.total_length)
     return pp.s, True, False
@@ -137,15 +140,6 @@ def test_coincident_samples_rejected():
     # All samples at one point: no chord to bound the scan's skip by.
     with pytest.raises(ValueError, match="coincide"):
         sample_table_path([(3.0, 4.0)] * 5, 0.05)
-
-
-def corner_table():
-    # A right-angle corner at (2, 0), reached through four coincident
-    # vertices: zero-length segments and exact ties between the segments
-    # on either side of the corner.
-    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
-    n = len(pts)
-    return ReferencePath(pts, np.tile([1.0, 0.0], (n, 1)), np.linspace(-0.5, 0.5, n), 1.0)
 
 
 BATCH_PATHS = {

@@ -25,6 +25,8 @@ from pathfollow.path import (
     make_sinusoid_path,
 )
 
+from path_tables import kinked_table, spike_table
+
 
 def bench_y(x):
     return 10.0 * math.sin(0.078 * x) + 20.0 * math.cos(0.082 * x)
@@ -377,6 +379,12 @@ def test_project_clamps_a_minus_infinite_hint_to_the_path_start(sinusoid):
     assert sinusoid.lookahead_point(p, -math.inf, 3.0) == sinusoid.lookahead_point(p, 0.0, 3.0)
 
 
+@pytest.mark.parametrize("window", [math.nan, -1.0, -1e-300, -math.inf])
+def test_project_refuses_a_nan_or_negative_window_by_name(sinusoid, window):
+    with pytest.raises(ValueError, match="window must be non-negative"):
+        sinusoid.project((1.0, 20.0), s_hint=20.0, window=window)
+
+
 WALK_PATHS = {
     "sinusoid": PROJECT_PATHS["sinusoid"],
     "arc": make_circle_path((5.0, -3.0), 2.0, "clockwise", 1.0, turns=0.9),
@@ -385,6 +393,18 @@ WALK_PATHS = {
     "kinked": make_polyline_path([(0, 0), (8, 0), (8.2, 6), (16, 6)]),
     "near_coincident": make_polyline_path([(0, 0), (10, 0), (10 + 1e-4, 1e-4), (20, 1)]),
 }
+
+
+@pytest.mark.parametrize("kind", ["sinusoid", "kinked"])
+def test_project_accepts_a_window_from_zero_to_infinity(kind):
+    # -inf + inf searches the whole path, as no hint does; the kinked path is short enough to walk.
+    path = WALK_PATHS[kind]
+    total = path.total_length
+    for p in ((3.0, 25.0), (8.5, 3.0), (-4.0, -2.0)):
+        assert path.project(p, s_hint=-math.inf, window=math.inf) == path.project(p)
+        assert path.project(p, s_hint=5.0, window=math.inf) == path.project(p, s_hint=5.0, window=total)
+        pp, _ = path.project(p, s_hint=5.0, window=0.0)
+        assert 4.0 - 1e-9 <= pp.s <= 5.0 + 2.0 * path.spacing  # the guard, up to rounding
 
 
 def _scanned(path, p, hint, window):
@@ -482,6 +502,58 @@ def test_walk_breaks_ties_as_the_scan_does(hint, y):
     assert (p[0] - x0) ** 2 == (p[0] - x1) ** 2
     walk, scan = _check_walk(line, p, hint, 25.0)
     assert walk == scan == 40
+
+
+def exact_walk_bounds(path):
+    """Per sample c, the least (|s|^2 / 2 - a |s|) / |s_n| over every sample k of the reach with |k - c| >= 2:
+    the largest normal offset under which the walk's certificate holds, by brute force (-inf where none does)."""
+    x, y, tx, ty, _ = (np.asarray(r) for r in path.sample_table())
+    a, n = path._walk_a, x.size
+    exact = np.full(n, np.inf)
+    for o in range(2, min(path._walk_reach, n - 1) + 1):
+        for c, k in ((slice(0, n - o), slice(o, n)), (slice(o, n), slice(0, n - o))):
+            sx, sy = x[k] - x[c], y[k] - y[c]
+            norm, sn = np.hypot(sx, sy), np.abs(sy * tx[c] - sx * ty[c])
+            num = norm * (norm / 2.0 - a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = np.where(sn > 0.0, num / sn, np.where(num > 0.0, np.inf, -np.inf))
+            np.minimum(exact[c], bound, out=exact[c])
+    return exact
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        WALK_PATHS["hairpin"],
+        WALK_PATHS["kinked"],
+        WALK_PATHS["arc"],
+        make_line_path((0.0, 0.0), (3.0, 4.0), 30.0),
+        kinked_table(3),
+        kinked_table(8, spacing=0.2),
+        spike_table(),
+    ],
+    ids=["hairpin", "kinked", "arc", "line", "kinked_table", "kinked_table_coarse", "spike"],
+)
+def test_walk_bounds_never_exceed_the_exact_bound(path):
+    # The stored beta_c may only be more cautious than the exact one; where no offset works, it must refuse.
+    # From sample 0 of the spike table, samples 32 .. 48 are one block of _walk_bounds: its end samples lie
+    # 0.01 m off the line, the rest up to 0.41 m, which only the block's sagitta term covers (the exact bound
+    # there is 0.73 m; without the sagitta beta_0 reads 2.3 m).
+    beta, exact = np.array(path._betal), exact_walk_bounds(path)
+    assert np.all((beta <= exact) | ((beta <= 0.0) & (exact <= 0.0)))
+    assert np.any(beta > 0.0)
+
+
+def test_walk_refuses_a_point_just_past_the_tangential_tolerance():
+    # Samples along x with their stored tangents along y: a point straight above sample c is nearest c, with
+    # q_t its height and q_n 0, so only the |q_t| <= a test decides.  a = 0.75 spacings = 0.1875 m exactly.
+    n, ds = 21, 0.25
+    path = ReferencePath([(ds * i, 0.0) for i in range(n)], [(0.0, 1.0)] * n, np.zeros(n), ds)
+    a, c = path._walk_a, 10
+    assert a == 0.1875 and path._betal[c] > 0.0
+    assert path._walk_nearest(c * ds, a, 0, n, c * ds) == c
+    assert path._walk_nearest(c * ds, math.nextafter(a, math.inf), 0, n, c * ds) == -1
+    assert path._walk_nearest(c * ds, -math.nextafter(a, math.inf), 0, n, c * ds) == -1
 
 
 def test_walk_answers_every_hinted_window_of_the_stock_baseline_run(tmp_path, monkeypatch):

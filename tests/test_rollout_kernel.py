@@ -14,6 +14,9 @@
   polyline table, recorded before the stages took the rows' positions as one
   (2, K) array (sinusoid and line) or before their per-call constants and
   in-place selects (circle and polyline).
+* a property test of the batched path queries (``project_many``,
+  ``lookahead_many``) against the scalar ones over seeded rows on six
+  paths, a hairpin and a table with coincident vertices among them.
 """
 
 import hashlib
@@ -21,12 +24,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathfollow.optimizer as optimizer
 from pathfollow.geom import PARALLEL_EPS
 from pathfollow.guidance import law_operands
-from pathfollow.path import ReferencePath, make_circle_path, make_line_path, make_polyline_path, make_sinusoid_path
+from pathfollow.path import (
+    ReferencePath,
+    _window_width,
+    make_circle_path,
+    make_line_path,
+    make_polyline_path,
+    make_sinusoid_path,
+)
 from pathfollow.vehicle import VehicleState, step_operands
+
+from path_tables import corner_table, kinked_table
 
 STOCK = make_sinusoid_path(-15.0, 150.0)
 LINE = make_line_path((0.0, 0.0), (1.0, 0.0), 60.0)
@@ -251,22 +265,6 @@ def stage_outputs(path, seed):
     return out, fired
 
 
-def kinked_table(seed, vertices=40, spacing=0.05):
-    """A seeded polyline sampled along its straight chords: each sample takes its chord's direction
-    as tangent and a seeded curvature per chord, so tangent and curvature jump at every vertex."""
-    rng = np.random.default_rng(seed)
-    heading = np.cumsum(rng.uniform(-1.5, 1.5, vertices - 1))
-    chord = rng.uniform(1.0, 6.0, vertices - 1)
-    step = chord[:, None] * np.column_stack((np.cos(heading), np.sin(heading)))
-    verts = np.concatenate(([[0.0, 0.0]], np.cumsum(step, axis=0)))
-    edges = np.concatenate(([0.0], np.cumsum(chord)))
-    s = spacing * np.arange(int(edges[-1] / spacing) + 1)
-    i = np.minimum(np.searchsorted(edges, s, side="right") - 1, chord.size - 1)
-    pos = verts[i] + ((s - edges[i]) / chord[i])[:, None] * step[i]
-    tangents = np.column_stack((np.cos(heading[i]), np.sin(heading[i])))
-    return ReferencePath(pos, tangents, rng.uniform(-0.5, 0.5, chord.size)[i], spacing)
-
-
 STAGE_PATHS = {
     "stock": (STOCK, 11),
     "line": (LINE, 12),
@@ -276,13 +274,16 @@ STAGE_PATHS = {
 
 # sha256 of each stage's outputs' bytes, concatenated in order: line and stock recorded before
 # the stages took positions as one (2, K) array, circle and polyline before the stages built
-# their constant operands once per call and selected in place.
+# their constant operands once per call and selected in place.  The look-ahead, point and law
+# digests of circle, polyline and stock were re-recorded when the scalar projection took the
+# batched one's guard fraction, lo / ds - j: only look-ahead fallback rows moved, which reach
+# that projection, by at most 2 ULP in arc length.
 STAGE_DIGESTS = {
     "circle": {
         "project_many": "d07255bd19d1dfa4cbb28a729ef43f2a81d72afdcc1e8f4d657d03def3b17a0d",
-        "lookahead_many": "f05c2f4566e7bd5458ea0707f28e3661abffac47549ef13f71e2e74b577e2b4a",
-        "point_at_many": "6efc465125afe3a6fcf4bd1da2e6b951ad6a9b8a704db81edb8761ba75bef71e",
-        "blended_many": "ad3a1c751d9b8dd133f88cb10e51f00d4dc598b39099352e4d7cf8265c6c97bb",
+        "lookahead_many": "c1a2df5fe57f039da8ce989bc389810cb5bedac91379eedd93ca22404dfcd9f9",
+        "point_at_many": "62595ba895172c3f132a0ae54c08e8101eb6df7f837c30aface66f70e8b4b5c2",
+        "blended_many": "4b230c681604e4f3e7f270f974beb036dee640aba109f6e4e3190bed9c0d791f",
         "step_arrays": "cbe7ab52157124338972c64e8d8a12f74c1a5705e305ef2780cd00a80ae2fa8a",
     },
     "line": {
@@ -294,16 +295,16 @@ STAGE_DIGESTS = {
     },
     "polyline": {
         "project_many": "e3f100e10666c17d9d35dc839016a9185b8b88bd9a35a15029d39bf80f782460",
-        "lookahead_many": "b9b2e4ce0ed8eef6f89c16abdbb64f2944c7a295d152cb654f08b168f3d88a42",
-        "point_at_many": "dd7d981c77f8c7d6bc50c976a9a8c51e332fe810ea4631a9ba3fb43f0ac7e650",
-        "blended_many": "293e0ee82c1929ab20901d1ee18b95cccadcce24fc92dc26bfda00401b366fed",
+        "lookahead_many": "a068c1ae751875a51d34a8a58c438b78b5c6e7a6d744e5bbe39d8f3e602c5bbb",
+        "point_at_many": "6f6e41b648bf33b6c06d2fa541c039386aae825d1f910a57eebe3612630f6209",
+        "blended_many": "8f10a4d82113423404bed887f395191fbdc1535ec5922f9749b3e7438f8b34fd",
         "step_arrays": "e7823815f82cf1d35cff1f4047473e0e41114f53a2913f9f3edd3aa93b4abc2e",
     },
     "stock": {
         "project_many": "2d0ba4ef05611010375bb4d2ce3678b0766e9d230418d696cc05f09c746c05cc",
-        "lookahead_many": "0497594c415e62c0c0d153701e43fb43ac81fd0e8b183b8b7b3718e92832c2b2",
-        "point_at_many": "d93386b33d8e028f788ab0c2ea7e9bae7a7896bbc9fc83c2bdb7610e17b7eb75",
-        "blended_many": "42af76c1c8f4ebe7be3031278d373bcd69d8dc9ba97f1c7e007fc0f72f4469dd",
+        "lookahead_many": "6829ce55ae653fe643ccf15f6ef0ff35a5d16725dade89be8f8e081346a19d4e",
+        "point_at_many": "3ed938ac5e08281b0294a0864b6323550667f061bc37ff278df73071ed3d5ff7",
+        "blended_many": "d18c24197e39b12b810f196736120bc49170658cf970deade4d061fb81518ae8",
         "step_arrays": "44b0f7a08063fb0be92508423083e5fc2ffb44245772aa8bda180ba08fd3d843",
     },
 }
@@ -322,3 +323,43 @@ def test_stage_outputs_digest(name):
     assert all(fired.values()), fired
     assert stage_digests(out) == STAGE_DIGESTS[name]
 
+
+QUERY_PATHS = {**{name: path for name, (path, _) in STAGE_PATHS.items()}, "hairpin": HAIRPIN, "corner": corner_table()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(QUERY_PATHS)), seed=st.integers(0, 2**32 - 1), lookahead=st.floats(0.5, 20.0))
+def test_batched_path_queries_answer_the_scalar_ones(kind, seed, lookahead):
+    # Rows up to 20 m off the path, one step of up to optimizer._MAX_STEP at any heading past the point
+    # whose arc length is their hint; every fourth hint lies 1.5-6 m ahead, so the 1 m guard clamps it.
+    # Drawn from a seeded generator, as Hypothesis's floats favour round values (test_scalar_tick).
+    path = QUERY_PATHS[kind]
+    total, ds, k = path.total_length, path.spacing, 32
+    rng = np.random.default_rng(seed)
+    s_prev = rng.uniform(0.0, total, k)
+    x, y, tx, ty, _ = path.point_at_many(s_prev)
+    normal, heading = rng.uniform(-20.0, 20.0, k), rng.uniform(-math.pi, math.pi, k)
+    step = rng.uniform(0.0, optimizer._MAX_STEP, k)
+    pos = np.array((x - normal * ty + step * np.cos(heading), y + normal * tx + step * np.sin(heading)))
+    s_lb = np.clip(s_prev + rng.uniform(-5.0, 25.0, k), 0.0, total)
+    s_prev[3::4] = np.minimum(s_prev[3::4] + rng.uniform(1.5, 6.0, k // 4), total)
+
+    # The projection: bit for bit (distance within 2 ULP, x * x against **) where the scalar answer lies in the
+    # batched window, samples j_lo .. j_lo + width - 1; elsewhere the scalar search reached past it.
+    s, d = path.project_many(pos, s_prev)
+    j_lo = np.minimum((np.fmax(s_prev - 1.0, 0.0) / ds).astype(int), path.sample_table()[0].size - 2)
+    for i in range(k):
+        pp, dist = path.project(pos[:, i], s_hint=s_prev[i])
+        assert pp.s >= j_lo[i] * ds, i
+        if pp.s <= (j_lo[i] + _window_width(ds) - 1) * ds:
+            assert (pp.s, abs(dist - d[i]) <= 2 * np.spacing(dist)) == (s[i], True), i
+
+    # The look-ahead: arc lengths, end rows, fallback rows and their points, all bit for bit.
+    s, end_rows, fallback = path.lookahead_many(pos, s_lb, lookahead)
+    fell, points = fallback or (np.zeros(0, dtype=int), np.zeros((5, 0)))
+    for i in range(k):
+        la = path.lookahead_point(pos[:, i], s_lb[i], lookahead)
+        assert (la.point.s, la.end_of_path, la.fallback) == (s[i], i in end_rows, i in fell), i
+        if la.fallback:
+            pp = la.point
+            assert tuple(points[:, fell.tolist().index(i)]) == (*pp.position, *pp.tangent, pp.curvature), i

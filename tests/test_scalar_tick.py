@@ -151,28 +151,20 @@ def ref_project(path, p, s_hint=None, window=25.0):
         i0 = ilo + int(np.argmin((pxa[seg] - px) ** 2 + (pya[seg] - py) ** 2))
     j_min = min(int(lo_s / ds), n - 2)
     best = None
-    for j in range(max(i0 - 2, j_min), min(i0 + 2, n - 1)):
+    for j in range(max(i0 - 1, j_min), min(i0 + 1, n - 1)):
         ax, ay = pxl[j], pyl[j]
         dx, dy = pxl[j + 1] - ax, pyl[j + 1] - ay
         seg2 = dx * dx + dy * dy
-        if seg2 == 0.0:
-            continue
-        u = ((px - ax) * dx + (py - ay) * dy) / seg2
+        u = ((px - ax) * dx + (py - ay) * dy) / max(seg2, 1e-300)
         u_lo = 0.0
         if j == j_min and lo_s > 0.0:
-            u_lo = (lo_s - j * ds) / ds
+            u_lo = lo_s / ds - j
         u = min(max(u, u_lo), 1.0)
         cx, cy = ax + u * dx, ay + u * dy
         dd = (px - cx) ** 2 + (py - cy) ** 2
-        if best is None or dd < best[0] - 1e-18 or (abs(dd - best[0]) <= 1e-18 and (j + u) < best[1]):
-            best = (dd, j + u, j, u)
-    if best is None:
-        j = min(i0, n - 2)
-        u = float(i0 - j)
-        if j == j_min and lo_s > 0.0:
-            u = min(max(u, (lo_s - j * ds) / ds), 1.0)
-        best = ((px - pxl[i0]) ** 2 + (py - pyl[i0]) ** 2, j + u, j, u)
-    return ref_point_at_fraction(path, best[2], best[3]), math.sqrt(best[0])
+        if best is None or dd < best[0]:
+            best = (dd, j, u)
+    return ref_point_at_fraction(path, best[1], best[2]), math.sqrt(best[0])
 
 
 def ref_lookahead(path, p, s_min, lookahead_dist):
@@ -207,7 +199,8 @@ def ref_lookahead(path, p, s_min, lookahead_dist):
                 if u_lo < u <= 1.0 + eps:
                     return LookaheadResult(ref_point_at_fraction(path, j, min(max(u, 0.0), 1.0)))
         j += 1
-    if math.hypot(pxl[-1] - px, pyl[-1] - py) < lookahead_dist:
+    ex, ey = pxl[-1] - px, pyl[-1] - py
+    if ex * ex + ey * ey < r2:
         return LookaheadResult(path.point_at(total), end_of_path=True)
     pp, _ = ref_project(path, p, s_hint=s0, window=total)
     return LookaheadResult(pp, fallback=True)
