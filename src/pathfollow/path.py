@@ -13,7 +13,8 @@ and ``lookahead_many`` hands the rare row its 4-segment chunk cannot settle to
 the scalar ``lookahead_point``.  A hinted scalar ``project`` walks from its
 hint to the nearest sample and proves it against per-sample bounds built with
 the table (``_walk_bounds``); wider searches, and the rare walk the bounds
-cannot vouch for, scan their window with numpy.  Both give the same bits.
+cannot vouch for, scan their window with numpy.  Both give the same bits, and
+``project_s`` gives the arc length and distance alone, without a PathPoint.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; polylines are resampled along their not-a-knot cubic
@@ -243,17 +244,18 @@ class ReferencePath:
         self,
         p: Vec2,
         s_hint: float | None = None,
-        window: float = _WALK_WINDOW,
+        window: float | None = None,
     ) -> tuple[PathPoint, float]:
         """Closest point on the path to ``p``.
 
-        With no hint the search is global.  With ``s_hint`` the search is
-        local to [s_hint - 1, s_hint + window], ``window`` being
-        ``_WALK_WINDOW`` (25 m) by default, and the returned arc length never
-        falls below s_hint - 1 m, which prevents the projection from jumping
-        backward on self-approaching paths.  A NaN ``s_hint``, or a NaN or
-        negative ``window``, is a ValueError; infinite hints clamp to the
-        path's ends (-inf with an infinite window searches the whole path).
+        With ``s_hint`` the search is local to [s_hint - 1, s_hint + window],
+        ``window`` being ``_WALK_WINDOW`` (25 m) when None, and the returned
+        arc length never falls below s_hint - 1 m, which prevents the
+        projection from jumping backward on self-approaching paths.  With no
+        hint the search is unguarded over [0, window], the whole path when
+        ``window`` is None.  A NaN ``s_hint``, or a NaN or negative
+        ``window``, is a ValueError; infinite hints clamp to the path's ends
+        (-inf with an infinite window searches the whole path).
 
         The search window's first nearest sample comes from one of two
         places, with the same bits.  A hinted window spanning at most
@@ -268,11 +270,23 @@ class ReferencePath:
         which differs from ``x * x`` in the last bit on about 0.1% of
         inputs, so the two are not swapped.
         """
+        j, u, dd = self._nearest(p, s_hint, window)
+        return self._point_at_fraction(j, u), sqrt(dd)
+
+    def project_s(self, p: Vec2, s_hint: float | None = None, window: float | None = None) -> tuple[float, float]:
+        """:meth:`project`'s arc length and distance, bit for bit, without building its PathPoint."""
+        j, u, dd = self._nearest(p, s_hint, window)
+        return (j + u) * self._ds, sqrt(dd)  # _point_at_fraction's arc length
+
+    def _nearest(self, p: Vec2, s_hint: float | None, window: float | None) -> tuple[int, float, float]:
+        """:meth:`project`'s search: the nearest point's segment, its fraction along it and its squared distance."""
         px, py = float(p[0]), float(p[1])
         n, ds, total = self._n, self._ds, self._total
         walk = s_hint is not None
-        if not walk:  # the whole path: from 0, unguarded, to the last sample
-            s_hint, window = 0.0, total
+        if not walk:  # from 0, unguarded, by the scan alone, to ``window`` or the last sample
+            s_hint, window = 0.0, total if window is None else window
+        elif window is None:
+            window = _WALK_WINDOW
         s_hint = float(s_hint)
         if s_hint != s_hint:
             raise ValueError("s_hint is NaN")
@@ -308,7 +322,7 @@ class ReferencePath:
             dd = (px - cx) ** 2 + (py - cy) ** 2
             if best_j < 0 or dd < best_dd:
                 best_dd, best_j, best_u = dd, j, u
-        return self._point_at_fraction(best_j, best_u), sqrt(best_dd)
+        return best_j, best_u, best_dd
 
     def _scan_nearest(self, px: float, py: float, ilo: int, ihi: int) -> int:
         """The first sample of ilo .. ihi - 1 nearest (px, py), by one numpy pass squared in place
@@ -422,6 +436,26 @@ class ReferencePath:
         np.putmask(dd[0], second, dd[1])
         return s[0] * self._nd_ds, np.sqrt(dd[0])
 
+    def nearest_span(self, center: Vec2, radius: float) -> float:
+        """An arc length S such that, for every point p within ``radius`` of ``center``, the path's
+        first nearest sample to p lies in [0, S]: ``project_s(p, window=S)`` is then ``project_s(p)``
+        bit for bit.  The path length when no shorter span is proven.
+
+        Let k_c be the sample nearest the centre, at distance d_c, and S the arc length of the first
+        sample from which every sample lies farther than d_c + 2 radius from the centre.  For
+        |p - c| <= radius, each of those samples lies more than d_c + radius from p, and k_c at most
+        d_c + radius, so none of them is as near as k_c, which lies before them, and the whole path's
+        first nearest sample lies before S.  The threshold is raised by a relative 1e-9: the rounding
+        of the distances here, of |p - c| and of the scan's squared distances is a few units in the
+        last place, 2^-53 each, far inside that margin, so the scan's float order keeps the gap.
+        """
+        x, y = self._table[_XY, : self._n]
+        d = np.hypot(x - center[0], y - center[1])
+        reach = (d.min() + 2.0 * radius) * (1.0 + 1e-9)
+        # The suffix minimum rises along the path, so the far samples are a suffix of it.
+        far = np.count_nonzero(np.minimum.accumulate(d[::-1]) > reach)
+        return self._ds * min(self._n - far, self._n - 1)
+
     # ------------------------------------------------------------------
     # Look-ahead
     # ------------------------------------------------------------------
@@ -492,7 +526,7 @@ class ReferencePath:
 
     def lookahead_many(self, pos: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
         """First circle/path crossing after s_lb per row of ``pos`` (x, then y): :meth:`lookahead_point`'s answers, bit
-        for bit, for s_lb in [0, total_length].
+        for bit; like its ``s_min``, an s_lb below 0 counts as 0.
 
         One chunk of the 4 segments from the one holding s_lb, for the usual
         advance of 0-2 segments, answers most rows at once, under the scalar
@@ -506,7 +540,7 @@ class ReferencePath:
         """
         n, t = self._n, self._table
         l2 = lookahead_dist * lookahead_dist
-        u_s = s_lb / self._nd_ds
+        u_s = np.maximum(s_lb, _ZERO) / self._nd_ds
         j = np.minimum(u_s.astype(np.int64), self._nd_last_seg)
         idx = _CHUNK + j  # segments as rows, states as columns
         g = t[:5].take(idx, axis=1)  # seg2, x, dx, y, dy

@@ -14,7 +14,11 @@ k2 = 0 the tick evaluates only the look-ahead term.
 
 Each integration step emits exactly one telemetry record.  Cross-track
 error follows the phase convention: distance to the path start point during
-mid-course, distance to the closest path point otherwise.
+mid-course, distance to the closest path point otherwise.  Only the blended
+tick and the first k2 = 0 close-range tick (``guidance.track_projection``)
+build a PathPoint; the others read ``ReferencePath.project_s``.  Circle-follow
+ticks search the whole path, over the span ``nearest_span`` proves for points
+within ``_SPAN_REACH`` circle radii of the centre.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ CONTROLLER_PROPOSED = "proposed"
 # step keeps about 76 B of telemetry, so this allows about 150 MB; a scenario
 # that could ask for more is refused up front.
 MAX_MISSION_STEPS = 2_000_000
+# The disc around the initiation circle's centre, in circle radii, whose points the circle-follow tick projects onto
+# a bounded span of the path (ReferencePath.nearest_span).  Circle following keeps the vehicle about one radius out.
+_SPAN_REACH = 1.5
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,7 @@ class Midcourse:
 @dataclass
 class CircleFollow:
     circle: mc.InitiationCircle
+    span: float | None = None  # ticks within _SPAN_REACH radii of the centre search [0, span]; None: the whole path
 
 
 @dataclass
@@ -206,7 +214,8 @@ class Mission:
 
     def _check_transitions(self) -> None:
         if isinstance(self.phase, Midcourse) and self._arrived(*self._contact):
-            self.phase = CircleFollow(self.phase.circle)
+            circle = self.phase.circle
+            self.phase = CircleFollow(circle, self.path.nearest_span(circle.center, _SPAN_REACH * circle.radius))
         if isinstance(self.phase, CircleFollow) and self._arrived(self._start.position, self._start.tangent):
             self.phase = CloseRange(s_min=0.0)
 
@@ -224,16 +233,18 @@ class Mission:
             return mc.midcourse_command(self.state, self.phase.solution), cte, PHASE_MIDCOURSE
 
         if isinstance(self.phase, CircleFollow):
-            _, cte = self.path.project(self.state.position)
-            cmd = mc.circle_follow_command(self.state, self.phase.circle, cfg.lookahead)
+            x, y, circle = self.state.x, self.state.y, self.phase.circle
+            cx, cy = circle.center
+            span = self.phase.span if math.hypot(x - cx, y - cy) <= _SPAN_REACH * circle.radius else None
+            _, cte = self.path.project_s((x, y), window=span)
+            cmd = mc.circle_follow_command(self.state, circle, cfg.lookahead)
             return cmd, cte, PHASE_CIRCLE
 
         phase = self.phase
         assert isinstance(phase, CloseRange)
 
         if phase.coast_left is not None:
-            pp, cte = self.path.project(self.state.position, s_hint=phase.s_proj)
-            phase.s_proj = pp.s
+            phase.s_proj, cte = self.path.project_s(self.state.position, s_hint=phase.s_proj)
             return 0.0, cte, PHASE_CLOSE
 
         state, path, s_min = self.state, self.path, phase.s_min
@@ -247,13 +258,17 @@ class Mission:
         if gains.k2 == 0.0:
             # The corrector weight is 0, so the law is its look-ahead term alone.
             cmd, la = guidance.baseline_step(state, path, s_min, cfg.lookahead)
-            pp, cte = guidance.track_projection(state, path, s_min, cfg.lookahead, phase.s_proj)
+            if phase.s_proj is None:  # the first tick: track_projection searches from the forward-progress guard
+                pp, cte = guidance.track_projection(state, path, s_min, cfg.lookahead)
+                phase.s_proj = pp.s
+            else:
+                phase.s_proj, cte = path.project_s(state.position, s_hint=phase.s_proj)
             la_s, end_of_path = la.point.s, la.end_of_path
         else:
             geom = guidance.corrector_geometry(state, path, s_min, cfg.lookahead, proj_hint=phase.s_proj)
             cmd = guidance.blended_command(state, geom, gains)
-            pp, cte, la_s, end_of_path = geom.proj, geom.proj_dist, geom.p2.s, geom.end_of_path
-        phase.s_proj = pp.s
+            cte, la_s, end_of_path = geom.proj_dist, geom.p2.s, geom.end_of_path
+            phase.s_proj = geom.proj.s
         if la_s > s_min:  # max(s_min, la_s)
             phase.s_min = la_s
         if end_of_path or la_s >= path.total_length - cfg.end_s_tol:

@@ -381,8 +381,10 @@ def test_project_clamps_a_minus_infinite_hint_to_the_path_start(sinusoid):
 
 @pytest.mark.parametrize("window", [math.nan, -1.0, -1e-300, -math.inf])
 def test_project_refuses_a_nan_or_negative_window_by_name(sinusoid, window):
-    with pytest.raises(ValueError, match="window must be non-negative"):
-        sinusoid.project((1.0, 20.0), s_hint=20.0, window=window)
+    for query in (sinusoid.project, sinusoid.project_s):
+        for s_hint in (20.0, None):
+            with pytest.raises(ValueError, match="window must be non-negative"):
+                query((1.0, 20.0), s_hint=s_hint, window=window)
 
 
 WALK_PATHS = {
@@ -405,6 +407,18 @@ def test_project_accepts_a_window_from_zero_to_infinity(kind):
         assert path.project(p, s_hint=5.0, window=math.inf) == path.project(p, s_hint=5.0, window=total)
         pp, _ = path.project(p, s_hint=5.0, window=0.0)
         assert 4.0 - 1e-9 <= pp.s <= 5.0 + 2.0 * path.spacing  # the guard, up to rounding
+
+
+def test_an_unhinted_window_is_scanned_from_the_path_start(sinusoid, monkeypatch):
+    # A point on the sinusoid at 100 m: a 10 m window answers from [0, 10], as the hinted window guarded at 0
+    # does, by the scan alone (a walk from sample 1 would cross the whole window first).
+    p = sinusoid.point_at(100.0).position
+    want = _scanned(sinusoid, p, 1.0, 9.0)
+    assert want[0].s <= 10.0 + 2.0 * sinusoid.spacing and sinusoid.project(p)[0].s == pytest.approx(100.0)
+    monkeypatch.setattr(sinusoid, "_walk_nearest", None)
+    assert sinusoid.project(p, window=10.0) == want
+    assert sinusoid.project_s(p, window=10.0) == (want[0].s, want[1])
+    assert sinusoid.project(p, window=math.inf) == sinusoid.project(p)
 
 
 def _scanned(path, p, hint, window):
@@ -455,7 +469,10 @@ def test_walked_projection_has_the_scans_bits(kind, frac, normal, along, hint_sh
     path = WALK_PATHS[kind]
     pp = path.point_at(frac * path.total_length)
     (x, y), (tx, ty) = pp.position, pp.tangent
-    _check_walk(path, (x + along * tx - normal * ty, y + along * ty + normal * tx), pp.s + hint_shift, window)
+    p, hint = (x + along * tx - normal * ty, y + along * ty + normal * tx), pp.s + hint_shift
+    _check_walk(path, p, hint, window)
+    qq, d = path.project(p, hint, window)
+    assert path.project_s(p, hint, window) == (qq.s, d)
 
 
 @pytest.mark.parametrize("kind", sorted(WALK_PATHS))
@@ -558,23 +575,73 @@ def test_walk_refuses_a_point_just_past_the_tangential_tolerance():
 
 def test_walk_answers_every_hinted_window_of_the_stock_baseline_run(tmp_path, monkeypatch):
     walks, windows = [], []
-    walk, project = ReferencePath._walk_nearest, ReferencePath.project
+    # The mission's hinted ticks ask project_s; track_projection's first, whole-path one asks project.
+    walk, project_s = ReferencePath._walk_nearest, ReferencePath.project_s
 
     def spy_walk(self, *args):
         walks.append(walk(self, *args))
         return walks[-1]
 
-    def spy_project(self, p, s_hint=None, window=25.0):
-        if s_hint is not None and window <= 25.0:
+    def spy_project_s(self, p, s_hint=None, window=None):
+        if s_hint is not None and (window is None or window <= 25.0):
             windows.append(window)
-        return project(self, p, s_hint, window)
+        return project_s(self, p, s_hint, window)
 
     monkeypatch.setattr(ReferencePath, "_walk_nearest", spy_walk)
-    monkeypatch.setattr(ReferencePath, "project", spy_project)
+    monkeypatch.setattr(ReferencePath, "project_s", spy_project_s)
     assert main(["run", "--controller", "baseline", "--out", str(tmp_path)]) == 0
     assert len(windows) > 4000
     assert len(walks) == len(windows)
     assert min(walks) >= 0
+
+
+SPAN_PATHS = {
+    "stock_sinusoid": make_sinusoid_path(-15.0, 150.0),
+    "sinusoid": PROJECT_PATHS["sinusoid"],
+    "two_turn_circle": make_circle_path((2.0, 1.0), 6.0, turns=2.0),  # its second turn covers its first
+    "hairpin": WALK_PATHS["hairpin"],
+    "line": make_line_path((0.0, 0.0), (1.0, 0.0), 100.0),
+}
+
+
+def start_circle_center(path, radius, side):
+    """The centre of the circle of ``radius`` tangent to the path at its start, on the left for side 1."""
+    (x, y), (tx, ty) = path.start.position, path.start.tangent
+    return x - side * radius * ty, y + side * radius * tx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(SPAN_PATHS)),
+    radius=st.floats(0.5, 15.0),
+    side=st.sampled_from((-1.0, 1.0)),
+    angle=st.floats(-math.pi, math.pi),
+    frac=st.floats(0.0, 1.0),
+)
+def test_span_bounded_projection_has_the_whole_paths_bits(kind, radius, side, angle, frac):
+    # Points within rho = 1.5 R of the centre of a circle of radius R tangent to the path at its start, where
+    # circle following flies, searched over [0, nearest_span] only.
+    path = SPAN_PATHS[kind]
+    cx, cy = start_circle_center(path, radius, side)
+    rho = 1.5 * radius
+    span = path.nearest_span((cx, cy), rho)
+    p = (cx + frac * rho * math.cos(angle), cy + frac * rho * math.sin(angle))
+    pp, d = path.project(p)
+    assert path.project_s(p, window=span) == (pp.s, d)
+
+
+def test_nearest_span_is_short_on_open_paths_and_whole_on_returning_ones():
+    # On a line from (0, 0) along x with the centre at (0, 5), d_c = 5 and rho = 7.5: the span ends at the first
+    # sample farther than d_c + 2 rho = 20 from the centre, x > sqrt(375).  The 0-150 sinusoid's two start circles
+    # of radius 5 need 18 and 28 m of its 221; the 2-turn circle ends where it starts, so only the whole path holds.
+    line = SPAN_PATHS["line"]
+    span = line.nearest_span(start_circle_center(line, 5.0, 1.0), 7.5)
+    assert math.sqrt(375.0) < span <= math.sqrt(375.0) + line.spacing
+    sinusoid = SPAN_PATHS["sinusoid"]
+    spans = [sinusoid.nearest_span(start_circle_center(sinusoid, 5.0, side), 7.5) for side in (-1.0, 1.0)]
+    assert 15.0 < min(spans) and max(spans) < 30.0
+    circle = SPAN_PATHS["two_turn_circle"]
+    assert circle.nearest_span(start_circle_center(circle, 3.0, 1.0), 4.5) == circle.total_length
 
 
 # ----------------------------------------------------------------------

@@ -331,7 +331,8 @@ QUERY_PATHS = {**{name: path for name, (path, _) in STAGE_PATHS.items()}, "hairp
 @given(kind=st.sampled_from(sorted(QUERY_PATHS)), seed=st.integers(0, 2**32 - 1), lookahead=st.floats(0.5, 20.0))
 def test_batched_path_queries_answer_the_scalar_ones(kind, seed, lookahead):
     # Rows up to 20 m off the path, one step of up to optimizer._MAX_STEP at any heading past the point
-    # whose arc length is their hint; every fourth hint lies 1.5-6 m ahead, so the 1 m guard clamps it.
+    # whose arc length is their hint; every fourth hint lies 1.5-6 m ahead, so the 1 m guard clamps it,
+    # and every eighth look-ahead bound lies before the path start and another past its end.
     # Drawn from a seeded generator, as Hypothesis's floats favour round values (test_scalar_tick).
     path = QUERY_PATHS[kind]
     total, ds, k = path.total_length, path.spacing, 32
@@ -342,6 +343,8 @@ def test_batched_path_queries_answer_the_scalar_ones(kind, seed, lookahead):
     step = rng.uniform(0.0, optimizer._MAX_STEP, k)
     pos = np.array((x - normal * ty + step * np.cos(heading), y + normal * tx + step * np.sin(heading)))
     s_lb = np.clip(s_prev + rng.uniform(-5.0, 25.0, k), 0.0, total)
+    s_lb[1::8] = rng.uniform(-6.0, 0.0, k // 8)  # before the path start, which both read as 0
+    s_lb[5::8] = total + rng.uniform(0.0, 50.0, k // 8)  # past the path end
     s_prev[3::4] = np.minimum(s_prev[3::4] + rng.uniform(1.5, 6.0, k // 4), total)
 
     # The projection: bit for bit (distance within 2 ULP, x * x against **) where the scalar answer lies in the

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathfollow.geom import wrap_angle
 from pathfollow.vehicle import VehicleState, step, step_arrays, step_operands
@@ -126,17 +128,25 @@ def test_state_requires_positive_speed():
         VehicleState(0, 0, 0, 0.0)
 
 
-def test_step_arrays_matches_scalar():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-10, 10, 50)
-    y = rng.uniform(-10, 10, 50)
-    psi = rng.uniform(-3, 3, 50)
-    a = rng.uniform(-5, 5, 50)
-    (xn, yn), pn, cs = step_arrays(np.array((x, y)), psi, a, step_operands(5.0, 0.01), np.array((np.cos(psi), np.sin(psi))))
-    # The next step's cos and sin rows are those of the new headings, bit for bit.
+COORD = st.floats(-1e4, 1e4)
+HEADING = st.one_of(st.sampled_from((math.pi, -math.pi, -0.0, 0.0)), st.floats(-math.pi, math.pi))
+COMMAND = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    speed=st.floats(0.1, 40.0),
+    dt=st.floats(1e-4, 0.05),
+    rows=st.lists(st.tuples(COORD, COORD, HEADING, COMMAND), min_size=1, max_size=8),
+)
+def test_step_arrays_matches_scalar(speed, dt, rows):
+    # step_arrays is step bit for bit, from the wrapped heading a state holds, as the rollouts start from it.
+    states = [VehicleState(x, y, psi, speed) for x, y, psi, _ in rows]
+    pos, psi = np.array([(s.x, s.y) for s in states]).T, np.array([s.heading for s in states])
+    a = np.array([row[3] for row in rows])
+    (xn, yn), pn, cs = step_arrays(pos, psi, a, step_operands(speed, dt), np.array((np.cos(psi), np.sin(psi))))
+    # The next step's cos and sin rows are those of the new headings.
     assert cs.tobytes() == np.array((np.cos(pn), np.sin(pn))).tobytes()
-    for i in range(50):
-        s = step(VehicleState(x[i], y[i], psi[i], 5.0), float(a[i]), 0.01)
-        assert xn[i] == pytest.approx(s.x, abs=1e-12)
-        assert yn[i] == pytest.approx(s.y, abs=1e-12)
-        assert pn[i] == pytest.approx(s.heading, abs=1e-12)
+    for i, state in enumerate(states):
+        s = step(state, float(a[i]), dt)
+        assert np.array((xn[i], yn[i], pn[i])).tobytes() == np.array((s.x, s.y, s.heading)).tobytes(), i
