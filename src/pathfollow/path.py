@@ -12,9 +12,11 @@ same table, beside their scalar forms and under the same rules; the window
 and ``lookahead_many`` hands the rare row its 4-segment chunk cannot settle to
 the scalar ``lookahead_point``.  A hinted scalar ``project`` walks from its
 hint to the nearest sample and proves it against per-sample bounds built with
-the table (``_walk_bounds``); wider searches, and the rare walk the bounds
-cannot vouch for, scan their window with numpy.  Both give the same bits, and
-``project_s`` gives the arc length and distance alone, without a PathPoint.
+the table (``_walk_bounds``: every block of samples takes the lesser of its
+chord and sagitta bounds, which vouch for about 12 m off a straight path);
+wider searches, and the rare walk the bounds cannot vouch for, scan their
+window with numpy.  Both give the same bits, and ``project_s`` gives the arc
+length and distance alone, without a PathPoint.
 
 The analytic constructors (sinusoid, circle, line) fill the table from
 closed-form derivatives; polylines are resampled along their not-a-knot cubic
@@ -72,7 +74,6 @@ _WALK_A = 0.75  # the certificate's tangential tolerance a, in spacings
 _WALK_CAP = 1024.0  # the largest normal offset the certificate vouches for, in spacings
 _WALK_EPS = 2.0**-40  # the certificate's float margin: 2^13 units in the last place
 _WALK_SINGLES = 6  # offsets 2 .. 6 are bounded sample by sample, larger ones in blocks
-_WALK_NEAR = 6.0  # blocks from this far along the path on, in metres, take the chord bound
 
 SENSE_ANTICLOCKWISE = "anticlockwise"
 SENSE_CLOCKWISE = "clockwise"
@@ -349,8 +350,8 @@ class ReferencePath:
         s.q <= |s| |q_t| + |s_n| |q_n|.  So |q_t| <= a (0.75 spacings) and
         |q_n| < beta_c = min over k of (|s|^2 / 2 - a |s|) / |s_n| prove it
         for every k at once; ``_walk_bounds`` builds beta per sample, over
-        every k within ``_walk_reach`` samples, with |s| for |s_n| from 6 m
-        along the path on.  NaN or infinite points fail both tests and scan.
+        every k within ``_walk_reach`` samples.  NaN or infinite points fail
+        both tests and scan.
 
         Float margin.  With u = 2^-53 and eps = 2^-40 = 2^13 u: computing q
         and its two components in the stored, not quite unit, tangent frame
@@ -622,39 +623,37 @@ def _walk_bounds(
     2 <= o <= ``reach``, with s = x_k - x_c, s_n its component normal to c's tangent and A = a + eps (a + cap)
     (the float margin is argued there), capped at 1024 spacings and narrowed by eps (a + cap).  Offsets up to
     ``_WALK_SINGLES`` are bounded one sample at a time.  Past them, a block of g samples between offsets o and
-    o + g, g the largest power of two up to o / 2, is bounded at once by its two end samples A and B: its
-    samples lie within w of the chord AB (w from the doubling w_2g(i) <= max(w_g(i), w_g(i + g)) + the
-    distance from sample i + g to the chord from i to i + 2g), so |s_n| <= max(|s_n(A)|, |s_n(B)|) + w, and
-    consecutive samples lie at most a chord apart, so |s| >= (|s(A)| + |s(B)|) / 2 - g chords / 2.  Blocks from
-    ``_WALK_NEAR`` metres on take |s| for |s_n|, the chord bound |q| < |s| / 2, which needs neither normal
-    components nor sagittas, so they run from o to 2 o; it still vouches for about 3 m.  Both ends of the path
-    are extended along their tangents for the blocks that run past them; the extra points only add bounds.
-    Every pass is one numpy operation over the samples, so memory stays linear in the path (2-3 ms for the
-    stock sinusoid).
+    o + g, g the largest power of two up to o / 2 (the last block is cut at ``reach``), is bounded at once by its
+    two end samples A and B.  Consecutive samples lie at most a chord apart, so |s| >= lo = (|s(A)| + |s(B)|) / 2
+    - g chords / 2 over the block.  Each block takes the lesser of two bounds on |s_n|: the chord bound |s_n| <=
+    |s|, which may stand at lo since (x^2 / 2 - A x - m) / x rises with x, and the sagitta bound max(|s_n(A)|,
+    |s_n(B)|) + w, its samples lying within w of the chord AB (w from the doubling w_2g(i) <= max(w_g(i),
+    w_g(i + g)) + the distance from sample i + g to the chord from i to i + 2g), which a block cut shorter than
+    the last doubling's g lacks.  Both ends of the path are extended along their tangents for the blocks that
+    run past them; the extra points only add bounds.  Every pass is one numpy operation over the samples, so
+    memory stays linear in the path (3-4 ms for the stock sinusoid).
     """
-    n, near = x.size, _WALK_NEAR / spacing
+    n, pad = x.size, reach  # the last block ends at offset reach
     blocks = [(o, o) for o in range(2, min(_WALK_SINGLES, reach) + 1)]
     o = _WALK_SINGLES
     while o < reach:
-        ob = o + (1 << ((o // 2).bit_length() - 1)) if o < near else min(2 * o, reach)
+        ob = min(o + (1 << ((o // 2).bit_length() - 1)), reach)
         blocks.append((o, ob))
         o = ob
-    pad = blocks[-1][1] if blocks else 0
     run = spacing * np.arange(pad, 0, -1)
     xp = np.concatenate((x[0] - run * tx[0], x, x[-1] + run[::-1] * tx[-1]))
     yp = np.concatenate((y[0] - run * ty[0], y, y[-1] + run[::-1] * ty[-1]))
     eps, a, cap = _WALK_EPS, _WALK_A * spacing, _WALK_CAP * spacing
     with np.errstate(all="ignore"):  # a table at the float range's edge gets NaN or negative bounds: it scans
-        dx, dy = np.diff(xp), np.diff(yp)
-        chord = float(np.sqrt(np.max(dx * dx + dy * dy))) * (1.0 + eps)
+        chord = float(np.sqrt(np.max(np.diff(xp) ** 2 + np.diff(yp) ** 2))) * (1.0 + eps)
         span = pad * chord
         A, m, slack = a + eps * (a + cap), eps * ((a + cap) ** 2 + span * span), eps * span
         beta = np.full(n, cap)
         g, w = 1, np.zeros(xp.size)  # w_g: samples i .. i + g lie within w_g(i) of their chord
         ends = {}
         for oa, ob in blocks:
-            gap, normal = ob - oa, oa < near
-            while normal and g < gap:  # double w_g
+            gap = ob - oa
+            while 2 * g <= gap:  # double w_g up to the block's g; a block cut at reach is shorter than 2 g
                 size = xp.size - 2 * g
                 ux, uy = xp[2 * g :] - xp[:size], yp[2 * g :] - yp[:size]
                 rx, ry = xp[g : g + size] - xp[:size], yp[g : g + size] - yp[:size]
@@ -666,41 +665,35 @@ def _walk_bounds(
                 np.maximum(w[:size], w[g : g + size], out=w2[:size])
                 w2[:size] += np.sqrt(rx * rx + ry * ry)
                 g, w = 2 * g, w2
-            if ob not in ends:
-                # Offset ob's pairs (i, i + ob) of the extended samples, from i = pad - ob: c's forward
-                # pair is at c + ob, its backward one at c.
-                sx = xp[pad : pad + n + ob] - xp[pad - ob : pad + n]
-                sy = yp[pad : pad + n + ob] - yp[pad - ob : pad + n]
-                sn = []
-                for i in (ob, 0) if normal else ():
-                    v = sy[i : i + n] * tx
-                    v -= sx[i : i + n] * ty
-                    np.abs(v, out=v)
-                    v += slack
-                    sn.append(v)
-                ends = {oa: ends.get(oa), ob: (np.sqrt(sx * sx + sy * sy), sn)}
+            # Offset ob's pairs (i, i + ob) of the extended samples, from i = pad - ob: c's forward
+            # pair is at c + ob, its backward one at c.
+            sx = xp[pad : pad + n + ob] - xp[pad - ob : pad + n]
+            sy = yp[pad : pad + n + ob] - yp[pad - ob : pad + n]
+            sn = []
+            for i in (ob, 0):
+                v = sy[i : i + n] * tx
+                v -= sx[i : i + n] * ty
+                np.abs(v, out=v)
+                v += slack
+                sn.append(v)
+            ends = {oa: ends.get(oa), ob: (np.sqrt(sx * sx + sy * sy), sn)}
             (da, sna), (db, snb) = ends[oa], ends[ob]
             for k, (ia, ib, iw) in enumerate(((oa, ob, pad + oa), (0, 0, pad - ob))):
                 # The least |s|, raised to A: x^2 / 2 - A x rises from x = A on and is negative below it.
-                if gap:
-                    lo = da[ia : ia + n] + db[ib : ib + n]
-                    lo -= gap * chord
-                    lo *= 0.5
-                    np.maximum(lo, A, out=lo)
-                else:
-                    lo = np.maximum(da[ia : ia + n], A)
+                lo = da[ia : ia + n] + db[ib : ib + n]
+                lo -= gap * chord
+                lo *= 0.5
+                np.maximum(lo, A, out=lo)
                 num = lo * 0.5
                 num -= A
                 num *= lo
                 num -= m
-                if not normal:  # the chord bound: |s_n| <= |s|
-                    num /= lo
-                elif gap:
-                    hn = np.maximum(sna[k], snb[k])
+                hn = np.maximum(sna[k], snb[k])  # a single sample's own |s_n|
+                if gap == g:  # the sagitta bound
                     hn += w[iw : iw + n]
-                    num /= hn
-                else:
-                    num /= sna[k]
+                elif gap:  # a block cut at reach has none: the chord bound alone
+                    hn = _INF
+                num /= np.minimum(hn, lo)
                 np.minimum(beta, num, out=beta)
         beta -= eps * (a + cap)
     return beta.tolist()

@@ -14,11 +14,13 @@ k2 = 0 the tick evaluates only the look-ahead term.
 
 Each integration step emits exactly one telemetry record.  Cross-track
 error follows the phase convention: distance to the path start point during
-mid-course, distance to the closest path point otherwise.  Only the blended
-tick and the first k2 = 0 close-range tick (``guidance.track_projection``)
-build a PathPoint; the others read ``ReferencePath.project_s``.  Circle-follow
-ticks search the whole path, over the span ``nearest_span`` proves for points
-within ``_SPAN_REACH`` circle radii of the centre.
+mid-course, distance to the closest path point otherwise.  Close range starts
+with its projection (``guidance.track_projection``, over the whole path from
+the forward-progress guard), so every close-range tick searches from the
+previous projection; only the blended tick builds a PathPoint, the others
+read ``ReferencePath.project_s``.  Circle-follow ticks search the whole path,
+over the span ``nearest_span`` proves for points within ``_SPAN_REACH``
+circle radii of the centre.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     speed / MIN_TARGET_DIST, (speed * max_time)^2 and, for a law that blends (a tuner or a flown k2 other than 0), the
     blend, (k1 MAX_RADIUS + k2 (1 + cap) speed / 2 MIN_RADIUS) times the arc command at the largest gains flown.  At
     most MAX_MISSION_STEPS steps, then MAX_ROLLOUT_STEPS a rollout of steps speed * dt at most the tuner's bound, which
-    its batched projection can follow."""
+    its batched projection can follow, over a gain update's horizon, at least min(d_limit, MIN_RADIUS) / speed > 0."""
     v, dt, mt, d_min = speed, config.dt, config.max_time, guidance.MIN_TARGET_DIST
     k1, k2, tuner = config.flown
     too_fast = not math.isfinite(2.0 * v * v / d_min)
@@ -102,6 +104,9 @@ def mission_problems(config: MissionConfig, speed: float) -> list[str]:
     elif tuner and not too_long and (n := min(tuner.d_limit, MAX_RADIUS) / v / dt) > opt.MAX_ROLLOUT_STEPS:
         problems.append(f"optimizer.d_limit: a rollout's min(d_limit, {MAX_RADIUS:g}) / speed / dt steps must be at most"
                         f" {opt.MAX_ROLLOUT_STEPS}, got {n:.6g} at d_limit {tuner.d_limit!r}, speed {v!r}, dt {dt!r}")
+    if tuner and not (h := min(tuner.d_limit, MIN_RADIUS) / v) > 0.0:  # a quotient under the float range is 0
+        problems.append(f"optimizer.d_limit: a gain update's least horizon min(d_limit, {MIN_RADIUS:g}) / speed must be"
+                        f" positive, got {h!r} at d_limit {tuner.d_limit!r}, speed {v!r}")
     if tuner and not v * dt <= opt._MAX_STEP:
         problems.append(f"sim.dt: a rollout's step speed * dt must be at most {opt._MAX_STEP} m, got {v * dt:.6g}"
                         f" at speed {v!r}, dt {dt!r}")
@@ -135,7 +140,7 @@ class CircleFollow:
 @dataclass
 class CloseRange:
     s_min: float
-    s_proj: float | None = None
+    s_proj: float
     coast_left: int | None = None
 
 
@@ -175,7 +180,7 @@ class Mission:
             self.phase: Phase = Midcourse(solution, circle)
             self._contact = solution.w, circle.tangent_at(solution.w)  # where the arc meets the circle
         else:
-            self.phase = CloseRange(s_min=0.0)
+            self.phase = self._close_range()
 
     # ------------------------------------------------------------------
 
@@ -217,7 +222,11 @@ class Mission:
             circle = self.phase.circle
             self.phase = CircleFollow(circle, self.path.nearest_span(circle.center, _SPAN_REACH * circle.radius))
         if isinstance(self.phase, CircleFollow) and self._arrived(self._start.position, self._start.tangent):
-            self.phase = CloseRange(s_min=0.0)
+            self.phase = self._close_range()
+
+    def _close_range(self) -> CloseRange:
+        """Close range from the current state, with its first projection."""
+        return CloseRange(0.0, guidance.track_projection(self.state, self.path, 0.0, self.config.lookahead)[0].s)
 
     def _arrived(self, point: Vec2, tangent: Vec2) -> bool:
         """Within the position tolerance of ``point`` and the heading tolerance of ``tangent``."""
@@ -258,11 +267,7 @@ class Mission:
         if gains.k2 == 0.0:
             # The corrector weight is 0, so the law is its look-ahead term alone.
             cmd, la = guidance.baseline_step(state, path, s_min, cfg.lookahead)
-            if phase.s_proj is None:  # the first tick: track_projection searches from the forward-progress guard
-                pp, cte = guidance.track_projection(state, path, s_min, cfg.lookahead)
-                phase.s_proj = pp.s
-            else:
-                phase.s_proj, cte = path.project_s(state.position, s_hint=phase.s_proj)
+            phase.s_proj, cte = path.project_s(state.position, s_hint=phase.s_proj)
             la_s, end_of_path = la.point.s, la.end_of_path
         else:
             geom = guidance.corrector_geometry(state, path, s_min, cfg.lookahead, proj_hint=phase.s_proj)

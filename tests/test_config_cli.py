@@ -123,6 +123,14 @@ def test_integer_values_parse_as_floats():
         ({"guidance": {"lookahead": 1e4}, "optimizer": {"d_limit": None}},
          ["optimizer.d_limit: a rollout's min(d_limit, 1e+06) / speed / dt steps must be at most 10000,"
           " got 400000 at d_limit 20000.0, speed 5.0, dt 0.01"]),
+        # A gain update's horizon, min(d_limit, curvature radius) / speed, must not underflow to 0; d_limit defaults
+        # to twice the look-ahead.
+        ({"guidance": {"lookahead": 5e-324}},
+         ["optimizer.d_limit: a gain update's least horizon min(d_limit, 0.001) / speed must be positive,"
+          " got 0.0 at d_limit 1e-323, speed 5.0"]),
+        ({"optimizer": {"d_limit": 1e-323}},
+         ["optimizer.d_limit: a gain update's least horizon min(d_limit, 0.001) / speed must be positive,"
+          " got 0.0 at d_limit 1e-323, speed 5.0"]),
         ({"sweep": {"headings_deg": []}}, ["sweep.headings_deg: expected a non-empty list"]),
         ({"sweep": {"headings_deg": [1, "a", None]}}, ["sweep.headings_deg: non-numeric entries ['a', None]"]),
         ({"controller": "bogus", "vehicel": {}},

@@ -561,6 +561,20 @@ def test_walk_bounds_never_exceed_the_exact_bound(path):
     assert np.any(beta > 0.0)
 
 
+def test_walk_vouches_for_points_metres_off_a_line_or_a_wide_circle():
+    # Every block of _walk_bounds takes the lesser of its chord and sagitta bounds, so on a line or a wide circle
+    # beta is set by the last block, cut at the reach, which has only the chord bound: about half of its 25 m,
+    # 12.8 m on a line and 12.5 m on a 50 m circle.
+    line = make_line_path((0.0, 0.0), (1.0, 0.0), 300.0)
+    assert min(line._betal) > 12.0
+    (pp, d), (walk, scan) = _walked(line, (150.0, 10.0), 149.0, None)
+    assert walk == scan >= 0 and (pp.s, d) == line.project_s((150.0, 10.0), s_hint=149.0)
+    circle = make_circle_path((0.0, 0.0), 50.0)
+    p = (58.0 * math.cos(1.0), 58.0 * math.sin(1.0))  # 8 m outside the point at 50 m
+    (pp, d), (walk, scan) = _walked(circle, p, 49.0, None)
+    assert walk == scan >= 0 and pp.s == pytest.approx(50.0, abs=0.01)
+
+
 def test_walk_refuses_a_point_just_past_the_tangential_tolerance():
     # Samples along x with their stored tangents along y: a point straight above sample c is nearest c, with
     # q_t its height and q_n 0, so only the |q_t| <= a test decides.  a = 0.75 spacings = 0.1875 m exactly.

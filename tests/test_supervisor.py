@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pathfollow import optimizer
+from pathfollow.config import parse_scenario
 from pathfollow.metrics import PHASE_CIRCLE, PHASE_CLOSE, PHASE_MIDCOURSE, summarize
 from pathfollow.midcourse import InfeasibleGeometryError
 from pathfollow.optimizer import OptimizerSettings
@@ -225,3 +227,34 @@ def test_a_fixed_gain_law_that_blends_keeps_the_blended_command_bound(bench_path
     config = MissionConfig(k1=1.0, k2=k2)
     with pytest.raises(ValueError, match="guidance.k1/k2: the blended command must be finite"):
         Mission(bench_path, VehicleState(-15.0, 0.0, 0.0, 5.0), config)
+
+
+def test_each_gain_update_predicts_the_cost_the_mission_flies(monkeypatch):
+    # A gain update's cost is the RMS cross-track error of its winning pair's rollout.  Where the mission flies that
+    # pair for the whole horizon, in close range and before the next update, the flown RMS over those ticks, summed
+    # in step order as the rollout sums it, is the same to the last few bits.  The stock proposed mission's first
+    # five such updates: they catch a tuner that flies other dynamics than the mission, such as a cut projection reach.
+    cfg = parse_scenario({})
+    mission = Mission(cfg.build_path(), cfg.build_state(39.118), cfg.mission_config("proposed"))
+    updates, optimize = [], optimizer.optimize_gains
+
+    def spy(*args, **kwargs):
+        updates.append((len(mission.record), optimize(*args, **kwargs)))  # the index of the tick it serves
+        return updates[-1][1]
+
+    monkeypatch.setattr(optimizer, "optimize_gains", spy)
+    rec, checked = mission.record, []
+    while len(checked) < 5:
+        assert not mission.done
+        seen = len(updates)
+        mission.step()
+        if len(updates) > seen >= 1:  # a new update ends the previous one's gains
+            (i0, res), (i1, _) = updates[-2:]
+            n = max(1, round(res.horizon / mission.config.dt))
+            if i0 + n <= i1 and set(rec.phase[i0 : i0 + n]) == {PHASE_CLOSE}:
+                sq = 0.0
+                for cte in rec.cte[i0 : i0 + n]:
+                    sq += cte * cte
+                checked.append((res.cost, math.sqrt(sq / n)))
+    for cost, flown in checked:
+        assert cost == pytest.approx(flown, rel=1e-12, abs=0.0)
