@@ -336,8 +336,7 @@ def blended_many(pos, cs, proj, p2, law, ks):
         np.putmask(eta[1], ~lc, _ZERO)
 
     rv = np.empty((2, k))  # r_l1, then v_m
-    # curvature_radius's clamp: 1 / max(|kappa|, 1e-6) never exceeds MAX_RADIUS = 1e6,
-    # since 1 / (1 / 1e6) rounds to 1e6, so only the lower clamp runs.
+    # curvature_radius's expression, whose docstring says why only the lower clamp is written.
     np.maximum(_MIN_RADIUS, _ONE / np.maximum(np.abs(p2[4]), _MIN_CURVATURE), out=rv[0])
     cb = p2[2:4] * v[:, 0]
     cosb = (cb[0] + cb[1]) / np.maximum(lens[0], _MIN_D12)

@@ -82,7 +82,11 @@ SENSE_SIGN = {SENSE_ANTICLOCKWISE: 1.0, SENSE_CLOCKWISE: -1.0}  # the sign of a 
 
 @dataclass(slots=True)
 class PathPoint:
-    """A point of a reference path, parameterized by arc length ``s``."""
+    """A point of a reference path, parameterized by arc length ``s``.
+
+    ``tangent`` is the unit tangent, or (0, 0) where the interpolated tangent vanishes (a cusp's
+    midpoint), as in :meth:`ReferencePath.point_at_many`.
+    """
 
     s: float
     position: Vec2
@@ -107,11 +111,9 @@ class LookaheadResult:
 
 
 def curvature_radius(pp: PathPoint) -> float:
-    """Unsigned radius of curvature, clamped to [MIN_RADIUS, MAX_RADIUS]."""
-    k = abs(pp.curvature)
-    if k <= 1.0 / MAX_RADIUS:
-        return MAX_RADIUS
-    return min(MAX_RADIUS, max(MIN_RADIUS, 1.0 / k))
+    """Unsigned radius of curvature, clamped to [MIN_RADIUS, MAX_RADIUS] as ``guidance.blended_many`` clamps it:
+    1 / (1 / MAX_RADIUS) rounds to MAX_RADIUS, so only the lower clamp is written."""
+    return max(MIN_RADIUS, 1.0 / max(abs(pp.curvature), 1.0 / MAX_RADIUS))
 
 
 class ReferencePath:
@@ -205,27 +207,25 @@ class ReferencePath:
     def start(self) -> PathPoint:
         return self.point_at(0.0)
 
-    def _segment_fraction(self, s: float) -> tuple[int, float]:
-        s = min(max(s, 0.0), self._total)
-        u = s / self._ds
-        j = int(u)
-        if j > self._n - 2:
-            j = self._n - 2
-        return j, u - j
-
     def _point_at_fraction(self, j: int, f: float) -> PathPoint:
         txl, tyl, kl = self._txl, self._tyl, self._kl
         tx0, ty0, k0 = txl[j], tyl[j], kl[j]
         tx, ty = tx0 + (txl[j + 1] - tx0) * f, ty0 + (tyl[j + 1] - ty0) * f
         tn = hypot(tx, ty)
-        tangent = (tx0, ty0) if tn == 0.0 else (tx / tn, ty / tn)
+        tn = tn if tn > 1e-300 else 1e-300  # point_at_many's floor: a vanishing tangent stays (0, 0)
         position = (self._pxl[j] + self._dxl[j] * f, self._pyl[j] + self._dyl[j] * f)
-        return PathPoint((j + f) * self._ds, position, tangent, k0 + (kl[j + 1] - k0) * f)
+        return PathPoint((j + f) * self._ds, position, (tx / tn, ty / tn), k0 + (kl[j + 1] - k0) * f)
 
     def point_at(self, s: float) -> PathPoint:
-        """Evaluate position, unit tangent and curvature at arc length ``s``."""
-        j, f = self._segment_fraction(float(s))
-        return self._point_at_fraction(j, f)
+        """Evaluate position, unit tangent and curvature at arc length ``s``, under :meth:`point_at_many`'s
+        rules: the fraction s / spacing is clamped to the table after the division, and the tangent is (0, 0)
+        where the interpolated one vanishes."""
+        last = self._n - 1.0
+        u = float(s) / self._ds
+        u = last if last < u else (0.0 if 0.0 > u else u)
+        j = int(u)
+        j = j if j < self._n - 2 else self._n - 2
+        return self._point_at_fraction(j, u - j)
 
     def point_at_many(self, s: np.ndarray) -> np.ndarray:
         """Position, unit tangent and curvature at arc lengths of any shape, as rows x, y, tx, ty, kappa
@@ -261,15 +261,15 @@ class ReferencePath:
         The search window's first nearest sample comes from one of two
         places, with the same bits.  A hinted window spanning at most
         ``_walk_reach`` samples (every one up to 25 m) is walked from the
-        hint's sample to a local minimum, which a certificate from per-sample
-        bounds proves to be the scan's answer, float rounding included
-        (:meth:`_walk_nearest` argues the margin).  Unhinted and wider
-        windows, and any walk the certificate cannot vouch for, take the
-        numpy scan, :meth:`_scan_nearest`.  The segments ending and starting
-        at that sample, none before the guard's, are then solved under
-        :meth:`project_many`'s rules in plain floats, squared with ``**``,
-        which differs from ``x * x`` in the last bit on about 0.1% of
-        inputs, so the two are not swapped.
+        hint's sample to a local minimum, stopping at the window's ends, which
+        a certificate from per-sample bounds proves to be the scan's answer,
+        float rounding included (:meth:`_walk_nearest` argues the margin).
+        Unhinted and wider windows, and only the walks the certificate cannot
+        vouch for, take the numpy scan, :meth:`_scan_nearest`.  The segments
+        ending and starting at that sample, none before the guard's, are then
+        solved under :meth:`project_many`'s rules in plain floats, squared
+        with ``**``, which differs from ``x * x`` in the last bit on about
+        0.1% of inputs, so the two are not swapped.
         """
         j, u, dd = self._nearest(p, s_hint, window)
         return self._point_at_fraction(j, u), sqrt(dd)
@@ -303,7 +303,7 @@ class ReferencePath:
         hi_s = 0.0 if 0.0 > hi_s else hi_s
         ilo, ihi = int(lo_s / ds), int(hi_s / ds) + 2
         ihi = n if n < ihi else ihi
-        walk = walk and 2 < ihi - ilo <= self._walk_reach + 1
+        walk = walk and 1 < ihi - ilo <= self._walk_reach + 1
         i0 = self._walk_nearest(px, py, ilo, ihi, s_hint if s_hint > lo_s else lo_s) if walk else -1
         if i0 < 0:
             i0 = self._scan_nearest(px, py, ilo, ihi)
@@ -337,13 +337,16 @@ class ReferencePath:
     def _walk_nearest(self, px: float, py: float, ilo: int, ihi: int, s_hint: float) -> int:
         """:meth:`_scan_nearest`'s sample, found by a walk from the hint's, or -1 when unproven.
 
-        The walk moves from the hint's sample (kept off the window's ends) to
-        a local minimum c of e_k = dx * dx + dy * dy, the scan's own float
+        The walk moves from the hint's sample, clamped into the window, to a
+        local minimum c of e_k = dx * dx + dy * dy, the scan's own float
         operations, so every e it compares has the scan's bits; a close-range
-        tick takes two or three.  A walk that reaches the window's first or
-        last sample gives up.  The certificate then proves that every sample
-        k of the window with |k - c| >= 2 has e_k > e_c, so the scan's first
-        minimum is c - 1 when e_{c-1} == e_c and c otherwise.
+        tick takes two or three.  It walks downhill ahead, or behind when no
+        step ahead is downhill, and stops at the window's first or last
+        sample as at any other minimum: no window sample lies before the
+        first or after the last.  The certificate then proves that every
+        sample k of the window with |k - c| >= 2 has e_k > e_c, so the scan's
+        first minimum is c - 1 when e_{c-1} == e_c and c otherwise; only a
+        point the certificate cannot vouch for is left to the scan.
 
         Take q = p - x_c and s = x_k - x_c in c's tangent frame.  x_k lies
         strictly farther from p than x_c when s.q < |s|^2 / 2, and
@@ -364,33 +367,26 @@ class ReferencePath:
         keeps, e_k - e_c > 2m, to beat the rounding of e_k and e_c, 4u each
         of at most |q|^2 + (e_k - e_c) with |q| <= a + cap.
         """
-        xl, yl = self._pxl, self._pyl
-        i = int(s_hint / self._ds)
-        i = ilo + 1 if i <= ilo else (ihi - 2 if i >= ihi - 1 else i)
+        xl, yl, last = self._pxl, self._pyl, ihi - 1
+        u = s_hint / self._ds
+        i = start = last if last < u else (ilo if ilo > u else int(u))
         dx, dy = xl[i] - px, yl[i] - py
         e = dx * dx + dy * dy
-        dx, dy = xl[i + 1] - px, yl[i + 1] - py
-        e1 = dx * dx + dy * dy
+        while i < last:  # downhill ahead: e_{c-1} > e_c where the walk stops
+            dx, dy = xl[i + 1] - px, yl[i + 1] - py
+            e1 = dx * dx + dy * dy
+            if not e1 < e:
+                break
+            i, e = i + 1, e1
         tie = False
-        if e1 < e:  # downhill ahead: e_{c-1} > e_c where the walk stops
-            while True:
-                i, e = i + 1, e1
-                if i == ihi - 1:
-                    return -1
-                dx, dy = xl[i + 1] - px, yl[i + 1] - py
-                e1 = dx * dx + dy * dy
-                if not e1 < e:
-                    break
-        else:
-            while True:
+        if i == start:  # no step ahead: downhill behind, to e_{c-1} >= e_c
+            while i > ilo:
                 dx, dy = xl[i - 1] - px, yl[i - 1] - py
                 e1 = dx * dx + dy * dy
                 if not e1 < e:
+                    tie = e1 == e
                     break
                 i, e = i - 1, e1
-                if i == ilo:
-                    return -1
-            tie = e1 == e
         qx, qy, tx, ty = px - xl[i], py - yl[i], self._txl[i], self._tyl[i]
         if self._walk_a >= abs(qx * tx + qy * ty) and self._betal[i] > abs(qy * tx - qx * ty):
             return i - 1 if tie else i

@@ -47,3 +47,11 @@ def corner_table():
     pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
     n = len(pts)
     return ReferencePath(pts, np.tile([1.0, 0.0], (n, 1)), np.linspace(-0.5, 0.5, n), 1.0)
+
+
+def cusp_table():
+    """A 50 m line along x at spacing 1 whose sample 1 has the tangent (-1, 0): the interpolated tangent vanishes
+    halfway from sample 0 to sample 1."""
+    tangents = np.tile([1.0, 0.0], (51, 1))
+    tangents[1] = (-1.0, 0.0)
+    return ReferencePath(np.column_stack([np.arange(51.0), np.zeros(51)]), tangents, np.zeros(51), 1.0)

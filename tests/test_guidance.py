@@ -17,6 +17,8 @@ from pathfollow.guidance import (
 from pathfollow.path import make_circle_path, make_line_path, make_sinusoid_path
 from pathfollow.vehicle import VehicleState, step
 
+from path_tables import cusp_table
+
 
 def state_at(x, y, heading_deg, speed=5.0):
     return VehicleState(x, y, math.radians(heading_deg), speed)
@@ -163,6 +165,14 @@ def test_corrector_perpendicular_heading_falls_back():
     g = corrector_geometry(state_at(20.0, 1.0, 90.0), line, 0.0, 10.0)
     assert g.fallback
     assert g.p4 == pytest.approx(g.p2.position, abs=1e-12)
+
+
+def test_corrector_falls_back_where_the_path_tangent_vanishes():
+    # The projection lies halfway to the cusp, where point_at's tangent is (0, 0), as point_at_many's is: the
+    # tangent line is parallel to every heading, as in blended_many's degenerate branch.
+    g = corrector_geometry(VehicleState(0.5, 1.0, 0.0, 5.0), cusp_table(), 0.0, 10.0, proj_hint=0.0)
+    assert g.proj.s == 0.5 and g.proj.tangent == (0.0, 0.0)
+    assert g.fallback and g.p4 == g.p2.position
 
 
 # ----------------------------------------------------------------------

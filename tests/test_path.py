@@ -15,6 +15,7 @@ from pathfollow.cli import main
 from pathfollow.path import (
     MAX_RADIUS,
     MAX_SAMPLES,
+    MIN_RADIUS,
     LookaheadResult,
     PathPoint,
     ReferencePath,
@@ -25,7 +26,7 @@ from pathfollow.path import (
     make_sinusoid_path,
 )
 
-from path_tables import kinked_table, spike_table
+from path_tables import cusp_table, kinked_table, spike_table
 
 
 def bench_y(x):
@@ -92,6 +93,21 @@ def test_sinusoid_start_curvature_matches_central_difference(sinusoid):
     r = curvature_radius(sinusoid.point_at(0.0))
     assert r == pytest.approx(r_fd, rel=1e-4)
     assert r == pytest.approx(15.168, abs=2e-3)
+
+
+def test_point_at_takes_point_at_manys_clamp_and_tangent_floor():
+    # x = 0.1 k, y = x^2 / 2: total / 0.1 rounds above the last sample's 3, so a clamp of s to the path
+    # length before the division would extrapolate past it; point_at clamps after it, as point_at_many does.
+    x = 0.1 * np.arange(4.0)
+    table = ReferencePath(np.column_stack([x, x * x / 2.0]), np.column_stack([np.ones(4), x]), np.ones(4), 0.1)
+    assert table.total_length / table.spacing > 3.0
+    for s in (table.total_length, 1e9, math.inf, -math.inf, -1.0, 0.0, 0.15):
+        pp, row = table.point_at(s), table.point_at_many(np.array([s]))[:, 0]
+        assert (*pp.position, pp.curvature) == (row[0], row[1], row[4]), s
+    # Halfway to the cusp the interpolated tangent vanishes and both forms answer (0, 0).  Elsewhere math.hypot
+    # and np.hypot may part in the last bit, so tangents are compared only here.
+    cusp = cusp_table()
+    assert cusp.point_at(0.5).tangent == (0.0, 0.0) == tuple(cusp.point_at_many(np.array([0.5]))[2:4, 0])
 
 
 def test_sinusoid_empty_domain_rejected():
@@ -587,6 +603,27 @@ def test_walk_refuses_a_point_just_past_the_tangential_tolerance():
     assert path._walk_nearest(c * ds, -math.nextafter(a, math.inf), 0, n, c * ds) == -1
 
 
+@pytest.mark.parametrize(
+    "p, hint, where",
+    [((0.0, 1.0), 0.0, "path start"), ((100.0, 1.0), 99.0, "path end"), ((51.0, 1.0), 52.0, "guard")],
+    ids=["path_start", "path_end", "guard"],
+)
+def test_walk_answers_at_its_windows_ends(p, hint, where):
+    # The nearest sample is the window's first or last one: the walk stops there as at any other minimum.
+    line = make_line_path((0.0, 0.0), (1.0, 0.0), 100.0)
+    windows = []
+    line._walk_nearest = lambda *args: windows.append(args) or -1  # the window project builds for the hint
+    try:
+        line.project(p, s_hint=hint)
+    finally:
+        del line._walk_nearest
+    (args,) = windows
+    ilo, ihi = args[2:4]
+    assert line._walk_nearest(*args) == line._scan_nearest(*args[:4]) >= 0
+    assert line._walk_nearest(*args) == (ihi - 1 if where == "path end" else ilo)
+    assert where != "path end" or ihi == line._n
+
+
 def test_walk_answers_every_hinted_window_of_the_stock_baseline_run(tmp_path, monkeypatch):
     walks, windows = [], []
     # The mission's hinted ticks ask project_s; track_projection's first, whole-path one asks project.
@@ -740,6 +777,13 @@ def test_chord_never_exceeds_arc(sinusoid):
 def test_curvature_radius_straight_line_clamps_high():
     line = make_line_path((0.0, 0.0), (1.0, 1.0), 50.0)
     assert curvature_radius(line.point_at(10.0)) == MAX_RADIUS
+
+    def branchy(kappa):  # the clamp written with its upper branch
+        k = abs(kappa)
+        return MAX_RADIUS if k <= 1.0 / MAX_RADIUS else min(MAX_RADIUS, max(MIN_RADIUS, 1.0 / k))
+
+    for kappa in (0.0, 1e-6, -1e-6, math.nextafter(1e-6, 1.0), 5e-324, 1e3, 2e3, 1e308):
+        assert curvature_radius(PathPoint(0.0, (0.0, 0.0), (1.0, 0.0), kappa)) == branchy(kappa), kappa
 
 
 def test_curvature_radius_circle_recovers_radius():
