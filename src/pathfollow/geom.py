@@ -19,18 +19,6 @@ TWO_PI = 2.0 * math.pi
 PARALLEL_EPS = 1e-9
 
 
-def sub(a: Vec2, b: Vec2) -> Vec2:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def dot(a: Vec2, b: Vec2) -> float:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def cross(a: Vec2, b: Vec2) -> float:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def perp_left(a: Vec2) -> Vec2:
     """Rotate a vector by +90 degrees (left normal)."""
     return (-a[1], a[0])
@@ -56,7 +44,7 @@ def signed_angle(a: Vec2, b: Vec2) -> float:
     """
     if (a[0] == 0.0 and a[1] == 0.0) or (b[0] == 0.0 and b[1] == 0.0):
         raise ValueError("degenerate direction: zero vector")
-    ang = math.atan2(cross(a, b), dot(a, b))
+    ang = math.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])  # atan2(cross, dot)
     if ang <= -math.pi:
         ang += TWO_PI
     return ang

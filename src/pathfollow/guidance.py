@@ -25,7 +25,7 @@ from math import atan2, cos, hypot, pi, sin
 
 import numpy as np
 
-from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle, sub
+from .geom import PARALLEL_EPS, TWO_PI, Vec2, heading_vector, signed_angle
 from .path import MAX_RADIUS, MIN_RADIUS, PathPoint, ReferencePath, curvature_radius
 from .vehicle import VehicleState
 
@@ -99,7 +99,7 @@ class CorrectorGeometry:
 
 def eta(state: VehicleState, target: Vec2) -> float:
     """Signed angle from the velocity direction to the line of sight."""
-    los = sub(target, state.position)
+    los = (target[0] - state.x, target[1] - state.y)
     if los[0] == 0.0 and los[1] == 0.0:
         raise ValueError("zero LOS: target coincides with vehicle position")
     return signed_angle(heading_vector(state.heading), los)
@@ -148,21 +148,9 @@ def baseline_step(state: VehicleState, path: ReferencePath, s_min: float, lookah
     return arc_command(state, tx, ty), la
 
 
-def track_projection(
-    state: VehicleState,
-    path: ReferencePath,
-    s_min: float,
-    lookahead_dist: float,
-    proj_hint: float | None = None,
-):
-    """Vehicle projection for tracking loops.
-
-    With a hint from the previous step the search is local; without one
-    (first step) the whole path beyond the forward-progress guard is
-    searched.
-    """
-    if proj_hint is not None:
-        return path.project(state.position, s_hint=proj_hint)
+def track_projection(state: VehicleState, path: ReferencePath, s_min: float, lookahead_dist: float):
+    """A tracking loop's first vehicle projection: the whole path beyond the forward-progress guard is searched.
+    Later ticks hint ``path.project`` with the previous projection's arc length (``corrector_geometry``'s proj_hint)."""
     hint = max(s_min - lookahead_dist - 5.0, 0.0)
     return path.project(state.position, s_hint=hint, window=path.total_length)
 
@@ -180,14 +168,17 @@ def corrector_geometry(
     vehicle's projection with the line through the look-ahead point
     perpendicular to the velocity.  If those lines are parallel (path tangent
     perpendicular to the heading) the corrector degenerates to the look-ahead
-    point and the fallback flag is set.
+    point and the fallback flag is set.  The projection is ``path.project``
+    hinted with ``proj_hint``, the previous one's arc length, or without a
+    hint :func:`track_projection`.
     """
     p1 = state.position
     hx, hy = math.cos(state.heading), math.sin(state.heading)
 
     la = path.lookahead_point(p1, s_min, lookahead_dist)
     p2 = la.point
-    proj, proj_dist = track_projection(state, path, s_min, lookahead_dist, proj_hint)
+    proj, proj_dist = (track_projection(state, path, s_min, lookahead_dist) if proj_hint is None
+                       else path.project(p1, s_hint=proj_hint))
 
     p2x, p2y = p2.position
     rx, ry = p2x - p1[0], p2y - p1[1]
@@ -219,7 +210,9 @@ def corrector_geometry(
 
     t2x, t2y = p2.tangent
     cosb = (t2x * rx + t2y * ry) / max(d12, 1e-12)
-    v_l = _range_rate_speed(state.speed, eta12, cosb)
+    # The look-ahead point's speed from the zero-range-rate balance, clamped.
+    cb = max(cosb, COS_BETA_MIN) if cosb >= 0.0 else min(cosb, -COS_BETA_MIN)
+    v_l = min(max(state.speed * math.cos(eta12) / cb, 0.0), LOOKAHEAD_SPEED_CAP * state.speed)
     v_m = 0.5 * (state.speed + v_l)
 
     return CorrectorGeometry(
@@ -241,16 +234,6 @@ def corrector_geometry(
         fallback=la.fallback or degenerate,
         end_of_path=la.end_of_path,
     )
-
-
-def _range_rate_speed(speed: float, eta12: float, cos_beta: float) -> float:
-    """Look-ahead point speed from the zero-range-rate balance, clamped."""
-    if cos_beta >= 0.0:
-        cb = max(cos_beta, COS_BETA_MIN)
-    else:
-        cb = min(cos_beta, -COS_BETA_MIN)
-    v_l = speed * math.cos(eta12) / cb
-    return min(max(v_l, 0.0), LOOKAHEAD_SPEED_CAP * speed)
 
 
 def blend_weights(gains: GuidanceGains, r_l1: float, l23: float, l43: float, v_m: float):

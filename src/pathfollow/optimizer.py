@@ -227,9 +227,7 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
 
     Rows are independent bit for bit: a subset of the candidates rolls out to the same costs."""
     speed, total = state.speed, path.total_length
-    law, rk4, ks = law_operands(speed), step_operands(speed, dt), np.array((k1s, k2s))
-    if a_max is not None:
-        lo, hi = np.array(-a_max), np.array(a_max)
+    law, rk4, ks = law_operands(speed), step_operands(speed, dt, a_max), np.array((k1s, k2s))
 
     k = k1s.size
     pos = np.empty((2, k))  # rows x, y
@@ -258,9 +256,6 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
         cmd = blended_many(pos, cs, pts[:4, 0], pts[:, 1], law, ks)
         if any_ended:
             np.putmask(cmd, ended, 0.0)
-        if a_max is not None:  # vehicle.step's clamp: for a_max > 0, NaN and -0.0 pass as there
-            np.maximum(cmd, lo, out=cmd)
-            np.minimum(cmd, hi, out=cmd)
         pos, psi, cs = step_arrays(pos, psi, cmd, rk4, cs)
 
     costs = np.sqrt(cte_sq / n_steps)

@@ -179,8 +179,10 @@ class ReferencePath:
         self._wx, self._wy = sliding_window_view(t[_XY], width, axis=1)
         self._wseg = np.array((np.maximum(np.arange(width) - 1, 0), np.arange(width)))  # segments at sample i
         self.max_chord = max_chord  # bounds the look-ahead scans' skips
-        # The batched queries' last sample, last segment and spacing, as 0-d arrays (see _ZERO).
-        self._nd_last, self._nd_last_seg, self._nd_ds = np.array(n - 1.0), np.array(n - 2), np.array(spacing)
+        # The batched queries' last sample, last segment (a float: fractions clamp before the int64 cast), the
+        # same as an index, and spacing, as 0-d arrays (see _ZERO).
+        self._nd_last, self._nd_last_seg, self._nd_last_j = np.array(n - 1.0), np.array(n - 2.0), np.array(n - 2)
+        self._nd_ds = np.array(spacing)
         # The hinted projection's walk: the widest sample span it may answer, its tangential
         # tolerance and its per-sample normal bounds (built before the rows below, for a lower peak).
         self._walk_reach = min(n - 1, math.ceil((_WALK_WINDOW + 1.0) / spacing) + 3)
@@ -231,7 +233,7 @@ class ReferencePath:
         """Position, unit tangent and curvature at arc lengths of any shape, as rows x, y, tx, ty, kappa
         in front of that shape."""
         u = np.minimum(np.maximum(s / self._nd_ds, _ZERO), self._nd_last)
-        j = np.minimum(u.astype(np.int64), self._nd_last_seg)
+        j = np.minimum(u, self._nd_last_seg).astype(np.int64)
         g = self._table.take(j, axis=1)
         pts = g[_POINT] + g[_DIFF] * (u - j.astype(float))  # a float operand: mixed int/float ops cost more
         pts[2:4] /= np.maximum(np.hypot(pts[2], pts[3]), _TINY)
@@ -400,10 +402,12 @@ class ReferencePath:
         It answers ``project(p, s_hint=s_prev)`` wherever that answer lies in its window, 0.5 m past the guard at
         least: the arc length bit for bit and the distance within 2 ULP (``x * x`` against ``**``).  The scalar search
         reaches 25 m ahead, so on a path that comes back within 25 m (a hairpin) it may pick a later leg that this
-        window cannot reach; the tuner keeps its steps short of the reach (``optimizer._MAX_STEP``)."""
-        last_seg, t = self._nd_last_seg, self._table
+        window cannot reach; the tuner keeps its steps short of the reach (``optimizer._MAX_STEP``).  An s_prev past
+        the path end, +inf included, answers as the scalar hint does; a NaN one, which the scalar refuses, is not
+        checked."""
+        t = self._table
         lo_u = np.fmax(s_prev - _ONE, _ZERO) / self._nd_ds
-        j_lo = np.minimum(lo_u.astype(np.int64), last_seg)
+        j_lo = np.minimum(lo_u, self._nd_last_seg).astype(np.int64)
         # The window from sample j_lo per row; the table's padding stands in for samples past the end.
         wx, wy = self._wx[j_lo], self._wy[j_lo]
         wx -= pos[0, :, None]
@@ -412,7 +416,7 @@ class ReferencePath:
         wy *= wy
         wx += wy
         # The segments ending and starting at the nearest sample, none before the window's first.
-        jc = np.minimum(self._wseg.take(wx.argmin(axis=1), axis=1) + j_lo, last_seg)
+        jc = np.minimum(self._wseg.take(wx.argmin(axis=1), axis=1) + j_lo, self._nd_last_j)
         g = t[:5].take(jc, axis=1)  # seg2, x, dx, y, dy
         p = pos[:, None]
         r = p - g[1:4:2]
@@ -523,7 +527,8 @@ class ReferencePath:
 
     def lookahead_many(self, pos: np.ndarray, s_lb: np.ndarray, lookahead_dist: float):
         """First circle/path crossing after s_lb per row of ``pos`` (x, then y): :meth:`lookahead_point`'s answers, bit
-        for bit; like its ``s_min``, an s_lb below 0 counts as 0.
+        for bit; like its ``s_min``, an s_lb below 0 counts as 0 and one past the end, +inf included, as the end (a NaN
+        one, which the scalar refuses, is not checked).
 
         One chunk of the 4 segments from the one holding s_lb, for the usual
         advance of 0-2 segments, answers most rows at once, under the scalar
@@ -538,7 +543,7 @@ class ReferencePath:
         n, t = self._n, self._table
         l2 = lookahead_dist * lookahead_dist
         u_s = np.maximum(s_lb, _ZERO) / self._nd_ds
-        j = np.minimum(u_s.astype(np.int64), self._nd_last_seg)
+        j = np.minimum(u_s, self._nd_last_seg).astype(np.int64)
         idx = _CHUNK + j  # segments as rows, states as columns
         g = t[:5].take(idx, axis=1)  # seg2, x, dx, y, dy
         a = g[0]

@@ -84,22 +84,28 @@ def _check_a_max(a_max) -> None:
         raise ValueError(f"a_max must be positive or None, got {a_max!r}")
 
 
-def step_operands(speed: float, dt: float):
-    """:func:`step_arrays`' operands as arrays, built once per rollout: V, the column
-    (0.5 dt, dt, dt) and V dt / 6, each the float :func:`step` computes."""
-    return np.array(speed), np.array([[0.5 * dt], [dt], [dt]]), np.array(speed * dt / 6.0)
+def step_operands(speed: float, dt: float, a_max: float | None = None):
+    """:func:`step_arrays`' operands as arrays, built once per rollout: V, the column (0.5 dt, dt, dt), V dt / 6,
+    each the float :func:`step` computes, and None or the clamp's bounds -a_max, a_max, refused as there."""
+    _check_a_max(a_max)
+    bounds = None if a_max is None else (np.array(-a_max), np.array(a_max))
+    return np.array(speed), np.array([[0.5 * dt], [dt], [dt]]), np.array(speed * dt / 6.0), bounds
 
 
 def step_arrays(pos, psi, a_cmd, rk4, cs):
     """Vectorized RK4 step matching :func:`step`; used by batched rollouts.
 
     ``pos`` holds the positions and ``cs`` cos(psi) and sin(psi), each as (2, K) rows x, y, and
-    ``rk4`` is :func:`step_operands` of the speed and time step.  psi2, psi4 and the new
-    heading (psi4 wrapped) share one cos and one sin call, and x and y one update, each element
-    with :func:`step`'s operations in its order, so the step is the same bit for bit.  Returns
+    ``rk4`` is :func:`step_operands` of the speed, time step and a_max.  The commands clamp as in
+    :func:`step` (NaN and -0.0 pass), into a new array: ``a_cmd`` keeps its values.  psi2, psi4 and
+    the new heading (psi4 wrapped) share one cos and one sin call, and x and y one update, each
+    element with :func:`step`'s operations in its order, so the step is the same bit for bit.  Returns
     the new positions, headings and the headings' cos and sin rows, which the next step takes.
     """
-    speed, steps, scale = rk4
+    speed, steps, scale, bounds = rk4
+    if bounds is not None:  # min(max(a_cmd, -a_max), a_max)
+        a_cmd = np.maximum(a_cmd, bounds[0])
+        np.minimum(a_cmd, bounds[1], out=a_cmd)
     ang = steps * (a_cmd / speed)  # psi2 - psi, psi4 - psi twice
     ang += psi
     pw = ang[2]  # the new heading

@@ -9,15 +9,17 @@ from pathfollow.guidance import (
     baseline_step,
     blend_weights,
     blended_command,
+    blended_many,
     corrector_geometry,
     eta,
     latax_l1,
+    law_operands,
     weighted_blend,
 )
 from pathfollow.path import make_circle_path, make_line_path, make_sinusoid_path
 from pathfollow.vehicle import VehicleState, step
 
-from path_tables import cusp_table
+from path_tables import corner_table, cusp_table
 
 
 def state_at(x, y, heading_deg, speed=5.0):
@@ -251,6 +253,45 @@ def test_blended_single_term_selection():
     assert blended_command(st, g, GuidanceGains(1.0, 0.0, 10.0)) == pytest.approx(a12, abs=1e-12)
     assert blended_command(st, g, GuidanceGains(0.0, 1.0, 10.0)) == pytest.approx(a14, abs=1e-12)
     assert blended_command(st, g, GuidanceGains(0.0, 0.0, 10.0)) == pytest.approx(a12, abs=1e-12)
+
+
+LAW_PATHS = {
+    "stock": make_sinusoid_path(-15.0, 150.0),
+    "circle": make_circle_path((3.0, -2.0), 15.0, start_angle=0.3, turns=1.25),
+    "line": make_line_path((0.0, 0.0), (1.0, 0.0), 60.0),
+    "corner": corner_table(),
+    "cusp": cusp_table(),
+}
+# (k1, k2): zeros of both signs, small and large gains, and k2 = 0, the look-ahead term alone.
+LAW_GAINS = ((0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (1e-6, 2.0), (3.0, 1e-6), (1e3, 1e3), (10.0, 0.0), (0.0, 10.0))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_PATHS))
+def test_blended_many_agrees_with_the_scalar_law(name):
+    # The tuner's batched law, fed the scalar law's own projection and look-ahead point as rows, gives
+    # blended_command's command within 1e-13 relative.  The only cause of a difference is math.atan2 and
+    # math.hypot against numpy's arctan2 and hypot, which may part in the last bit; exact equality waits for
+    # one arithmetic in both kernels (ROADMAP item 14).
+    path = LAW_PATHS[name]
+    rng = np.random.default_rng(21)
+    states, geoms = [], []
+    for _ in range(60):
+        s = float(rng.uniform(0.0, path.total_length))
+        (px, py), (tx, ty) = path.point_at(s).position, path.point_at(s).tangent
+        off = float(rng.uniform(-6.0, 6.0))
+        st = VehicleState(px - off * ty, py + off * tx, float(rng.uniform(-math.pi, math.pi)), 5.0)
+        states.append(st)
+        geoms.append(corrector_geometry(st, path, s, float(rng.choice((2.0, 10.0))), proj_hint=s))
+    pos = np.array([(st.x, st.y) for st in states]).T
+    psi = np.array([st.heading for st in states])
+    proj = np.array([(*g.proj.position, *g.proj.tangent) for g in geoms]).T
+    p2 = np.array([(*g.p2.position, *g.p2.tangent, g.p2.curvature) for g in geoms]).T
+    for k1, k2 in LAW_GAINS:
+        ks = np.array((np.full(len(states), k1), np.full(len(states), k2)))
+        got = blended_many(pos, np.array((np.cos(psi), np.sin(psi))), proj, p2, law_operands(5.0), ks)
+        for i, (st, g) in enumerate(zip(states, geoms)):
+            want = blended_command(st, g, GuidanceGains(k1, k2, 10.0))
+            assert abs(got[i] - want) <= 1e-13 * abs(want), (k1, k2, i, got[i], want)
 
 
 def test_weighted_blend_arithmetic():

@@ -127,7 +127,7 @@ def branch_counter(monkeypatch, path, a_max):
         return blended_many(pos, cs, proj, *rest)
 
     def stepped(pos, psi, a_cmd, *rest, **kwargs):
-        fired["saturate"] += a_max is not None and bool(np.any(np.abs(a_cmd) == a_max))
+        fired["saturate"] += a_max is not None and bool(np.any(np.abs(a_cmd) >= a_max))
         return step_arrays(pos, psi, a_cmd, *rest, **kwargs)
 
     monkeypatch.setattr(ReferencePath, "project_many", project)
@@ -366,3 +366,34 @@ def test_batched_path_queries_answer_the_scalar_ones(kind, seed, lookahead):
         if la.fallback:
             pp = la.point
             assert tuple(points[:, fell.tolist().index(i)]) == (*pp.position, *pp.tangent, pp.curvature), i
+
+
+PAST_END_PATHS = {"line": make_line_path((0.0, 0.0), (1.0, 0.0), 100.0), "stock": STOCK, "corner": corner_table()}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_END_PATHS))
+def test_batched_path_queries_answer_past_the_path_end(name):
+    # Hints and look-ahead bounds at and past the path end, +inf and 1e300 among them, answer as the scalar queries
+    # do: the batched ones cast s / spacing to int64 before they clamped it, which overflowed at 1e300 and +inf.
+    # Rows lie up to 25 m off the path's last 10 m, so some end the path inside the circle and some fall back.
+    path = PAST_END_PATHS[name]
+    total = path.total_length
+    rng = np.random.default_rng(7)
+    x, y, tx, ty, _ = path.point_at_many(total - rng.uniform(0.0, min(10.0, total), 8))
+    normal = np.array((0.0, 0.3, -2.0, 4.0, -7.5, 12.0, -18.0, 25.0))
+    pos = np.array((x - normal * ty, y + normal * tx))
+
+    for s in (total, total + 5.0, 1e9, 1e300, math.inf):
+        sp, d = path.project_many(pos, np.full(pos.shape[1], s))
+        for i in range(pos.shape[1]):
+            s_want, d_want = path.project_s(pos[:, i], s_hint=s)
+            assert (sp[i], abs(d[i] - d_want) <= 2 * np.spacing(d_want)) == (s_want, True), (s, i)
+
+    for lookahead in (3.0, 10.0):
+        for s in (total, total + 5.0, 1e9, 1e300, math.inf, -1e300, -math.inf):
+            s_lb = np.full(pos.shape[1], s)
+            s2, end_rows, fallback = path.lookahead_many(pos, s_lb, lookahead)
+            fell = fallback[0] if fallback is not None else ()
+            for i in range(pos.shape[1]):
+                la = path.lookahead_point(pos[:, i], s, lookahead)
+                assert (la.point.s, la.end_of_path, la.fallback) == (s2[i], i in end_rows, i in fell), (s, i)

@@ -130,7 +130,9 @@ def test_state_requires_positive_speed():
 
 COORD = st.floats(-1e4, 1e4)
 HEADING = st.one_of(st.sampled_from((math.pi, -math.pi, -0.0, 0.0)), st.floats(-math.pi, math.pi))
-COMMAND = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+COMMAND = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-100.0, 100.0))
+# The smallest subnormal clamps every command to +-0.0 or +-5e-324, and inf clamps none.
+A_MAX = st.sampled_from((None, 5e-324, 0.5, 3.0, math.inf))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -138,15 +140,19 @@ COMMAND = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
     speed=st.floats(0.1, 40.0),
     dt=st.floats(1e-4, 0.05),
     rows=st.lists(st.tuples(COORD, COORD, HEADING, COMMAND), min_size=1, max_size=8),
+    a_max=A_MAX,
 )
-def test_step_arrays_matches_scalar(speed, dt, rows):
-    # step_arrays is step bit for bit, from the wrapped heading a state holds, as the rollouts start from it.
+def test_step_arrays_matches_scalar(speed, dt, rows, a_max):
+    # step_arrays is step bit for bit, from the wrapped heading a state holds, as the rollouts start from it,
+    # clamping at a_max as step does; the commands passed in keep their values.
     states = [VehicleState(x, y, psi, speed) for x, y, psi, _ in rows]
     pos, psi = np.array([(s.x, s.y) for s in states]).T, np.array([s.heading for s in states])
     a = np.array([row[3] for row in rows])
-    (xn, yn), pn, cs = step_arrays(pos, psi, a, step_operands(speed, dt), np.array((np.cos(psi), np.sin(psi))))
+    passed = a.tobytes()
+    (xn, yn), pn, cs = step_arrays(pos, psi, a, step_operands(speed, dt, a_max), np.array((np.cos(psi), np.sin(psi))))
+    assert a.tobytes() == passed
     # The next step's cos and sin rows are those of the new headings.
     assert cs.tobytes() == np.array((np.cos(pn), np.sin(pn))).tobytes()
     for i, state in enumerate(states):
-        s = step(state, float(a[i]), dt)
+        s = step(state, float(a[i]), dt, a_max)
         assert np.array((xn[i], yn[i], pn[i])).tobytes() == np.array((s.x, s.y, s.heading)).tobytes(), i
