@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import pathfollow.optimizer as optimizer
 from pathfollow.geom import PARALLEL_EPS
-from pathfollow.guidance import law_operands
+from pathfollow.guidance import law_operands, track_projection
 from pathfollow.path import (
     ReferencePath,
     _window_width,
@@ -366,6 +366,41 @@ def test_batched_path_queries_answer_the_scalar_ones(kind, seed, lookahead):
         if la.fallback:
             pp = la.point
             assert tuple(points[:, fell.tolist().index(i)]) == (*pp.position, *pp.tangent, pp.curvature), i
+
+
+def test_hairpin_rollout_projections_part_only_where_the_scalar_answer_leaves_the_window(monkeypatch):
+    # Every project_many row of round 0's rollouts on the hairpin, the vehicle at (5, 1.8) on its way back along the
+    # upper leg, against project_s at the row's hint: the arc length bit for bit and the distance within 2 ULP
+    # wherever they agree, and they part only where the scalar answer lies past the batched window's last sample.
+    # The scalar search reaches 25 m past the hint and the batched one 0.5 m: the scalar one has found the lower
+    # leg, or looked on past a batched window whose nearest sample is its last (ROADMAP item 17).
+    calls, project_many = [], ReferencePath.project_many
+
+    def spy(self, pos, s_prev):
+        s, d = project_many(self, pos, s_prev)
+        calls.append((pos.copy(), s_prev.copy(), s, d))
+        return s, d
+
+    monkeypatch.setattr(ReferencePath, "project_many", spy)
+    n, ds = HAIRPIN.sample_table()[0].size, HAIRPIN.spacing
+    st = VehicleState(5.0, 1.8, math.pi, 5.0)
+    parted = []
+    for s_min in (0.0, 5.0, 30.0, 40.0):
+        calls.clear()
+        s_proj = track_projection(st, HAIRPIN, s_min, 10.0)[0].s
+        optimizer._rollout_costs(HAIRPIN, st, s_min, s_proj, *GRID, 10.0, 0.01, 400)
+        assert len(calls) == 400
+        parted.append(0)
+        for pos, s_prev, s, d in calls:
+            s_end = (np.minimum((np.fmax(s_prev - 1.0, 0.0) / ds).astype(int), n - 2) + _window_width(ds) - 1) * ds
+            for i in range(s.size):
+                s_want, d_want = HAIRPIN.project_s(pos[:, i], s_hint=s_prev[i])
+                if s[i] != s_want:
+                    assert s_want > s_end[i], (s_min, i)
+                    parted[-1] += 1
+                else:
+                    assert abs(d[i] - d_want) <= 2 * np.spacing(d_want), (s_min, i)
+    assert parted == [31094, 12716, 12282, 12282]
 
 
 PAST_END_PATHS = {"line": make_line_path((0.0, 0.0), (1.0, 0.0), 100.0), "stock": STOCK, "corner": corner_table()}

@@ -109,6 +109,24 @@ def test_fixed_gain_look_ahead_only_trajectory_unchanged():
     assert trajectory_digest(run) == "ce07ff31524942d5a5eee7b992a1441b4650b90a747343d19c898e32cfed6e0b"
 
 
+# Stock baseline missions at 1 m and 3 m a step: (speed, dt, steps, sha256).  All but one of their hinted
+# projections find their nearest sample past the batched projection's window, 0.5 m past the hint, so these pin the
+# 25 m window's answers where a window as narrow as the tuner's would part from them.
+FAST_MISSIONS = [
+    (100.0, 0.01, 243, "5a1e785ed560d020ca73b67d64e0b0185c0c33fc921ede991dee182fe397d677"),
+    (30.0, 0.1, 81, "2de498f6f04526ab8966c4e47558894919b4c0121700a3f89b4f66cc92bf5d85"),
+]
+
+
+@pytest.mark.parametrize("speed, dt, steps, digest", FAST_MISSIONS, ids=["1m_step", "3m_step"])
+def test_fast_stock_missions_are_unchanged(speed, dt, steps, digest):
+    state = VehicleState(-15.0, 0.0, math.radians(39.118), speed)
+    run = run_mission(sinusoid(-15.0), state, MissionConfig(controller="baseline", dt=dt))
+    assert not run.timed_out
+    assert (len(run), len(set(run.phase))) == (steps, 1)
+    assert trajectory_digest(run) == digest
+
+
 # ----------------------------------------------------------------------
 # References in the original arithmetic
 # ----------------------------------------------------------------------
