@@ -5,25 +5,28 @@ a grid of candidate gain pairs, and the pair with the lowest RMS cross-track
 error wins.  The horizon adapts to the local path curvature: a short segment
 where the path bends hard, a capped longer one where it is straight.
 
-All candidates are propagated together as numpy arrays, each row bit for bit
-independent of the others, through the path's batched queries
-(:meth:`ReferencePath.project_many`, :meth:`~ReferencePath.lookahead_many`,
-:meth:`~ReferencePath.point_at_many`), :func:`guidance.blended_many` and
-:func:`vehicle.step_arrays`, so a step costs a fixed number of numpy calls.
-One call serves several where it can: the rows' positions travel as one (2, K)
-array, x then y, through every stage, paired x/y arithmetic runs as one call on
-stacked rows, and each transcendental runs once over stacked rows; the step
-takes the cos and sin of its two RK4 headings and of the new heading in one
-call each, and hands the last to the next step's law.  That is exact, because
-numpy's float64 ufuncs give an element the same bits in any array
-(tests/test_rollout_kernel.py).  A rollout call builds its constant operands
-once as arrays (V, 2 V^2, the look-ahead speed cap, the RK4 time steps,
-V dt / 6, +-a_max), and a path its spacing and last sample: a Python number
-costs a ufunc call about 0.2 us to convert.  Selects write in place
-(``np.putmask``), and integer indices meet floats only after an explicit cast,
-which is cheaper than a mixed-type ufunc call.  The search is bit-deterministic:
-the reduction orders by (cost, k2, k1), so results do not depend on evaluation
-order.  One gain update keeps a table of costs by gain pair and rolls each pair
+All candidates are propagated together, each row bit for bit independent of
+the others, by one of two kernels.  The numpy kernel, the reference, runs the
+path's batched queries (:meth:`ReferencePath.project_many`,
+:meth:`~ReferencePath.lookahead_many`, :meth:`~ReferencePath.point_at_many`),
+:func:`guidance.blended_many` and :func:`vehicle.step_arrays` as a fixed
+number of numpy calls per step, on (2, K) rows x then y, each transcendental
+once over stacked rows; numpy's float64 ufuncs give an element the same bits in
+any array (tests/test_rollout_kernel.py).  The compiled kernel (``_rollout.c``,
+built with the system ``cc`` on a process's first rollout and called through
+ctypes) runs a step as three row loops around one ``np.arctan2`` call, and
+repeats the numpy stages' operations element by element in their order.  Its
+costs are numpy's bit for bit: +, -, *, /, sqrt and fmod round correctly in
+both; hypot, sin and cos are libm's in both, which a probe set checks before
+first use; numpy's maximum, minimum, argmin and mod rules are written out; the
+build allows no contraction and no fast-math; and arctan2, whose SIMD loop
+differs from libm's, stays numpy's (tests/test_compiled_rollout.py).  Without
+a compiler, or when the build or the probe fails, numpy's kernel flies; a
+compiled call that meets a NaN index or raises a float flag hands its rollout
+to numpy, which raises or warns as it does alone.
+
+The search is bit-deterministic: the reduction orders by (cost, k2, k1), so
+results do not depend on evaluation order.  One gain update keeps a table of costs by gain pair and rolls each pair
 out at most once; every k2 = 0 pair is one entry, because such a row flies the
 look-ahead term alone whatever its k1.  Rollout steps are at most 0.4 m
 (``speed * dt``), which the batched projection's window can follow.
@@ -31,13 +34,16 @@ look-ahead term alone whatever its k1.  Rollout steps are at most 0.4 m
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .guidance import GuidanceGains, blended_many, law_operands, track_projection
-from .path import ReferencePath, curvature_radius
+from .path import ReferencePath, _window_width, curvature_radius
 from .vehicle import VehicleState, _check_a_max, step_arrays, step_operands
 
 # Most grid points per axis: a rollout call holds up to grid^2 + 1 rows at
@@ -225,21 +231,38 @@ def _keys(k1s, k2s):
 def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_steps, a_max=None) -> np.ndarray:
     """RMS cross-track error per candidate gain pair over ``n_steps`` steps.
 
-    Rows are independent bit for bit: a subset of the candidates rolls out to the same costs."""
-    speed, total = state.speed, path.total_length
-    law, rk4, ks = law_operands(speed), step_operands(speed, dt, a_max), np.array((k1s, k2s))
+    Rows are independent bit for bit: a subset of the candidates rolls out to the same costs.  The compiled
+    kernel flies the steps when it is built (:func:`rollout_kernel`); numpy's does when it is not, or when a
+    compiled call hands the rollout back."""
+    ks = np.array((k1s, k2s), dtype=float)
+    args = (path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law_operands(state.speed),
+            step_operands(state.speed, dt, a_max))
+    lib = _kernel()[0]
+    cte_sq = _compiled_steps(lib, *args) if lib is not None else None
+    if cte_sq is None:
+        cte_sq = _numpy_steps(*args)
+    costs = np.sqrt(cte_sq / n_steps)
+    return np.where(np.isfinite(costs), costs, np.inf)
 
-    k = k1s.size
-    pos = np.empty((2, k))  # rows x, y
+
+def _rollout_rows(path, state, s_min, s_proj, k):
+    """A rollout's starting rows: positions (x, then y), headings, their cos and sin, look-ahead bounds,
+    projection and look-ahead arc lengths, ended flags and squared cross-track sums."""
+    total = path.total_length
+    pos = np.empty((2, k))
     pos[0], pos[1] = state.x, state.y
     psi = np.full(k, state.heading)
     cs = np.array((np.cos(psi), np.sin(psi)))  # the headings' cos and sin, shared by the law and the step
     s_lb = np.full(k, min(max(s_min, 0.0), total))
     s = np.empty((2, k))  # arc lengths of the projections, then of the look-ahead points
     s[0] = min(max(s_proj, 0.0), total)
-    ended, any_ended = np.zeros(k, dtype=bool), False
-    cte_sq = np.zeros(k)
+    return pos, psi, cs, s_lb, s, np.zeros(k, dtype=bool), np.zeros(k)
 
+
+def _numpy_steps(path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, rk4):
+    """The rollout's squared cross-track sums, stepped by the numpy stages."""
+    pos, psi, cs, s_lb, s, ended, cte_sq = _rollout_rows(path, state, s_min, s_proj, ks.shape[1])
+    any_ended = False
     for _ in range(n_steps):
         s[0], pdist = path.project_many(pos, s[0])
         cte_sq += pdist * pdist
@@ -257,6 +280,98 @@ def _rollout_costs(path, state, s_min, s_proj, k1s, k2s, lookahead_dist, dt, n_s
         if any_ended:
             np.putmask(cmd, ended, 0.0)
         pos, psi, cs = step_arrays(pos, psi, cmd, rk4, cs)
+    return cte_sq
 
-    costs = np.sqrt(cte_sq / n_steps)
-    return np.where(np.isfinite(costs), costs, np.inf)
+
+_KERNEL = None  # (the compiled library, "") or (None, why numpy flies), once the first rollout has built it
+
+
+class _Rollout(ctypes.Structure):
+    """_rollout.c's Rollout: one rollout's operands and the addresses of its rows' arrays."""
+
+    _fields_ = [("t", ctypes.c_void_p)] + [(f, ctypes.c_long) for f in ("cols", "width", "last_j", "k")] + [
+        (f, ctypes.c_double) for f in ("ds", "last", "l2", "v", "arc_gain", "v_cap", "h", "dt", "scale", "a_max")
+    ] + [(f, ctypes.c_void_p) for f in (
+        "k1", "k2", "pos", "psi", "cs", "s_lb", "s", "ended", "cte", "j", "miss", "cd", "pts", "eta")
+    ] + [("nfall", ctypes.c_long), ("frows", ctypes.c_void_p), ("fpts", ctypes.c_void_p)]
+
+
+def _compiled_steps(lib, path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, rk4):
+    """:func:`_numpy_steps`' sums, bit for bit, from the compiled step around numpy's arctan2; None when a
+    call met a NaN index or raised a float flag, and numpy must fly the rollout instead."""
+    rows = pos, psi, cs, s_lb, s, ended, cte_sq = _rollout_rows(path, state, s_min, s_proj, ks.shape[1])
+    k, n = psi.size, path._n
+    j, miss = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    cd, pts, eta = np.empty((2, 2, k)), np.empty((9, k)), np.empty((2, k))
+    _, steps, scale, bounds = rk4
+    st = _Rollout(path._table.ctypes.data, path._table.shape[1], _window_width(path.spacing), n - 2, k,
+                  path.spacing, n - 1.0, lookahead_dist * lookahead_dist, *map(float, law), steps[0, 0],
+                  steps[1, 0], scale, bounds[1] if bounds else math.inf,
+                  *(a.ctypes.data for a in (*ks, *rows, j, miss, cd, pts, eta)))
+    r = ctypes.byref(st)
+    for _ in range(n_steps):
+        misses = lib.rollout_track(r)
+        if misses < 0:
+            return None
+        if misses:  # numpy's own answers for the rows the chunk missed
+            end_rows, fallback = path._lookahead_misses(pos, s_lb, lookahead_dist, s[1], miss[:misses], j)
+            ended[end_rows] = True
+            if fallback is not None:
+                fell, points = fallback[0], np.ascontiguousarray(fallback[1])
+                st.nfall, st.frows, st.fpts = fell.size, fell.ctypes.data, points.ctypes.data
+        if lib.rollout_geometry(r):
+            return None
+        st.nfall = 0
+        np.arctan2(cd[0], cd[1], out=eta)
+        if lib.rollout_step(r):
+            return None
+    return cte_sq
+
+
+def rollout_kernel() -> str:
+    """The kernel that flies the tuner's rollouts in this process: "compiled", or "numpy (why)"."""
+    lib, why = _kernel()
+    return "compiled" if lib is not None else f"numpy ({why})"
+
+
+def _kernel():
+    """The compiled library and "", or None and why numpy flies; built on the first call in a process."""
+    global _KERNEL
+    if _KERNEL is None:
+        _KERNEL = _build()
+    return _KERNEL
+
+
+def _build():
+    """Compile _rollout.c with the system cc into a private directory, load it and check its libm against numpy's;
+    the directory goes once the library is loaded.  Any failure leaves numpy's kernel."""
+    import subprocess  # here: 7 ms of every cold start, which most processes never build in
+
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            so = os.path.join(tmp, "_rollout.so")
+            src = os.path.join(os.path.dirname(__file__), "_rollout.c")
+            cmd = ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", so, src, "-lm"]
+            subprocess.run(cmd, check=True, capture_output=True, timeout=60)
+            lib = ctypes.CDLL(so)
+    except FileNotFoundError:
+        return None, "no C compiler: cc not found"
+    except (OSError, subprocess.SubprocessError) as e:  # a failed or timed-out compile, a failed load
+        return None, f"no compiled kernel: {e}"
+    for f in (lib.rollout_track, lib.rollout_geometry, lib.rollout_step):
+        f.argtypes, f.restype = [ctypes.POINTER(_Rollout)], ctypes.c_long
+    lib.rollout_libm.argtypes, lib.rollout_libm.restype = [ctypes.c_void_p] * 3 + [ctypes.c_long], None
+    if not _libm_matches(lib):
+        return None, "the compiled kernel's hypot, sin or cos differs from numpy's"
+    return lib, ""
+
+
+def _libm_matches(lib) -> bool:
+    """Whether the library's hypot, sin and cos give numpy's bits on a fixed probe set: +-0, +-pi, +-pi/2,
+    subnormals, large values and 4,096 seeded ones over 17 decades.  The compiled kernel is exact only if they do."""
+    rng = np.random.default_rng(0)
+    special = [0.0, math.pi, math.pi / 2, 5e-324, 1e-310, 2.2e-308, 1e22, 1e300]
+    x = np.concatenate((special, np.negative(special), rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 9, 4096)))
+    y, out = x[::-1].copy(), np.empty((3, x.size))
+    lib.rollout_libm(x.ctypes.data, y.ctypes.data, out.ctypes.data, x.size)
+    return out.tobytes() == np.array((np.hypot(x, y), np.sin(x), np.cos(x))).tobytes()

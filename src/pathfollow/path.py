@@ -540,8 +540,7 @@ class ReferencePath:
         Returns the arc lengths, the rows that end the path, and None or the
         rows without a crossing with their points as rows x, y, tx, ty, kappa.
         """
-        n, t = self._n, self._table
-        l2 = lookahead_dist * lookahead_dist
+        t, l2 = self._table, lookahead_dist * lookahead_dist
         u_s = np.maximum(s_lb, _ZERO) / self._nd_ds
         j = np.minimum(u_s, self._nd_last_seg).astype(np.int64)
         idx = _CHUNK + j  # segments as rows, states as columns
@@ -578,8 +577,13 @@ class ReferencePath:
         hit = s_out < _INF
         if np.count_nonzero(hit) == hit.size:  # the usual case
             return s_out, _NO_ROWS, None
-        miss = np.flatnonzero(~hit)
+        return s_out, *self._lookahead_misses(pos, s_lb, lookahead_dist, s_out, np.flatnonzero(~hit), j)
 
+    def _lookahead_misses(self, pos, s_lb, lookahead_dist, s_out, miss, j):
+        """:meth:`lookahead_many`'s answers for the rows ``miss`` that its chunk from segments ``j`` missed, into
+        ``s_out``; returns the rows that end the path and None or the fallback rows with their points.  The
+        compiled rollout step (``optimizer``) hands its missed rows here too."""
+        n, t, l2 = self._n, self._table, lookahead_dist * lookahead_dist
         # The rest of the path holds no root when the chunk reached its end, or when its last
         # vertex's distance differs from L1 by more than a chord per segment left (a nan skips nothing).
         (xm, ym), k = pos[:, miss], j[miss] + _CHUNK.size
@@ -597,7 +601,7 @@ class ReferencePath:
                 fell.append(i)
                 points.append((*pp.position, *pp.tangent, pp.curvature))
         fallback = (np.array(fell), np.array(points).T) if fell else None
-        return s_out, np.array(sorted(end), dtype=np.int64), fallback
+        return np.array(sorted(end), dtype=np.int64), fallback
 
     def sample_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views of the sample rows (px, py, tx, ty, kappa)."""

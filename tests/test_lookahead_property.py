@@ -237,3 +237,18 @@ def test_lookahead_many_ends_rows_without_the_scalar_query(monkeypatch):
     assert fallback is None
     assert end_rows.tolist() == [1, 2, 3]
     assert s.tolist() == [60.0] + [path.total_length] * 3
+
+
+def test_lookahead_many_finds_a_crossing_in_the_last_two_segments():
+    # A U-turn at spacing 1 that starts inside the 3 m circle about (-2.5, 0.5), leaves it, and re-enters it on
+    # its last segment.  The batched chunk from s_lb = 5 misses; at its last vertex, (2, 1), the distance is L1 +
+    # 1.53 chords with two segments left, so only the skip bound's full chord of margin keeps the crossing at
+    # s = 10.54 from being read as the path end (a bound short by 1.5 chords would end the row).
+    pts = [(float(x), 0.0) for x in range(6)] + [(float(x), 1.0) for x in range(5, -1, -1)]
+    tangents = np.diff(pts, axis=0, append=[(-1.0, 1.0)])
+    path = ReferencePath(pts, tangents, np.zeros(len(pts)), 1.0)
+    p = (-2.5, 0.5)
+    la = path.lookahead_point(p, 5.0, 3.0)
+    s, end_rows, fallback = path.lookahead_many(np.array(p)[:, None], np.array([5.0]), 3.0)
+    assert not (la.end_of_path or la.fallback) and 10.5 < la.point.s < 10.6
+    assert (s[0], end_rows.size, fallback) == (la.point.s, 0, None)

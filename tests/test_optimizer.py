@@ -480,6 +480,7 @@ def test_batched_projection_follows_the_longest_step_the_tuner_takes(monkeypatch
 
 def _rollout_projections_agree(path, monkeypatch, speed=5.0):
     """Rows checked: every rollout row and step of the first search round at STOCK_UPDATES[1]."""
+    monkeypatch.setattr(optimizer, "_KERNEL", (None, "pinned: the stages are wrapped"))
     calls = []
     batched = ReferencePath.project_many
 

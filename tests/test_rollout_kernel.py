@@ -101,6 +101,7 @@ DIGESTS = {
 
 def branch_counter(monkeypatch, path, a_max):
     """Wrap the rollout's stages; count the calls in which each branch fired."""
+    monkeypatch.setattr(optimizer, "_KERNEL", (None, "pinned: the stages are wrapped"))
     fired = dict.fromkeys(("end", "fallback", "past_chunk", "saturate", "degen", "guard"), 0)
     project_many, lookahead_many = ReferencePath.project_many, ReferencePath.lookahead_many
     blended_many, step_arrays = optimizer.blended_many, optimizer.step_arrays
@@ -374,6 +375,7 @@ def test_hairpin_rollout_projections_part_only_where_the_scalar_answer_leaves_th
     # wherever they agree, and they part only where the scalar answer lies past the batched window's last sample.
     # The scalar search reaches 25 m past the hint and the batched one 0.5 m: the scalar one has found the lower
     # leg, or looked on past a batched window whose nearest sample is its last (ROADMAP item 17).
+    monkeypatch.setattr(optimizer, "_KERNEL", (None, "pinned: the stages are wrapped"))
     calls, project_many = [], ReferencePath.project_many
 
     def spy(self, pos, s_prev):
