@@ -1,19 +1,26 @@
-/* One step of pathfollow.optimizer._rollout_costs, row by row, with the numpy kernel's bits.
+/* pathfollow.optimizer._rollout_costs' steps, row by row, with the numpy kernel's bits.
 
-   The three entry points run a rollout step between them, around one np.arctan2 call:
-     rollout_track    path.project_many, then lookahead_many's 4-segment chunk;
-     rollout_geometry point_at_many at both arc lengths, then guidance.blended_many up to its cross
-                      and dot products, which the caller hands to np.arctan2;
-     rollout_step     the rest of blended_many, the ended rows' zero, then vehicle.step_arrays.
-   Each repeats the numpy stages' float64 operations element by element and in their order.  +, -, *,
-   / and sqrt round correctly in both, fmod is exact, and hypot, sin and cos are libm's, which numpy's
-   equal (the caller checks them on a probe set before first use); np.arctan2 does not equal libm's
-   atan2 under every dispatch, so it stays numpy's.  numpy's rules are written out: maximum and
-   minimum propagate NaN and return the second operand on a tie, argmin takes the first minimum or the
-   first NaN, np.mod is fmod with Python's sign rule and ** 2 is x * x.  Build without -ffast-math and
-   with -ffp-contract=off: no reassociation and no fused multiply-add.
+   One entry, rollout_run, flies a stretch of steps over one slice of a rollout's rows.  A step is:
+     track     path.project_many, then lookahead_many's 4-segment chunk and, for the rows it misses,
+               _lookahead_misses' bulk test for rows that end the path;
+     geometry  point_at_many at both arc lengths, then guidance.blended_many up to its cross and dot
+               products;
+     arctan2   numpy's own float64 arctan2 inner loop, read from its ufunc table by the caller;
+     step      the rest of blended_many, the ended rows' zero, then vehicle.step_arrays.
+   A stretch returns early only at a track whose missed rows the bulk test cannot settle: the caller
+   answers them with the scalar look-ahead and calls again, and the stretch goes on from geometry.
+   Slices share nothing but the path's read-only table, and float flags are per thread, so the caller
+   runs slices on threads.
 
-   An entry returns -1 when a float meets an index cast as NaN, or when its arithmetic raised an
+   Each stage repeats the numpy stages' float64 operations element by element and in their order.
+   +, -, *, / and sqrt round correctly in both, fmod is exact, and hypot, sin and cos are libm's, which
+   numpy's equal; arctan2 is numpy's loop itself (the caller checks all four on a probe set before
+   first use).  numpy's rules are written out: maximum and minimum propagate NaN and return the second
+   operand on a tie, argmin takes the first minimum or the first NaN, np.mod is fmod with Python's sign
+   rule and ** 2 is x * x.  Build without -ffast-math and with -ffp-contract=off: no reassociation and
+   no fused multiply-add.
+
+   A stretch returns -1 when a float meets an index cast as NaN, or when its arithmetic raised an
    invalid, divide-by-zero or overflow flag; the caller then reruns the rollout on numpy, which raises
    or warns as it does on its own. */
 #include <fenv.h>
@@ -32,24 +39,28 @@
 #define WEIGHT_EPS 1e-12          /* guidance.WEIGHT_EPS */
 #define TWO_PI (2.0 * M_PI)       /* geom.TWO_PI, vehicle._TWO_PI */
 
-/* optimizer._Rollout: one rollout's operands and its rows' state, each array (m, k) row-major. */
+/* optimizer._Rollout: one slice of a rollout's rows, its operands and its state, each array (m, k) row-major. */
 typedef struct {
     const double *t;               /* the path's table: seg2, x, dx, y, dy, tx, dtx, ty, dty, kappa, dkappa */
     long cols, width, last_j, k;   /* table row length, projection window, last segment, rows */
-    double ds, last, l2;           /* spacing, last sample index, squared look-ahead distance */
+    double ds, last, total;        /* spacing, last sample index, path length */
+    double l, l2, max_chord;       /* look-ahead distance and its square, the path's longest chord */
     double v, arc_gain, v_cap;     /* guidance.law_operands */
     double h, dt, scale, a_max;    /* vehicle.step_operands: 0.5 dt, dt, V dt / 6, the clamp (inf: none) */
     const double *k1, *k2;
     double *pos, *psi, *cs, *s_lb, *s;  /* (2, k) x, y; (2, k) cos, sin; (2, k) projection, look-ahead */
     unsigned char *ended;
     double *cte;                   /* the squared cross-track sums */
-    int64_t *j, *miss;             /* the look-ahead chunk's first segment per row; rows it missed */
-    double *cd, *pts;              /* (2, 2, k) cross then dot of p2 and p4; (9, k) the law's points */
-    const double *eta;             /* (2, k) np.arctan2 of cd */
-    long nfall;                    /* look-ahead fallback rows, and their points as (5, nfall) */
+    int64_t *j, *miss;             /* the look-ahead chunk's first segment per row; rows left to the caller */
+    double *cd, *pts, *eta;        /* (2, 2, k) cross then dot of p2 and p4; (9, k) the law's points; (2, k) */
+    long nmiss;                    /* rows in miss awaiting the caller's answers, or 0 */
+    long nfall;                    /* the caller's look-ahead fallback rows, and their points as (5, nfall) */
     const int64_t *frows;
     const double *fpts;
 } Rollout;
+
+/* numpy's PyUFuncGenericFunction: a ufunc's 1-d inner loop. */
+typedef void (*Loop)(char **args, const intptr_t *dims, const intptr_t *steps, void *data);
 
 static double mx(double a, double b) { return (a > b || a != a) ? a : b; }
 static double mn(double a, double b) { return (a < b || a != a) ? a : b; }
@@ -57,9 +68,6 @@ static double row(const Rollout *r, int m, long i) { return r->t[m * r->cols + i
 
 /* The int64 cast of min(u, last segment); -1 for a NaN, which numpy's take refuses. */
 static long seg(const Rollout *r, double u) { u = mn(u, r->last - 1.0); return u == u ? (long)u : -1; }
-
-/* An entry's return: -1 if it failed or raised a flag; the flags are cleared either way. */
-static long done(int bad) { bad |= fetestexcept(FLAGS); feclearexcept(FLAGS); return bad ? -1 : 0; }
 
 /* path.project_many of row i: a window from the 1 m guard, two segments at its nearest sample. */
 static int project(Rollout *r, long i, double x, double y)
@@ -116,17 +124,33 @@ static int chunk(Rollout *r, long i, double x, double y)
     return 0;
 }
 
-/* Both queries for every row; returns the count of rows the chunk missed, listed in r->miss, or -1. */
-long rollout_track(Rollout *r)
+/* _lookahead_misses' bulk test for a row the chunk missed: the skip bound at the chunk's last vertex rules out
+   a root on the rest of the path, and the path end lies inside the circle. */
+static int ends(const Rollout *r, long i, double x, double y)
 {
-    long misses = 0;
-    feclearexcept(FLAGS);
-    for (long i = 0; i < r->k; i++) {
-        double x = r->pos[i], y = r->pos[r->k + i];
-        if (project(r, i, x, y) || chunk(r, i, x, y)) return done(1);
-        if (!(r->s[r->k + i] < INFINITY)) r->miss[misses++] = i;
+    long q = r->j[i] + 4, n = r->last_j + 2;
+    double skip = fabs(hypot(row(r, 1, q) - x, row(r, 3, q) - y) - r->l) / r->max_chord - 1.0;
+    double ex = row(r, 1, n - 1) - x, ey = row(r, 3, n - 1) - y;
+    return (q >= n - 1 || skip >= (double)(n - 1 - q)) && ex * ex + ey * ey < r->l2;
+}
+
+/* Both queries for every row, ending the rows the bulk test settles; returns the count of rows left to the
+   scalar look-ahead, listed in r->miss, or -1. */
+static long track(Rollout *r)
+{
+    long misses = 0, k = r->k;
+    for (long i = 0; i < k; i++) {
+        double x = r->pos[i], y = r->pos[k + i];
+        if (project(r, i, x, y) || chunk(r, i, x, y)) return -1;
+        if (r->s[k + i] < INFINITY) continue;
+        if (ends(r, i, x, y)) {
+            r->s[k + i] = r->total;
+            r->ended[i] = 1;
+        } else {
+            r->miss[misses++] = i;
+        }
     }
-    return done(0) ? -1 : misses;
+    return misses;
 }
 
 /* path.point_at_many at arc length s into out[0..4 * stride] (x, y, tx, ty, kappa). */
@@ -144,19 +168,19 @@ static int point_at(const Rollout *r, double s, double *out, long stride)
 }
 
 /* The step's points, then blended_many up to eta: pts rows px, py, tx, ty, x2, y2, tx2, ty2, kappa2, and
-   after the law's points p4x, p4y over px, py. */
-long rollout_geometry(Rollout *r)
+   after the law's points p4x, p4y over px, py.  Consumes the caller's fallback points. */
+static int geometry(Rollout *r)
 {
     long k = r->k;
     double *p = r->pts;
-    feclearexcept(FLAGS);
     for (long i = 0; i < k; i++) {
         r->s_lb[i] = mx(r->s_lb[i], r->s[k + i]);
         /* the projection's kappa, row 4, gives way to the look-ahead point's x */
-        if (point_at(r, r->s[i], p + i, k) || point_at(r, r->s[k + i], p + 4 * k + i, k)) return done(1);
+        if (point_at(r, r->s[i], p + i, k) || point_at(r, r->s[k + i], p + 4 * k + i, k)) return -1;
     }
     for (long f = 0; f < r->nfall; f++)
         for (int m = 0; m < 5; m++) p[(4 + m) * k + r->frows[f]] = r->fpts[m * r->nfall + f];
+    r->nfall = 0;
     for (long i = 0; i < k; i++) {
         double x = r->pos[i], y = r->pos[k + i], c = r->cs[i], sn = r->cs[k + i];
         double px = p[i], py = p[k + i], tx = p[2 * k + i], ty = p[3 * k + i], x2 = p[4 * k + i], y2 = p[5 * k + i];
@@ -172,7 +196,7 @@ long rollout_geometry(Rollout *r)
         p[i] = p4x;
         p[k + i] = p4y;
     }
-    return done(0);
+    return 0;
 }
 
 /* numpy's float np.mod by a positive b: fmod, then Python's sign. */
@@ -183,11 +207,10 @@ static double py_mod(double a, double b)
 }
 
 /* The rest of blended_many from eta, the ended rows' zero, then step_arrays, in place. */
-long rollout_step(Rollout *r)
+static void step(Rollout *r)
 {
     long k = r->k;
     const double *p = r->pts;
-    feclearexcept(FLAGS);
     for (long i = 0; i < k; i++) {
         double x = r->pos[i], y = r->pos[k + i], c = r->cs[i], sn = r->cs[k + i];
         double p4x = p[i], p4y = p[k + i], x2 = p[4 * k + i], y2 = p[5 * k + i];
@@ -222,15 +245,44 @@ long rollout_step(Rollout *r)
         r->cs[i] = cos(pw);
         r->cs[k + i] = sin(pw);
     }
-    return done(0);
 }
 
-/* The probe of optimizer's check: hypot(x, y), sin(x) and cos(x) into out as (3, n). */
-void rollout_libm(const double *x, const double *y, double *out, long n)
+/* Up to n steps of r's rows, the law's angles from numpy's float64 arctan2 loop called with its data.
+   Returns the steps flown, or -1; fewer than n leave r->nmiss rows in r->miss for the caller to answer
+   (s[1], ended and the fallback points) before the next call, which resumes that step past its track. */
+long rollout_run(Rollout *r, long n, Loop arctan2, void *data)
 {
+    long k = r->k, ran = 0;
+    char *args[3] = {(char *)r->cd, (char *)(r->cd + 2 * k), (char *)r->eta};
+    intptr_t dims = 2 * k, steps[3] = {sizeof(double), sizeof(double), sizeof(double)};
+    int bad = 0;
+    feclearexcept(FLAGS);
+    for (; ran < n; ran++) {
+        long m = r->nmiss ? 0 : track(r);
+        r->nmiss = m;
+        if (m) {
+            bad = m < 0;
+            break;
+        }
+        /* the flags so far are read before numpy's loop runs, in case it clears them */
+        if ((bad = geometry(r) || fetestexcept(FLAGS))) break;
+        arctan2(args, &dims, steps, data);
+        step(r);
+    }
+    bad |= fetestexcept(FLAGS);
+    feclearexcept(FLAGS);
+    return bad ? -1 : ran;
+}
+
+/* The probe of optimizer's check: hypot(x, y), sin(x), cos(x) and the arctan2 loop's (x, y) into out as (4, n). */
+void rollout_probe(const double *x, const double *y, double *out, long n, Loop arctan2, void *data)
+{
+    char *args[3] = {(char *)x, (char *)y, (char *)(out + 3 * n)};
+    intptr_t dims = n, steps[3] = {sizeof(double), sizeof(double), sizeof(double)};
     for (long i = 0; i < n; i++) {
         out[i] = hypot(x[i], y[i]);
         out[n + i] = sin(x[i]);
         out[2 * n + i] = cos(x[i]);
     }
+    arctan2(args, &dims, steps, data);
 }

@@ -211,7 +211,8 @@ def run_sweep(cfg: ScenarioConfig) -> list[dict]:
 
     Each row's worker gets the scenario and builds its own path from it (about
     15 ms for the stock path), so no path crosses a process boundary.  The pool
-    holds one worker per CPU and at most one per heading.  Workers are spawned,
+    holds one worker per CPU and at most one per heading, so a worker flies its
+    rollouts on one thread (``optimizer._threads``).  Workers are spawned,
     not forked: numpy's BLAS threads are already running here.  So a script
     that calls this must guard its own top level with
     ``if __name__ == "__main__"``, as spawned workers import it."""

@@ -14,16 +14,22 @@ number of numpy calls per step, on (2, K) rows x then y, each transcendental
 once over stacked rows; numpy's float64 ufuncs give an element the same bits in
 any array (tests/test_rollout_kernel.py).  The compiled kernel (``_rollout.c``,
 built with the system ``cc`` on a process's first rollout and called through
-ctypes) runs a step as three row loops around one ``np.arctan2`` call, and
-repeats the numpy stages' operations element by element in their order.  Its
-costs are numpy's bit for bit: +, -, *, /, sqrt and fmod round correctly in
+ctypes) flies a stretch of steps in one call, row by row, repeating the numpy
+stages' operations element by element in their order, and returns early only
+for the rare row whose look-ahead needs the scalar scan, which Python answers.
+Its costs are numpy's bit for bit: +, -, *, /, sqrt and fmod round correctly in
 both; hypot, sin and cos are libm's in both, which a probe set checks before
-first use; numpy's maximum, minimum, argmin and mod rules are written out; the
-build allows no contraction and no fast-math; and arctan2, whose SIMD loop
-differs from libm's, stays numpy's (tests/test_compiled_rollout.py).  Without
-a compiler, or when the build or the probe fails, numpy's kernel flies; a
-compiled call that meets a NaN index or raises a float flag hands its rollout
-to numpy, which raises or warns as it does alone.
+first use; arctan2 is numpy's own float64 inner loop, read from the ufunc's
+table and probed too; numpy's maximum, minimum, argmin and mod rules are
+written out; and the build allows no contraction and no fast-math
+(tests/test_compiled_rollout.py).  The rows split into contiguous slices of
+at least ``_MIN_ROWS`` rows, one thread per CPU, whose costs join in row
+order; row independence makes that exact, so the thread count is no setting.
+A process that multiprocessing started, such as one of a sweep's workers
+(``cli.run_sweep``, one per CPU), flies its rollouts on one thread.  Without a
+compiler, or when the build, the loop's lookup or the probe fails, numpy's
+kernel flies; a stretch that meets a NaN index or raises a float flag hands
+its rollout to numpy, which raises or warns as it does alone.
 
 The search is bit-deterministic: the reduction orders by (cost, k2, k1), so
 results do not depend on evaluation order.  One gain update keeps a table of costs by gain pair and rolls each pair
@@ -37,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -283,68 +290,154 @@ def _numpy_steps(path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, r
     return cte_sq
 
 
-_KERNEL = None  # (the compiled library, "") or (None, why numpy flies), once the first rollout has built it
+_KERNEL = None  # (a stretch function, "") or (None, why numpy flies), once the first rollout has built it
+# Fewest rows per thread: K rows split into min(_threads(), K // _MIN_ROWS) slices.  On a 2-core host, 400-step rollouts
+# at STOCK_UPDATES[1] ran faster as two slices of 12 rows than as one of 24 in 20 and 21 of 21 interleaved runs
+# (1.37x and 1.38x at the median); slices of 8 won 12 and 21 of 21 runs, of 6 broke even, and of 4 lost.
+_MIN_ROWS = 12
 
 
 class _Rollout(ctypes.Structure):
-    """_rollout.c's Rollout: one rollout's operands and the addresses of its rows' arrays."""
+    """_rollout.c's Rollout: one slice's operands and the addresses of its rows' arrays."""
 
     _fields_ = [("t", ctypes.c_void_p)] + [(f, ctypes.c_long) for f in ("cols", "width", "last_j", "k")] + [
-        (f, ctypes.c_double) for f in ("ds", "last", "l2", "v", "arc_gain", "v_cap", "h", "dt", "scale", "a_max")
+        (f, ctypes.c_double) for f in ("ds", "last", "total", "l", "l2", "max_chord", "v", "arc_gain", "v_cap", "h",
+                                       "dt", "scale", "a_max")
     ] + [(f, ctypes.c_void_p) for f in (
         "k1", "k2", "pos", "psi", "cs", "s_lb", "s", "ended", "cte", "j", "miss", "cd", "pts", "eta")
-    ] + [("nfall", ctypes.c_long), ("frows", ctypes.c_void_p), ("fpts", ctypes.c_void_p)]
+    ] + [("nmiss", ctypes.c_long), ("nfall", ctypes.c_long), ("frows", ctypes.c_void_p), ("fpts", ctypes.c_void_p)]
 
 
-def _compiled_steps(lib, path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, rk4):
-    """:func:`_numpy_steps`' sums, bit for bit, from the compiled step around numpy's arctan2; None when a
-    call met a NaN index or raised a float flag, and numpy must fly the rollout instead."""
-    rows = pos, psi, cs, s_lb, s, ended, cte_sq = _rollout_rows(path, state, s_min, s_proj, ks.shape[1])
-    k, n = psi.size, path._n
-    j, miss = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    cd, pts, eta = np.empty((2, 2, k)), np.empty((9, k)), np.empty((2, k))
-    _, steps, scale, bounds = rk4
-    st = _Rollout(path._table.ctypes.data, path._table.shape[1], _window_width(path.spacing), n - 2, k,
-                  path.spacing, n - 1.0, lookahead_dist * lookahead_dist, *map(float, law), steps[0, 0],
-                  steps[1, 0], scale, bounds[1] if bounds else math.inf,
-                  *(a.ctypes.data for a in (*ks, *rows, j, miss, cd, pts, eta)))
-    r = ctypes.byref(st)
-    for _ in range(n_steps):
-        misses = lib.rollout_track(r)
-        if misses < 0:
-            return None
-        if misses:  # numpy's own answers for the rows the chunk missed
-            end_rows, fallback = path._lookahead_misses(pos, s_lb, lookahead_dist, s[1], miss[:misses], j)
-            ended[end_rows] = True
-            if fallback is not None:
-                fell, points = fallback[0], np.ascontiguousarray(fallback[1])
-                st.nfall, st.frows, st.fpts = fell.size, fell.ctypes.data, points.ctypes.data
-        if lib.rollout_geometry(r):
-            return None
-        st.nfall = 0
-        np.arctan2(cd[0], cd[1], out=eta)
-        if lib.rollout_step(r):
-            return None
-    return cte_sq
+class _Slice:
+    """Contiguous rows of one rollout on the compiled kernel: their own state and operands, and the steps left."""
+
+    def __init__(self, path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, rk4):
+        self.path, self.lookahead_dist, self.left = path, lookahead_dist, n_steps
+        self.rows = _rollout_rows(path, state, s_min, s_proj, ks.shape[1])
+        self.cte_sq = self.rows[-1]
+        k, n = ks.shape[1], path._n
+        self.j, self.miss = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+        self.work = np.empty((2, 2, k)), np.empty((9, k)), np.empty((2, k))  # cd, pts, eta
+        self.ks, self.fallback = ks, None  # kept alive while the C side holds their addresses
+        _, steps, scale, bounds = rk4
+        self.st = _Rollout(path._table.ctypes.data, path._table.shape[1], _window_width(path.spacing), n - 2, k,
+                           path.spacing, n - 1.0, path.total_length, lookahead_dist, lookahead_dist * lookahead_dist,
+                           path.max_chord, *map(float, law), steps[0, 0], steps[1, 0], scale,
+                           bounds[1] if bounds else math.inf,
+                           *(a.ctypes.data for a in (*ks, *self.rows, self.j, self.miss, *self.work)))
+
+    def fly(self, run) -> bool:
+        """One stretch of steps; False when it handed the rollout back."""
+        ran = run(ctypes.byref(self.st), self.left)
+        if ran < 0:
+            return False
+        self.left -= ran
+        return True
+
+    def answer(self):
+        """numpy's own answers for the rows the last stretch left to the scalar look-ahead."""
+        pos, _, _, s_lb, s, ended, _ = self.rows
+        miss = self.miss[:self.st.nmiss]
+        end_rows, fallback = self.path._lookahead_misses(pos, s_lb, self.lookahead_dist, s[1], miss, self.j)
+        ended[end_rows] = True
+        if fallback is not None:
+            self.fallback = fell, points = fallback[0], np.ascontiguousarray(fallback[1])
+            self.st.nfall, self.st.frows, self.st.fpts = fell.size, fell.ctypes.data, points.ctypes.data
+
+
+def _compiled_steps(run, path, state, s_min, s_proj, ks, lookahead_dist, n_steps, law, rk4):
+    """:func:`_numpy_steps`' sums, bit for bit, from the compiled kernel's stretch function ``run``; None when a
+    stretch met a NaN index or raised a float flag, and numpy must fly the rollout instead.
+
+    The rows split into min(_threads(), K // _MIN_ROWS) contiguous slices, one per thread when there are several.
+    The rows a stretch leaves to the scalar look-ahead are answered on the calling thread, so the scalar
+    queries run on one thread, as a tracer that keeps one span stack (perfbench's) needs."""
+    k = ks.shape[1]
+    parts = max(1, min(_threads(), k // _MIN_ROWS))
+    cuts = [k * i // parts for i in range(parts + 1)]
+    slices = [_Slice(path, state, s_min, s_proj, ks[:, a:b], lookahead_dist, n_steps, law, rk4)
+              for a, b in zip(cuts, cuts[1:])]
+    if parts == 1:
+        (one,) = slices
+        while one.fly(run):
+            if not one.left:
+                return one.cte_sq
+            one.answer()
+        return None
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait  # here: 6 ms of every cold start
+
+    flown = True
+    with ThreadPoolExecutor(parts) as pool:  # ctypes lets go of the GIL for a stretch
+        pending = {pool.submit(one.fly, run): one for one in slices}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                one = pending.pop(future)
+                flown &= future.result()
+                if flown and one.left:
+                    one.answer()
+                    pending[pool.submit(one.fly, run)] = one
+    return np.concatenate([one.cte_sq for one in slices]) if flown else None
+
+
+def _threads() -> int:
+    """The most threads a rollout splits over: one per CPU, counted as ``cli.run_sweep`` counts them for its pool,
+    and one in a process that multiprocessing started, such as a worker of that pool, which holds a process per CPU
+    already."""
+    mp = sys.modules.get("multiprocessing")  # a process it started has imported it
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return os.cpu_count() or 1
 
 
 def rollout_kernel() -> str:
-    """The kernel that flies the tuner's rollouts in this process: "compiled", or "numpy (why)"."""
-    lib, why = _kernel()
-    return "compiled" if lib is not None else f"numpy ({why})"
+    """The kernel that flies the tuner's rollouts in this process: "compiled, up to N threads" (or "compiled,
+    1 thread"), or "numpy (why)"."""
+    run, why = _kernel()
+    if run is None:
+        return f"numpy ({why})"
+    n = _threads()
+    return f"compiled, up to {n} threads" if n > 1 else "compiled, 1 thread"
 
 
 def _kernel():
-    """The compiled library and "", or None and why numpy flies; built on the first call in a process."""
+    """The compiled stretch function and "", or None and why numpy flies; built on the first call in a process."""
     global _KERNEL
     if _KERNEL is None:
         _KERNEL = _build()
     return _KERNEL
 
 
+class _UFuncHead(ctypes.Structure):
+    """The head of numpy's PyUFuncObject (numpy/ufuncobject.h), up to its loops' type numbers."""
+
+    _fields_ = [("ob_head", ctypes.c_char * object.__basicsize__)] + [
+        (f, ctypes.c_int) for f in ("nin", "nout", "nargs", "identity")
+    ] + [("functions", ctypes.POINTER(ctypes.c_void_p)), ("data", ctypes.POINTER(ctypes.c_void_p)),
+         ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int), ("name", ctypes.c_char_p),
+         ("types", ctypes.POINTER(ctypes.c_char))]
+
+
+def _float64_loop(name):
+    """numpy's binary ufunc ``name``: its float64 inner loop and the loop's data, read from the ufunc's table, or
+    None when ``np.<name>`` is not a ufunc whose table holds one under that name."""
+    ufunc = getattr(np, name)
+    if type(ufunc) is not np.ufunc or (ufunc.nin, ufunc.nout) != (2, 1):
+        return None
+    head = _UFuncHead.from_address(id(ufunc))  # CPython: id is the object's address
+    if (head.nin, head.nout, head.nargs, head.ntypes) != (2, 1, 3, ufunc.ntypes) or head.name != name.encode():
+        return None
+    ddd = bytes([np.dtype(float).num] * 3)
+    for i in range(head.ntypes):
+        if head.types[3 * i:3 * i + 3] == ddd and ufunc.types[i] == "dd->d":
+            return head.functions[i], head.data[i]
+    return None
+
+
 def _build():
-    """Compile _rollout.c with the system cc into a private directory, load it and check its libm against numpy's;
-    the directory goes once the library is loaded.  Any failure leaves numpy's kernel."""
+    """Compile _rollout.c with the system cc into a private directory, load it, find numpy's arctan2 loop and check
+    the library's libm and that loop against numpy's; the directory goes once the library is loaded.  Any failure
+    leaves numpy's kernel."""
     import subprocess  # here: 7 ms of every cold start, which most processes never build in
 
     try:
@@ -358,20 +451,29 @@ def _build():
         return None, "no C compiler: cc not found"
     except (OSError, subprocess.SubprocessError) as e:  # a failed or timed-out compile, a failed load
         return None, f"no compiled kernel: {e}"
-    for f in (lib.rollout_track, lib.rollout_geometry, lib.rollout_step):
-        f.argtypes, f.restype = [ctypes.POINTER(_Rollout)], ctypes.c_long
-    lib.rollout_libm.argtypes, lib.rollout_libm.restype = [ctypes.c_void_p] * 3 + [ctypes.c_long], None
-    if not _libm_matches(lib):
-        return None, "the compiled kernel's hypot, sin or cos differs from numpy's"
-    return lib, ""
+    loop = _float64_loop("arctan2")
+    if loop is None:
+        return None, "numpy's arctan2 ufunc shows no float64 loop"
+    lib.rollout_run.argtypes = [ctypes.POINTER(_Rollout), ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    lib.rollout_run.restype = ctypes.c_long
+    lib.rollout_probe.argtypes, lib.rollout_probe.restype = [ctypes.c_void_p] * 3 + [ctypes.c_long] + [
+        ctypes.c_void_p] * 2, None
+    if not _libm_matches(lib, *loop):
+        return None, "the compiled kernel's hypot, sin, cos or arctan2 differs from numpy's"
+
+    def run(r, n):
+        return lib.rollout_run(r, n, *loop)
+
+    return run, ""
 
 
-def _libm_matches(lib) -> bool:
-    """Whether the library's hypot, sin and cos give numpy's bits on a fixed probe set: +-0, +-pi, +-pi/2,
-    subnormals, large values and 4,096 seeded ones over 17 decades.  The compiled kernel is exact only if they do."""
+def _libm_matches(lib, loop, data) -> bool:
+    """Whether the library's hypot, sin and cos, and numpy's arctan2 loop called from it, give numpy's bits on a fixed
+    probe set: +-0, +-pi, +-pi/2, subnormals, large values and 4,096 seeded ones over 17 decades.  The compiled kernel
+    is exact only if they do."""
     rng = np.random.default_rng(0)
     special = [0.0, math.pi, math.pi / 2, 5e-324, 1e-310, 2.2e-308, 1e22, 1e300]
     x = np.concatenate((special, np.negative(special), rng.standard_normal(4096) * 10.0 ** rng.integers(-8, 9, 4096)))
-    y, out = x[::-1].copy(), np.empty((3, x.size))
-    lib.rollout_libm(x.ctypes.data, y.ctypes.data, out.ctypes.data, x.size)
-    return out.tobytes() == np.array((np.hypot(x, y), np.sin(x), np.cos(x))).tobytes()
+    y, out = x[::-1].copy(), np.empty((4, x.size))
+    lib.rollout_probe(x.ctypes.data, y.ctypes.data, out.ctypes.data, x.size, loop, data)
+    return out.tobytes() == np.array((np.hypot(x, y), np.sin(x), np.cos(x), np.arctan2(x, y))).tobytes()

@@ -582,7 +582,8 @@ class ReferencePath:
     def _lookahead_misses(self, pos, s_lb, lookahead_dist, s_out, miss, j):
         """:meth:`lookahead_many`'s answers for the rows ``miss`` that its chunk from segments ``j`` missed, into
         ``s_out``; returns the rows that end the path and None or the fallback rows with their points.  The
-        compiled rollout step (``optimizer``) hands its missed rows here too."""
+        compiled rollout (``_rollout.c``) repeats the bulk test for rows that end the path and hands the rows it
+        leaves here."""
         n, t, l2 = self._n, self._table, lookahead_dist * lookahead_dist
         # The rest of the path holds no root when the chunk reached its end, or when its last
         # vertex's distance differs from L1 by more than a chord per segment left (a nan skips nothing).

@@ -11,7 +11,8 @@ def pytest_report_header(config):
     """numpy's version and the float64 dispatch target of arctan2 and power: the digest tests hold their bits only
     under X86_V4 (ROADMAP item 14), so the header says which one a run took, and that they will fail under any other.
     A second line gives the library's size, the line counts of src/pathfollow/*.py and of its C file (as ``wc -l``
-    counts them), and a third the kernel that flies the gain tuner's rollouts, with the reason when it is numpy's."""
+    counts them), and a third the kernel that flies the gain tuner's rollouts: the compiled one with the most threads
+    it splits a rollout's rows over, or numpy's with the reason."""
     from pathfollow.optimizer import rollout_kernel
 
     lines = [sum(p.read_bytes().count(b"\n") for p in SOURCE.glob(g)) for g in ("*.py", "*.c")]
